@@ -1,0 +1,352 @@
+"""Serving-mode matrix behind the frozen golden fixtures.
+
+Every mode is one small fixed-seed run through :func:`repro.serve.serve`
+that reaches a distinct path of the serving loop.  :func:`fingerprint`
+reduces a run to the SHA-256 of its serialized artifacts plus a short
+readable summary; ``tests/golden/<mode>-s<seed>.json`` stores that
+fingerprint, ``tests/test_golden_fixtures.py`` recomputes and compares
+it, and ``tools/regen_golden.py`` rewrites it (only with ``--write``).
+
+Streams are built right after :func:`reset_uid_counter`: integrity
+labels carry tensor uids, so without the reset the digests would depend
+on which tests ran earlier in the process.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from repro.core.config import MiccoConfig
+from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.gpusim import CostModel, Topology
+from repro.gpusim.device import GIB
+from repro.gpusim.trace import TraceConfig
+from repro.integrity import IntegrityConfig
+from repro.schedulers.bounds import ReuseBounds
+from repro.schedulers.micco import MiccoScheduler
+from repro.serve import (
+    AutoscalerConfig,
+    HealthConfig,
+    PoissonArrivals,
+    ServeConfig,
+    TenantSpec,
+    serve,
+)
+from repro.tensor.spec import reset_uid_counter
+from repro.workloads import SyntheticWorkload, WorkloadParams
+
+MIB = 1024**2
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SEEDS = (12, 13)
+
+FAST_HEALTH = HealthConfig(
+    heartbeat_interval_s=1e-3,
+    suspect_threshold=2.0,
+    quarantine_threshold=4.0,
+    probation_beats=3,
+)
+
+
+def _stream(seed: int, n: int = 24, **kw):
+    params = dict(vector_size=8, tensor_size=64, repeated_rate=0.6, num_vectors=n, batch=2)
+    params.update(kw)
+    return SyntheticWorkload(WorkloadParams(**params), seed=seed).vectors()
+
+
+def _roster():
+    spec = WorkloadParams(vector_size=8, tensor_size=64, num_vectors=12, batch=2)
+    return (
+        TenantSpec("heavy", PoissonArrivals(8_000.0), spec, weight=3.0),
+        TenantSpec("light", PoissonArrivals(4_000.0), spec, weight=1.0),
+    )
+
+
+def _cluster(num_devices: int = 4, memory_bytes: int = 64 * MIB, devices_per_node=None):
+    cost_model = CostModel()
+    if devices_per_node is not None:
+        cost_model = CostModel(
+            topology=Topology(num_devices=num_devices, devices_per_node=devices_per_node)
+        )
+    return MiccoConfig(
+        num_devices=num_devices, memory_bytes=memory_bytes, cost_model=cost_model
+    )
+
+
+def _scheduler():
+    return MiccoScheduler(ReuseBounds(0, 4, 0))
+
+
+def _single(seed):
+    return serve(
+        ServeConfig(queue_capacity=16), cluster=_cluster(), scheduler=_scheduler(),
+        vectors=_stream(3), arrivals=PoissonArrivals(4_000.0), seed=seed,
+    )
+
+
+def _tenants(seed):
+    cfg = ServeConfig(queue_capacity=32, tenants=_roster())
+    return serve(cfg, cluster=_cluster(memory_bytes=2 * GIB), seed=seed)
+
+
+def _batched(seed):
+    cfg = ServeConfig(
+        queue_capacity=32, tenants=_roster(),
+        max_batch_vectors=4, schedule_latency_per_pair_s=1e-4,
+    )
+    return serve(cfg, cluster=_cluster(memory_bytes=2 * GIB), seed=seed)
+
+
+def _single_chaos(seed):
+    # Two nodes, one control loop: node 1 dies for good, node 0 loses a
+    # device, flaps, loses its links and goes silent.  The autoscaler
+    # replaces the lost device and shrinks the pool once traffic ends.
+    plan = FaultPlan((
+        FaultEvent(FaultKind.DEVICE_LOST, 0.004, 1),
+        FaultEvent(FaultKind.LINK_LOST, 0.006, 0),
+        FaultEvent(FaultKind.NODE_LOST, 0.010, 5),
+        FaultEvent(FaultKind.HEARTBEAT_LOSS, 0.012, 2, duration_s=0.004),
+        FaultEvent(FaultKind.NODE_FLAP, 0.016, 0, duration_s=0.003, count=2, period_s=0.008),
+        FaultEvent(FaultKind.TRANSIENT, 0.020, 2),
+    ))
+    cfg = ServeConfig(
+        queue_capacity=16,
+        max_inflight=2,
+        warm_restore=True,
+        fault_aware_admission=True,
+        autoscaler=AutoscalerConfig(
+            min_devices=2, max_devices=8, initial_devices=6, warmup_s=0.002,
+            cooldown_s=0.004, window_s=0.01, replace_lost=True,
+        ),
+    )
+    return serve(
+        cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
+        vectors=_stream(5, n=40), arrivals=PoissonArrivals(1_500.0), seed=seed,
+        faults=plan,
+    )
+
+
+def _single_integrity(seed):
+    plan = FaultPlan.generate(
+        seed, num_devices=4, horizon_s=0.02,
+        n_transient=1, n_transfer=0, n_straggler=0, n_device_lost=0,
+        n_data_corruption=2, n_tensor_bitflip=2, corruption_prob=0.9,
+        corruption_window_frac=0.8,
+    )
+    cfg = ServeConfig(
+        queue_capacity=32,
+        trace=TraceConfig(mode="full"),
+        integrity=IntegrityConfig(mode="spot", audit_fraction=0.5, blame_threshold=0.2),
+    )
+    return serve(
+        cfg, cluster=_cluster(), scheduler=_scheduler(),
+        vectors=_stream(7, n=48), arrivals=PoissonArrivals(2_000.0), seed=seed,
+        faults=plan,
+    )
+
+
+def _sharded(seed):
+    cfg = ServeConfig(sharded=True, routing="residency-affinity")
+    return serve(
+        cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
+        vectors=_stream(3), arrivals=PoissonArrivals(4_000.0), seed=seed,
+    )
+
+
+def _sharded_chaos(seed):
+    plan = FaultPlan((
+        FaultEvent(FaultKind.DEVICE_LOST, 0.002, 1),
+        FaultEvent(FaultKind.LINK_LOST, 0.003, 4),
+        FaultEvent(FaultKind.NODE_FLAP, 0.004, 5, duration_s=0.002, count=2, period_s=0.004),
+        FaultEvent(FaultKind.NODE_LOST, 0.007, 9),
+    ))
+    cfg = ServeConfig(
+        sharded=True,
+        sync_interval_s=2e-3,
+        max_inflight=2,
+        warm_restore=True,
+        autoscaler=AutoscalerConfig(
+            min_devices=1, max_devices=4, initial_devices=3, warmup_s=0.002,
+            cooldown_s=0.004, window_s=0.01, replace_lost=True,
+        ),
+    )
+    return serve(
+        cfg, cluster=_cluster(12, devices_per_node=4), scheduler=_scheduler(),
+        vectors=_stream(5, n=40), arrivals=PoissonArrivals(3_000.0), seed=seed,
+        faults=plan,
+    )
+
+
+def _gray(seed):
+    plan = FaultPlan((
+        FaultEvent(FaultKind.STRAGGLER, 1e-3, 4, duration_s=20e-3, slow_factor=6.0),
+        FaultEvent(FaultKind.NODE_FLAP, 2e-3, 5, duration_s=4e-3, count=3, period_s=5e-3),
+        FaultEvent(FaultKind.HEARTBEAT_LOSS, 6.5e-3, 1, duration_s=6e-3),
+    ))
+    cfg = ServeConfig(
+        sharded=True, sync_interval_s=1e-3,
+        health=FAST_HEALTH.with_(hedging=True, hedge_deadline_s=1e-3),
+    )
+    return serve(
+        cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
+        vectors=_stream(3, n=48), arrivals=PoissonArrivals(4_000.0), seed=seed,
+        faults=plan,
+    )
+
+
+def _learned(seed):
+    cfg = ServeConfig(
+        sharded=True, routing="learned", sync_interval_s=0.01,
+        explore_floor=0.1, min_samples=6, refit_interval=4,
+        health=HealthConfig(),
+    )
+    return serve(
+        cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
+        vectors=_stream(3, n=40), arrivals=PoissonArrivals(4_000.0), seed=seed,
+    )
+
+
+def _sharded_integrity(seed):
+    plan = FaultPlan.generate(
+        seed, num_devices=8, horizon_s=0.02,
+        n_transient=1, n_transfer=0, n_straggler=0, n_device_lost=0,
+        n_data_corruption=2, n_tensor_bitflip=2, corruption_prob=0.9,
+        corruption_window_frac=0.8,
+    )
+    cfg = ServeConfig(
+        sharded=True, sync_interval_s=2e-3,
+        integrity=IntegrityConfig(mode="spot", audit_fraction=0.5, blame_threshold=0.2),
+    )
+    return serve(
+        cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
+        vectors=_stream(7, n=48), arrivals=PoissonArrivals(2_000.0), seed=seed,
+        faults=plan,
+    )
+
+
+MODES = {
+    "single": _single,
+    "tenants": _tenants,
+    "batched": _batched,
+    "single-chaos": _single_chaos,
+    "single-integrity": _single_integrity,
+    "sharded": _sharded,
+    "sharded-chaos": _sharded_chaos,
+    "gray": _gray,
+    "learned": _learned,
+    "sharded-integrity": _sharded_integrity,
+}
+
+
+def run(mode: str, seed: int):
+    """One golden run, on a fresh tensor-uid counter."""
+    reset_uid_counter()
+    return MODES[mode](seed)
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def summarize(result) -> dict:
+    """The readable part of a fixture: what the run did, in counts."""
+    s = result.summary()
+    actions = (result.autoscale or {}).get("actions", [])
+    fault_kinds = Counter(e["kind"] for e in result.fault_events)
+    labels = [e["label"] for e in result.fault_events]
+    health = result.health or {}
+    return {
+        "offered": s["offered"],
+        "completed": s["completed"],
+        "drops": dict(sorted(Counter(d.reason for d in result.report.dropped).items())),
+        "p50_s": s["p50_s"],
+        "p99_s": s["p99_s"],
+        "events_processed": result.events_processed,
+        "multi_member_rounds": sum(1 for r in result.rounds if len(r["members"]) > 1),
+        "scale_ups": sum(1 for a in actions if a["action"] == "up"),
+        "scale_downs": sum(1 for a in actions if a["action"] == "down"),
+        "replacements": sum(1 for a in actions if "replace lost" in a["reason"]),
+        "node_losses": (result.faults or {}).get("node_losses", 0),
+        "device_losses": (result.faults or {}).get("device_losses", 0),
+        "restores": fault_kinds.get("restore", 0),
+        "prewarms": fault_kinds.get("prewarm", 0),
+        "link_cuts": sum(1 for x in labels if x.startswith("link lost")),
+        "silences": sum(1 for x in labels if x.startswith("heartbeat loss")),
+        "quarantines": fault_kinds.get("blame", 0),
+        "detected": (result.integrity or {}).get("detected", 0),
+        "health_quarantines": len(health.get("quarantine_episodes", [])),
+        "hedges": health.get("hedges", {}).get("launched", 0),
+        "forwards": (result.sharding or {}).get("forwards", 0),
+        "rerouted": (result.sharding or {}).get("rerouted", 0),
+        "learned_decisions": (result.routing or {}).get("learned", 0),
+        "engine_trace_events": (
+            len(result.engine_trace) if result.engine_trace is not None else None
+        ),
+    }
+
+
+def fingerprint(mode: str, seed: int) -> dict:
+    """Artifact digests plus summary for one (mode, seed) run."""
+    result = run(mode, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        result.to_json(tmp / "report.json")
+        result.to_trace().save_chrome_trace(tmp / "trace.json")
+        engine = None
+        if result.engine_trace is not None:
+            result.engine_trace.save_chrome_trace(tmp / "engine.json")
+            engine = _sha(tmp / "engine.json")
+        return {
+            "mode": mode,
+            "seed": seed,
+            "report_sha256": _sha(tmp / "report.json"),
+            "trace_sha256": _sha(tmp / "trace.json"),
+            "engine_trace_sha256": engine,
+            "summary": summarize(result),
+        }
+
+
+def fixture_path(mode: str, seed: int) -> Path:
+    return GOLDEN_DIR / f"{mode}-s{seed}.json"
+
+
+def load(mode: str, seed: int) -> dict:
+    return json.loads(fixture_path(mode, seed).read_text())
+
+
+def dump(fp: dict) -> str:
+    return json.dumps(fp, indent=2) + "\n"
+
+
+#: What each mode exists to cover: summary field -> minimum value.  A
+#: fixture whose run no longer reaches its path fails this check.
+COVERAGE = {
+    "single": {"completed": 1},
+    "tenants": {"completed": 1},
+    "batched": {"multi_member_rounds": 1},
+    "single-chaos": {
+        "scale_downs": 1, "replacements": 1, "restores": 1, "node_losses": 1,
+        "link_cuts": 1, "silences": 1, "prewarms": 1,
+    },
+    "single-integrity": {"detected": 1, "quarantines": 1, "engine_trace_events": 1},
+    "sharded": {"completed": 1},
+    "sharded-chaos": {
+        "scale_downs": 1, "replacements": 1, "restores": 1, "node_losses": 1,
+        "link_cuts": 1, "rerouted": 1, "prewarms": 1,
+    },
+    "gray": {"hedges": 1, "health_quarantines": 1, "restores": 1, "silences": 1},
+    "learned": {"learned_decisions": 1},
+    "sharded-integrity": {"detected": 1, "quarantines": 1},
+}
+
+
+def coverage_gaps(mode: str, summary: dict) -> list[str]:
+    """Coverage requirements of ``mode`` the summary does not meet."""
+    return [
+        f"{mode}: {field} = {summary[field]!r}, needs >= {need}"
+        for field, need in COVERAGE[mode].items()
+        if (summary[field] or 0) < need
+    ]

@@ -1,0 +1,74 @@
+#!/usr/bin/env python
+"""Recompute the golden serving fixtures and report what changed.
+
+Usage::
+
+    PYTHONPATH=src python tools/regen_golden.py           # check only
+    PYTHONPATH=src python tools/regen_golden.py --write   # rewrite fixtures
+
+Every (mode, seed) fixture under ``tests/golden/`` is recomputed.  For
+each mismatch the digests that moved and a field-by-field summary diff
+are printed.  Exits 1 when any fixture differs (or is missing), 0 when
+all match.  Files are written only with ``--write``; the exit status
+still reports whether anything differed before the rewrite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+
+from tests import golden_modes as golden  # noqa: E402
+
+DIGESTS = ("report_sha256", "trace_sha256", "engine_trace_sha256")
+
+
+def diff(old: dict | None, new: dict) -> list[str]:
+    """Readable differences between a stored and a fresh fingerprint."""
+    if old is None:
+        return ["fixture missing"]
+    lines = [f"{k}: {old.get(k)} -> {new[k]}" for k in DIGESTS if old.get(k) != new[k]]
+    before, after = old.get("summary", {}), new["summary"]
+    for field in sorted(set(before) | set(after)):
+        if before.get(field) != after.get(field):
+            lines.append(f"  {field}: {before.get(field)!r} -> {after.get(field)!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--write", action="store_true", help="rewrite the fixture files")
+    ap.add_argument("modes", nargs="*", help="restrict to these modes (default: all)")
+    args = ap.parse_args(argv)
+    unknown = set(args.modes) - set(golden.MODES)
+    if unknown:
+        ap.error(f"unknown modes {sorted(unknown)}; choose from {list(golden.MODES)}")
+    changed = 0
+    for mode in args.modes or golden.MODES:
+        for seed in golden.SEEDS:
+            fresh = golden.fingerprint(mode, seed)
+            path = golden.fixture_path(mode, seed)
+            stored = golden.load(mode, seed) if path.exists() else None
+            lines = diff(stored, fresh)
+            gaps = golden.coverage_gaps(mode, fresh["summary"])
+            status = "changed" if lines else "ok"
+            print(f"{mode}-s{seed}: {status}")
+            for line in lines + [f"  coverage gap: {g}" for g in gaps]:
+                print(f"  {line}")
+            if lines:
+                changed += 1
+                if args.write:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_text(golden.dump(fresh))
+    if changed:
+        verb = "rewritten" if args.write else "differ (rerun with --write to accept)"
+        print(f"{changed} fixture(s) {verb}")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
