@@ -24,8 +24,8 @@ recorded) and the surviving pool fraction, shedding doomed vectors at
 admission (reason ``"predicted-infeasible"``) instead of wasting
 execution on work that will be fault-abandoned mid-run.
 
-Passing a policy *name* string still works for backwards compatibility
-but is deprecated; construct the policy object instead.
+:class:`AdmissionQueue` takes policy objects only; :func:`make_policy`
+builds one from a registry name.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
 from abc import ABC, abstractmethod
 
 from repro.errors import ConfigurationError
@@ -340,27 +339,20 @@ class AdmissionQueue:
     capacity:
         Maximum queued tickets; offers beyond it are shed.
     policy:
-        A :class:`QueuePolicy` instance (default: :class:`Fifo`).  A
-        policy *name* string is still accepted (``DeprecationWarning``)
-        and resolved through :func:`make_policy`.
+        A :class:`QueuePolicy` instance (default: :class:`Fifo`); build
+        one from a registry name with :func:`make_policy`.
     """
 
-    def __init__(self, capacity: int = 64, policy: QueuePolicy | str | None = None):
+    def __init__(self, capacity: int = 64, policy: QueuePolicy | None = None):
         if capacity <= 0:
             raise ConfigurationError(f"queue capacity must be > 0, got {capacity}")
         if policy is None:
             policy = Fifo()
-        elif isinstance(policy, str):
-            warnings.warn(
-                "passing a policy name string to AdmissionQueue is deprecated; "
-                "pass a QueuePolicy instance (Fifo(), Sjf(), WeightedFair(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            policy = make_policy(policy)
         if not isinstance(policy, QueuePolicy):
             raise ConfigurationError(
-                f"policy must be a QueuePolicy or a name in {QUEUE_POLICIES}, got {policy!r}"
+                "policy must be a QueuePolicy instance (Fifo(), Sjf(), "
+                f"WeightedFair(...), FaultAware(...)), got {policy!r}; "
+                "make_policy(name) builds one from a name"
             )
         self.capacity = capacity
         self.policy = policy

@@ -109,7 +109,10 @@ class NodeRuntime:
     devices:
         The node's device ids (from ``Topology.devices_of_node``).
     view:
-        Shard-scoped cluster view the local scheduler places through.
+        Cluster view the local scheduler places through: a
+        :class:`ShardView` for a topology node, or the
+        :class:`~repro.gpusim.cluster.ClusterState` itself for the one
+        shard spanning the cluster (no delegation cost).
     scheduler:
         This shard's *own* scheduler instance (per-shard reuse-bound
         state; never shared with other shards).
@@ -126,7 +129,7 @@ class NodeRuntime:
                  tracker, scaler=None):
         self.node = int(node)
         self.devices = tuple(sorted(int(d) for d in devices))
-        self.view: ShardView = view
+        self.view: ShardView | ClusterState = view
         self.scheduler = scheduler
         self.queue = queue
         self.tracker = tracker
@@ -161,6 +164,8 @@ class NodeRuntime:
         self.inflight_tickets: dict[int, object] = {}
         #: (bounds, alive-count) anchor for per-shard bound rescaling.
         self.bounds_anchor: tuple | None = None
+        #: (alive-id list, byte budget) of the last batched round.
+        self.budget_cache: tuple | None = None
         # ----- counters for the report's sharding section -----
         #: Tickets placed on this shard (queued or directly dispatched).
         self.routed = 0
@@ -172,6 +177,37 @@ class NodeRuntime:
         self.drained_out = 0
         #: Speculative hedge clones placed on this shard.
         self.hedged_in = 0
+
+    def rescale_bounds(self, alive_before: int, alive_after: int) -> None:
+        """Re-apply the reuse bounds after a pool-size change.
+
+        Rescaling always derives from the *anchor* — the (bounds, pool
+        size) pair captured when the run started — never by chaining
+        ``rescaled()`` off the previous rescale's output.  Chained
+        rescales compound float rounding: after a few shrink/grow
+        cycles that return to the original pool size, the bounds end up
+        at e.g. ``4.9999999999999964`` instead of ``5.0``, silently
+        shifting the availability test.  From the anchor, returning to
+        any previously seen pool size reproduces bit-identical bounds
+        (rescaling is evaluated once per target size, so it is
+        idempotent and composition-free by construction).
+
+        Skipped without an anchor (a predictor re-derives bounds per
+        vector anyway, or the scheduler has no bounds to scale).  An
+        empty *previous* pool is fine — the anchor, not the previous
+        size, is the scale source — which matters when a fully
+        flapped-down shard restores its first device.
+        """
+        if (
+            alive_before != alive_after
+            and alive_after > 0
+            and self.bounds_anchor is not None
+        ):
+            bounds0, alive0 = self.bounds_anchor
+            if alive_after == alive0:
+                self.scheduler.set_bounds(bounds0)
+            else:
+                self.scheduler.set_bounds(bounds0.rescaled(alive0, alive_after))
 
     # ------------------------------------------------------------------ digest
     def digest(self, now: float, linkless_devices=frozenset()) -> NodeDigest:

@@ -219,33 +219,37 @@ class TestBatchFaultDemux:
 class TestRescaleAnchoring:
     """Repeated pool changes must not drift the reuse bounds."""
 
-    def test_round_trip_restores_exact_bounds(self):
+    @staticmethod
+    def shard(anchor):
+        """The one whole-cluster shard of a single-loop server."""
         server = make_server(ServeConfig())
-        server._bounds_anchor = (ReuseBounds(1, 3, 5), 8)
+        shard = server._build_shards([])[0]
+        shard.bounds_anchor = anchor
+        return server, shard
+
+    def test_round_trip_restores_exact_bounds(self):
+        server, shard = self.shard((ReuseBounds(1, 3, 5), 8))
         # 8 -> 7 -> 5 -> 8: back at the anchor size, bit-exact bounds.
-        server._rescale_bounds(8, 7)
-        server._rescale_bounds(7, 5)
-        server._rescale_bounds(5, 8)
+        shard.rescale_bounds(8, 7)
+        shard.rescale_bounds(7, 5)
+        shard.rescale_bounds(5, 8)
         assert server.scheduler.bounds == ReuseBounds(1, 3, 5)
 
     def test_chained_cycles_equal_single_rescale(self):
         anchor = (ReuseBounds(1, 3, 5), 8)
-        walked = make_server(ServeConfig())
-        walked._bounds_anchor = anchor
+        walked, walked_shard = self.shard(anchor)
         sizes = [8, 7, 3, 6, 8, 2, 5, 8, 3]
         for before, after in zip(sizes, sizes[1:]):
-            walked._rescale_bounds(before, after)
-        direct = make_server(ServeConfig())
-        direct._bounds_anchor = anchor
-        direct._rescale_bounds(8, sizes[-1])
+            walked_shard.rescale_bounds(before, after)
+        direct, direct_shard = self.shard(anchor)
+        direct_shard.rescale_bounds(8, sizes[-1])
         assert walked.scheduler.bounds == direct.scheduler.bounds
 
     def test_idempotent_per_target_size(self):
-        server = make_server(ServeConfig())
-        server._bounds_anchor = (ReuseBounds(0, 4, 0), 4)
-        server._rescale_bounds(4, 3)
+        server, shard = self.shard((ReuseBounds(0, 4, 0), 4))
+        shard.rescale_bounds(4, 3)
         once = server.scheduler.bounds
-        server._rescale_bounds(4, 3)  # same transition again
+        shard.rescale_bounds(4, 3)  # same transition again
         assert server.scheduler.bounds == once
 
     def test_loss_then_restore_recovers_seed_bounds_end_to_end(self):

@@ -279,11 +279,9 @@ class TestPolicyProtocol:
         with pytest.raises(ConfigurationError):
             make_policy("lifo")
 
-    def test_string_policy_deprecated_but_works(self):
-        with pytest.deprecated_call():
-            q = AdmissionQueue(capacity=4, policy="sjf")
-        assert isinstance(q.policy, Sjf)
-        assert q.counters()["policy"] == "sjf"
+    def test_string_policy_rejected(self):
+        with pytest.raises(ConfigurationError, match="QueuePolicy instance"):
+            AdmissionQueue(capacity=4, policy="sjf")
 
     def test_custom_policy_object(self):
         class Lifo(QueuePolicy):
@@ -306,9 +304,8 @@ class TestValidation:
             AdmissionQueue(capacity=0)
 
     def test_bad_policy(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                AdmissionQueue(policy="lifo")
+        with pytest.raises(ConfigurationError, match="Fifo.*Sjf.*WeightedFair"):
+            AdmissionQueue(policy="lifo")
 
     def test_non_policy_object_rejected(self):
         with pytest.raises(ConfigurationError):
