@@ -91,7 +91,7 @@ def split_assignment(vectors, assignment) -> list[list[int]]:
 
     Returns one ``list[int]`` per member, index-aligned with that
     member's own ``pairs`` — exactly the shape per-vector fault
-    recovery (:meth:`~repro.serve.server.MiccoServer._reschedule_orphans`)
+    recovery (:meth:`~repro.serve.server.ServeRun.reschedule_orphans`)
     expects on each ticket.
     """
     vectors = list(vectors)
