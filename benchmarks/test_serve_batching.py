@@ -1,7 +1,7 @@
 """Bench: batched scheduling rounds vs one-vector-at-a-time dispatch.
 
 An overlap-heavy stream (85% repeated tensors) saturates a small pool.
-Coalescing compatible queued vectors into merged scheduling rounds must
+Coalescing mergeable queued vectors into merged scheduling rounds must
 beat unbatched dispatch on *both* sustained throughput and p99 latency:
 a round moves several vectors through the single scheduling slot
 together (pipelining the backlog) and schedules their pairs as one

@@ -1,23 +1,17 @@
-"""Bench: vectorized simulator core vs the reference core.
+"""Bench: end-to-end serving throughput of the simulator core.
 
 The tentpole workload — two tenants (weights 3.0/1.0) offering 4 000
 vectors each at a saturating Poisson rate onto an 8-GPU / 2-node
-cluster with 64 MiB devices — is served through the unified
-:func:`repro.serve.serve` API twice:
+cluster with 64 MiB devices — is served once through the unified
+:func:`repro.serve.serve` API for the absolute events-per-second figure.
 
-* once on the default **vectorized core** (numpy batch scoring via
-  ``CostModel.score_batch`` + ``lex_argmin``, slot-indexed device
-  horizons, columnar traces), for the absolute events-per-second
-  figure, and
-* once on the **reference core** (``repro.compat.reference_core``),
-  in the *same process*, for a machine-drift-immune speedup ratio.
-
-The golden-equivalence suite (``tests/test_golden_equivalence.py``)
-already pins both cores to byte-identical reports; this bench only
-measures how much faster the vectorized one is.  Wall-clock numbers
-move with machine load, so the ratio — both runs sharing the same
-interpreter, same cache state, same background noise — is the number
-the perf gate trusts.
+Wall-clock numbers move with machine load, so the fixed pure-Python
+calibration loop of ``bench.child.calibrate`` is timed just before and
+just after the run.  ``events_per_cal`` — events/sec times the mean
+calibration time, i.e. events served per calibration loop — divides the
+machine's current speed out; it is the number the perf gate trusts.
+Placement itself is pinned by the frozen fixtures in ``tests/golden/``
+and the property tests in ``tests/test_placement_oracle.py``.
 
 Merges a ``throughput`` section into ``BENCH_serve.json`` (the sharded
 bench owns the rest of the file), which CI uploads as an artifact and
@@ -29,8 +23,8 @@ import resource
 import time
 from pathlib import Path
 
+from bench.child import calibrate
 from benchmarks.conftest import run_once
-from repro import compat
 from repro.core.config import MiccoConfig
 from repro.gpusim import CostModel, Topology
 from repro.serve import PoissonArrivals, ServeConfig, TenantSpec, make_server
@@ -95,14 +89,13 @@ def timed(n_per_tenant):
 
 
 def sweep():
-    out = {}
     # Warm-up: first touch of numpy kernels and workload generation
-    # should not bill to either timed run.
+    # should not bill to the timed run.
     timed(64)
-    out["fast"] = timed(N_FULL)
-    with compat.reference_core():
-        out["reference"] = timed(N_FULL)
-    return out
+    cal_before = calibrate()
+    result, wall = timed(N_FULL)
+    cal_s = (cal_before + calibrate()) / 2
+    return result, wall, cal_s
 
 
 def section(result, wall_s: float) -> dict:
@@ -120,33 +113,20 @@ def section(result, wall_s: float) -> dict:
     }
 
 
-def test_vectorized_core_throughput(benchmark):
-    results = run_once(benchmark, sweep)
-    full, full_wall = results["fast"]
-    ref, ref_wall = results["reference"]
+def test_serve_throughput(benchmark):
+    full, full_wall, cal_s = run_once(benchmark, sweep)
 
-    fs, rs = full.summary(), ref.summary()
-    speedup = ref_wall / full_wall if full_wall > 0 else 0.0
+    fs = full.summary()
     ev_per_s = fs["events_processed"] / full_wall
+    events_per_cal = ev_per_s * cal_s
     print()
-    print(f"fast (N={2 * N_FULL:5d}) : {full_wall:7.3f} s wall   "
+    print(f"N={2 * N_FULL:5d} : {full_wall:7.3f} s wall   "
           f"{ev_per_s:8.0f} ev/s   {fs['events_processed']} events")
-    print(f"ref  (N={2 * N_FULL:5d}) : {ref_wall:7.3f} s wall   "
-          f"in-process speedup {speedup:.2f}x")
+    print(f"calibration loop {cal_s * 1e3:.2f} ms   "
+          f"{events_per_cal:.1f} events per calibration loop")
 
-    # Same workload, both cores: identical simulated outcome (the
-    # golden suite pins byte-identity; this is the cheap smoke).
-    assert json.dumps(fs, sort_keys=True) == json.dumps(rs, sort_keys=True)
-    for s in (fs, rs):
-        assert s["completed"] == s["offered"]
-        assert s["dropped"] == 0
-    assert fs["offered"] == 2 * N_FULL
-
-    # The tentpole claim, drift-immune form: the vectorized core beats
-    # the reference core by a wide margin in the same process.  The
-    # committed figure is ~8x; 4x is the never-regress floor (a shared
-    # single-core box can halve any one run).
-    assert speedup > 4.0
+    assert fs["completed"] == fs["offered"] == 2 * N_FULL
+    assert fs["dropped"] == 0
 
     payload = json.loads(OUT_PATH.read_text()) if OUT_PATH.exists() else {}
     payload["throughput"] = {
@@ -160,8 +140,8 @@ def test_vectorized_core_throughput(benchmark):
             "seed": SEED,
         },
         "fast": section(full, full_wall),
-        "reference": section(ref, ref_wall),
-        "speedup_vs_reference": speedup,
+        "cal_s": cal_s,
+        "events_per_cal": events_per_cal,
         "pr7_baseline": PR7_BASELINE,
         "speedup_vs_pr7_baseline_wall": (
             ev_per_s / PR7_BASELINE["events_per_s_wall"]

@@ -107,7 +107,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "coalesce up to this many compatible queued vectors into one "
+            "coalesce up to this many mergeable queued vectors into one "
             "scheduling round (repeated tensors placed once, reused across "
             "the round; default 1: no batching)"
         ),

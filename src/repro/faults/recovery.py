@@ -109,8 +109,8 @@ class FaultStats:
         default_factory=lambda: {"transient": [], "device_lost": [], "transfer": []}
     )
     events: list[dict] = field(default_factory=list)
-    #: device id -> simulated time of *first* loss.  Kept for backward
-    #: compatibility with manually-constructed stats; availability is
+    #: device id -> simulated time of *first* loss.  Kept so that
+    #: manually-constructed stats still work; availability is
     #: charged from ``down_windows`` when any exist for the device.
     lost_at: dict[int, float] = field(default_factory=dict)
     #: ``[device, start_s, end_s]`` down windows; ``end_s is None``

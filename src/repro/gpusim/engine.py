@@ -11,7 +11,6 @@ correctness can be asserted end-to-end.
 
 from __future__ import annotations
 
-from repro import compat
 from repro.errors import DeviceLostError, SchedulingError, TransientFaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RetryPolicy
@@ -80,12 +79,7 @@ class ExecutionEngine:
     # ------------------------------------------------------------- single pair
     def execute_pair(self, pair: TensorPair, device_id: int, metrics: ExecutionMetrics) -> None:
         """Run one contraction on ``device_id``, accumulating into ``metrics``."""
-        if (
-            self.injector is None
-            and self.trace is None
-            and self.store is None
-            and not compat.REFERENCE_CORE
-        ):
+        if self.injector is None and self.trace is None and self.store is None:
             return self._execute_pair_fast(pair, device_id, metrics)
         return self._execute_pair_full(pair, device_id, metrics)
 
@@ -96,12 +90,7 @@ class ExecutionEngine:
         paying the dispatch check on every pair.  Must be re-fetched
         whenever ``injector``/``trace``/``store`` change.
         """
-        if (
-            self.injector is None
-            and self.trace is None
-            and self.store is None
-            and not compat.REFERENCE_CORE
-        ):
+        if self.injector is None and self.trace is None and self.store is None:
             return self._execute_pair_fast
         return self._execute_pair_full
 
@@ -541,7 +530,7 @@ class ExecutionEngine:
         free is skipped here.
         """
         cm = self.cost_model
-        if self.trace is None and not cm.drain_writeback and not compat.REFERENCE_CORE:
+        if self.trace is None and not cm.drain_writeback:
             # No cost is charged and nothing is recorded: drop each
             # still-resident output directly against the pool and the
             # holder index (same effect as ``is_resident`` + ``drop``).

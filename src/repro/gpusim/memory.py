@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro import compat
 from repro.errors import CapacityError
 from repro.utils.validation import check_in, check_positive
 
@@ -94,26 +93,16 @@ class MemoryPool:
         self._resident.move_to_end(uid)
 
     def _victim_order(self, protect) -> list[int]:
-        """Unprotected uids in eviction-preference order for the policy."""
+        """Unprotected uids in FIFO/largest eviction-preference order.
+
+        LRU needs no sort: the OrderedDict already iterates least
+        recently used first (see :meth:`allocate`).
+        """
         candidates = [u for u in self._resident if u not in protect]
-        if self.policy == "lru":
-            return candidates  # OrderedDict iterates LRU first
         if self.policy == "fifo":
             return sorted(candidates, key=lambda u: self._insertion[u])
         # "largest": biggest footprint first; ties oldest-first.
         return sorted(candidates, key=lambda u: (-self._resident[u], self._insertion[u]))
-
-    def _victim_iter(self, protect):
-        """Lazy :meth:`_victim_order` — same sequence, no full scan.
-
-        Eviction loops usually stop after a handful of victims, so for
-        LRU (iteration order *is* preference order) a generator avoids
-        rebuilding the whole candidate list per oversubscribed
-        allocation.  FIFO/largest need the global sort either way.
-        """
-        if self.policy == "lru" and not compat.REFERENCE_CORE:
-            return (u for u in self._resident if u not in protect)
-        return iter(self._victim_order(protect))
 
     def allocate(self, uid: int, nbytes: int, protect: set[int] | frozenset[int] = frozenset()) -> list[Residency]:
         """Allocate ``nbytes`` for ``uid``, evicting victims if needed.
@@ -138,21 +127,16 @@ class MemoryPool:
             # walks the resident dict), then evict them.
             short = nbytes - (capacity - self._used)
             victims: list[int] = []
-            if self.policy == "lru" and not compat.REFERENCE_CORE:
-                # Inline LRU scan: OrderedDict order *is* preference order.
-                for victim in resident:
-                    if victim in protect:
-                        continue
-                    victims.append(victim)
-                    short -= resident[victim]
-                    if short <= 0:
-                        break
-            else:
-                for victim in self._victim_iter(protect):
-                    victims.append(victim)
-                    short -= resident[victim]
-                    if short <= 0:
-                        break
+            # LRU scans the OrderedDict directly (its order *is* the
+            # preference order) and stops at the first fit.
+            order = resident if self.policy == "lru" else self._victim_order(protect)
+            for victim in order:
+                if victim in protect:
+                    continue
+                victims.append(victim)
+                short -= resident[victim]
+                if short <= 0:
+                    break
             insertion = self._insertion
             for victim in victims:
                 vb = resident.pop(victim)

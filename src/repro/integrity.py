@@ -65,7 +65,7 @@ def mix64(*values: int) -> int:
     The integrity layer's only randomness source: corruption draws,
     audit sampling and content versions all come from this mix, so a
     fixed seed replays bit-identically — there is no hidden RNG state
-    to diverge between the vectorized and reference cores.
+    to diverge between runs.
     """
     h = 0x9E3779B97F4A7C15
     for v in values:
@@ -219,7 +219,7 @@ class IntegrityState:
         Diverges from :meth:`true_version` exactly when the copy is
         corrupt; the divergent value is itself a deterministic function
         of the corruption's provenance, so ledger snapshots compare
-        equal across the vectorized and reference cores.
+        equal across same-seed runs.
         """
         entry = self._dirty.get(uid, {}).get(device)
         if entry is None:

@@ -1,4 +1,4 @@
-"""Cross-vector batching: merge compatible vectors into one scheduling round.
+"""Cross-vector batching: merge like-shaped vectors into one scheduling round.
 
 MICCO's reuse-vs-balance tradeoff is normally evaluated one vector at a
 time, but under serving load the admission queue routinely holds several
@@ -19,7 +19,7 @@ entry point the serving loop batches through:
   member's own ``pairs``), so per-vector completion, latency and fault
   recovery accounting stay exact.
 * :func:`batch_shape_key` / :func:`batch_footprint_bytes` are the
-  compatibility predicates: only vectors of the same workload shape
+  merge predicates: only vectors of the same workload shape
   family merge, within a combined device-memory footprint budget.
 """
 
@@ -59,7 +59,7 @@ def batch_footprint_bytes(vectors) -> int:
 
 
 def merge_vectors(vectors) -> VectorSpec:
-    """Merge compatible vectors into one super-vector for a round.
+    """Merge like-shaped vectors into one super-vector for a round.
 
     The members' pairs are concatenated in member order, so index
     ``i`` of the merged assignment maps back to a member pair through

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import compat
 from repro.gpusim.cluster import ClusterState
 from repro.gpusim.costmodel import CostModel, lex_argmin
 from repro.schedulers.base import Scheduler
@@ -64,18 +63,19 @@ class CostGreedyScheduler(Scheduler):
         return added + cm.effective_memop_time(memop, added)
 
     def estimate_added_time_batch(self, pair: TensorPair, cluster: ClusterState) -> "np.ndarray":
-        """:meth:`estimate_added_time` for every device, vectorised.
+        """:meth:`estimate_added_time` for every *surviving* device, vectorised.
 
+        Entry ``i`` is the estimate for ``cluster.alive_ids()[i]``.
         Kernel time and the output allocation are device-independent,
         so they are computed once; per-device terms (input fetches,
         predicted eviction overflow) come from the cluster's batch
         reads and one array pass through the cost model.
         """
         cm = self.cost_model
-        n = cluster.num_devices
-        devices = range(n)
+        alive = cluster.alive_ids()
+        n = len(alive)
         added = np.fromiter(
-            (cm.kernel_time(pair, cluster.devices[g]) for g in devices),
+            (cm.kernel_time(pair, cluster.devices[g]) for g in alive),
             dtype=np.float64, count=n,
         )
         incoming = np.full(n, pair.out.nbytes, dtype=np.int64)
@@ -87,28 +87,22 @@ class CostGreedyScheduler(Scheduler):
             alloc = cm.alloc_time(spec.nbytes)
             if holders:
                 src = min(holders)
-                for g in devices:
+                for i, g in enumerate(alive):
                     if g in holders:
                         continue
-                    memop[g] += alloc + cm.d2d_time(spec.nbytes, src=src, dst=g)
-                    incoming[g] += spec.nbytes
+                    memop[i] += alloc + cm.d2d_time(spec.nbytes, src=src, dst=g)
+                    incoming[i] += spec.nbytes
             else:
                 memop += alloc + cm.h2d_time(spec.nbytes)
                 incoming += spec.nbytes
-        overflow = incoming - cluster.free_bytes_batch(list(devices))
-        for g in np.flatnonzero(overflow > 0):
-            memop[g] += cm.eviction_time(int(overflow[g]))
+        overflow = incoming - cluster.free_bytes_batch(alive)
+        for i in np.flatnonzero(overflow > 0):
+            memop[i] += cm.eviction_time(int(overflow[i]))
         return added + np.maximum(memop - cm.overlap_fraction * added, 0.0)
 
     def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
-        busy = cluster.busy_s
-        if compat.REFERENCE_CORE:
-            best = 0
-            best_t = float("inf")
-            for g in range(cluster.num_devices):
-                t = busy[g] + self.estimate_added_time(pair, g, cluster)
-                if t < best_t:
-                    best, best_t = g, t
-            return best
-        totals = busy + self.estimate_added_time_batch(pair, cluster)
-        return lex_argmin(totals)
+        # Lost devices are never candidates; alive is ascending, so the
+        # first minimum is the lowest id.
+        alive = cluster.alive_ids()
+        totals = cluster.busy_s[alive] + self.estimate_added_time_batch(pair, cluster)
+        return alive[lex_argmin(totals)]

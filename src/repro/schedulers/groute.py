@@ -10,9 +10,6 @@ of where the pair's tensors are resident.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro import compat
 from repro.gpusim.cluster import ClusterState
 from repro.gpusim.costmodel import lex_argmin
 from repro.schedulers.base import Scheduler
@@ -26,16 +23,7 @@ class GrouteScheduler(Scheduler):
 
     def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
         busy = cluster.busy_s
-        # Lowest busy time among surviving devices; deterministic
-        # lowest-id tie break.
+        # Lowest busy time among surviving devices; alive is ascending,
+        # so the first minimum is the lowest id.
         alive = cluster.alive_ids()
-        if compat.REFERENCE_CORE:
-            best = alive[0]
-            best_t = busy[best]
-            for g in alive[1:]:
-                if busy[g] < best_t:
-                    best, best_t = g, busy[g]
-            return best
-        # Vectorised: one masked argmin over the busy horizon; alive is
-        # ascending, so the first minimum is the lowest id.
         return alive[lex_argmin(busy[alive])]

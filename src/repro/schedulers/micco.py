@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import compat
 from repro.errors import SchedulingError
 from repro.gpusim.cluster import ClusterState
 from repro.gpusim.costmodel import CostModel
@@ -141,78 +140,32 @@ class MiccoScheduler(Scheduler):
     def build_candidates(self, pair: TensorPair, cluster: ClusterState) -> list[int]:
         """Alg. 1 steps I–II: the candidate queue for ``pair``.
 
-        Returned device ids are unique and in ascending order (the order
-        itself never matters — Alg. 2 selects by cost, ties by id).
+        The plain paper-faithful form, one availability test per
+        candidate.  :meth:`choose` fuses this with :meth:`select`; the
+        two must always agree.  Returned device ids are unique and in
+        ascending order (the order itself never matters — Alg. 2 selects
+        by cost, ties by id).
         """
-        if compat.REFERENCE_CORE:
-            cls = classify_pair(pair, cluster)
-            self.pattern_counts[cls.pattern] += 1
-            return self._build_candidates_ref(cls, cluster)
-
-        # Fast path: classify against the live holder index (no
-        # frozenset copies) and hoist the availability threshold out of
-        # the scans (``bounds[tier] + balance_num`` is per-tier constant
-        # within a pair) — same tests, evaluated once each.
-        holders_map = cluster._holders
-        lu = pair.left.uid
-        ru = pair.right.uid
-        left = holders_map.get(lu) or _EMPTY_SET
-        right = left if ru == lu else (holders_map.get(ru) or _EMPTY_SET)
-        common = left & right
-        if common:
-            pattern = ReusePattern.TWO_REPEATED_SAME
-        elif left and right:
-            pattern = ReusePattern.TWO_REPEATED_DIFF
-        elif left or right:
-            pattern = ReusePattern.ONE_REPEATED
-        else:
-            pattern = ReusePattern.TWO_NEW
-        self.pattern_counts[pattern] += 1
-
-        slots = cluster.assigned_slots.tolist()
-        balance = cluster.balance_num
-        bounds = self.bounds
+        cls = classify_pair(pair, cluster)
+        self.pattern_counts[cls.pattern] += 1
         if self.pattern_aware:
             # Step I: devices holding both tensors, under the tier-0 bound.
-            if common:
-                thr = bounds[0] + balance
-                candi = [g for g in sorted(common) if slots[g] < thr]
-                if candi:
-                    return candi
-
-            # Step II: devices holding one tensor, under the tier-1 bound.
-            any_h = left | right
-            if any_h:
-                thr = bounds[1] + balance
-                candi = [g for g in sorted(any_h) if slots[g] < thr]
-                if candi:
-                    return candi
-
-        # Fallback: any *surviving* device under the tier-2 bound.
-        # (Steps I–II are alive-safe for free: lost devices hold no
-        # tensors, so they never appear among the holders.)
-        thr = bounds[2] + balance
-        candi = [g for g in cluster.alive_ids() if slots[g] < thr]
-        if candi:
-            return candi
-
-        # Defensive: with bounds >= 0 some device is always below the
-        # balanced share mid-vector, but guard against degenerate
-        # configurations (e.g. externally mutated counters).
-        return cluster.alive_ids()
-
-    def _build_candidates_ref(self, cls, cluster: ClusterState) -> list[int]:
-        """Original per-candidate Alg. 1 scan (golden-reference path)."""
-        if self.pattern_aware:
             candi = [g for g in sorted(cls.common_holders) if self._available(g, 0, cluster)]
             if candi:
                 return candi
+            # Step II: devices holding one tensor, under the tier-1 bound.
             candi = [g for g in sorted(cls.any_holders) if self._available(g, 1, cluster)]
             if candi:
                 return candi
+        # Fallback: any *surviving* device under the tier-2 bound.
+        # (Steps I–II are alive-safe for free: lost devices hold no
+        # tensors, so they never appear among the holders.)
         candi = [g for g in cluster.alive_ids() if self._available(g, 2, cluster)]
         if candi:
             return candi
+        # Defensive: with bounds >= 0 some device is always below the
+        # balanced share mid-vector, but guard against degenerate
+        # configurations (e.g. externally mutated counters).
         return cluster.alive_ids()
 
     # -------------------------------------------------------------- Alg. 2
@@ -220,66 +173,6 @@ class MiccoScheduler(Scheduler):
         """Alg. 2: computation-centric vs memory-eviction-sensitive pick."""
         if not candidates:
             raise SchedulingError("empty candidate queue")
-        if compat.REFERENCE_CORE:
-            return self._select_ref(candidates, pair, cluster)
-        n = len(candidates)
-        if n == 1:
-            return candidates[0]
-        if n < VECTOR_MIN_CANDIDATES:
-            return self._select_small(candidates, pair, cluster)
-        cand = np.asarray(candidates, dtype=np.int64)
-        return self.cost_model.score_batch(
-            cand,
-            incoming_bytes_batch(pair, candidates, cluster),
-            cluster.free_bytes_batch(candidates),
-            cluster.compute_s[cand],
-            eviction_sensitive=self.eviction_sensitive,
-        )
-
-    def _select_small(self, candidates: list[int], pair: TensorPair, cluster: ClusterState) -> int:
-        """Alg. 2 for narrow candidate sets: one fused scalar pass.
-
-        Bit-identical to :meth:`~repro.gpusim.costmodel.CostModel.score_batch`
-        on the same inputs — per-pair invariants (output bytes, holder
-        sets) are hoisted so each candidate costs two set probes and a
-        couple of comparisons, which beats array-op overhead below
-        :data:`VECTOR_MIN_CANDIDATES` devices.
-        """
-        pools = cluster.pools
-        compute = cluster.compute_s
-        holders_map = cluster._holders
-        left, right = pair.left, pair.right
-        out_b = pair.out.nbytes
-        lh = holders_map.get(left.uid) or _EMPTY_SET
-        l_nb = left.nbytes
-        two = right.uid != left.uid
-        if two:
-            rh = holders_map.get(right.uid) or _EMPTY_SET
-            r_nb = right.nbytes
-        free = [pools[g].free_bytes for g in candidates]
-        if self.eviction_sensitive:
-            evict = False
-            for i, g in enumerate(candidates):
-                inc = out_b
-                if g not in lh:
-                    inc += l_nb
-                if two and g not in rh:
-                    inc += r_nb
-                if inc > free[i]:
-                    evict = True
-                    break
-        else:
-            evict = False
-        best = None
-        best_key = None
-        for i, g in enumerate(candidates):
-            key = (-free[i], compute[g], g) if evict else (compute[g], -free[i], g)
-            if best_key is None or key < best_key:
-                best, best_key = g, key
-        return best
-
-    def _select_ref(self, candidates: list[int], pair: TensorPair, cluster: ClusterState) -> int:
-        """Original per-candidate Alg. 2 pick (golden-reference path)."""
         evict_flag = self.eviction_sensitive and any(
             would_evict(pair, g, cluster) for g in candidates
         )
@@ -296,15 +189,14 @@ class MiccoScheduler(Scheduler):
         """Alg. 1 + Alg. 2 fused: one pass from holder sets to device.
 
         Equivalent to ``select(build_candidates(pair, cluster), ...)``
-        (the golden suite pins that equivalence), but the holder sets
-        are read once and the candidate tier is remembered: tier-0
-        candidates hold *both* inputs, so their incoming bytes are the
-        output alone and the per-candidate residency probes of
-        :meth:`_select_small` collapse to a constant.
+        (``tests/test_placement_oracle.py`` checks that on random
+        cluster states), but the holder sets are read once and the
+        candidate tier is remembered: tier-0 candidates hold *both*
+        inputs, so their incoming bytes are the output alone and the
+        per-candidate residency probes collapse to a constant.  Narrow
+        candidate sets take one fused scalar pass; from
+        :data:`VECTOR_MIN_CANDIDATES` devices up, the numpy batch scorer.
         """
-        if compat.REFERENCE_CORE:
-            return self.select(self.build_candidates(pair, cluster), pair, cluster)
-
         holders_map = cluster._holders
         # A ShardView carries ``_device_set``; its ``devices_holding``
         # scopes holders to the shard, and reading the raw holder map

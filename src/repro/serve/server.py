@@ -191,7 +191,7 @@ class ServeConfig:
     max_batch_vectors:
         Upper bound on queued vectors coalesced into one *scheduling
         round* at dispatch.  1 (default) disables batching; higher
-        values let the dispatcher merge compatible vectors (same
+        values let the dispatcher merge like-shaped vectors (same
         workload shape family, combined footprint within
         ``batch_memory_frac``) into one super-vector scheduled together
         — repeated tensors are placed once and reused across the round
@@ -1333,7 +1333,7 @@ class ServeRun:
         :attr:`ServeConfig.batch_memory_frac` of the shard's alive
         memory, and growing the round would not push its earliest-
         deadline member past its SLO (see :meth:`batch_accept`).
-        Incompatible entries are skipped, not dropped — they keep their
+        Non-mergeable entries are skipped, not dropped — they keep their
         queue position for later rounds.
         """
         cfg = self.cfg

@@ -102,7 +102,7 @@ class Ticket:
 class BatchRound:
     """One scheduling round: the batch of tickets dispatched together.
 
-    The serving loop may coalesce several compatible queued vectors into
+    The serving loop may coalesce several mergeable queued vectors into
     one round (see :attr:`~repro.serve.server.ServeConfig.max_batch_vectors`);
     their pairs are scheduled as a single merged vector so repeated
     tensors across the members are placed once, then each member gets

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro import compat
 from repro.errors import WorkloadError
 from repro.tensor.spec import TensorPair, TensorSpec, VectorSpec, _spec_unchecked, next_uid
 from repro.utils.rng import as_generator
@@ -110,8 +109,6 @@ class SyntheticWorkload:
         n_slots = p.vector_size
         n_repeat = int(round(p.repeated_rate * n_slots)) if self.pool else 0
         n_new = n_slots - n_repeat
-        if compat.REFERENCE_CORE:
-            seen_before = {t.uid for t in self.pool}
 
         slots: list[TensorSpec] = []
         if n_repeat:
@@ -128,20 +125,15 @@ class SyntheticWorkload:
         slots = [slots[i] for i in order]
         pairs = [TensorPair.make(slots[2 * i], slots[2 * i + 1]) for i in range(n_slots // 2)]
 
-        if compat.REFERENCE_CORE:
-            measured_rate = sum(1 for s in slots if s.uid in seen_before) / n_slots
-        else:
-            # Every repeated slot comes from the pool (seen before this
-            # call) and every fresh tensor has a brand-new uid, so the
-            # measured rate is exactly n_repeat / n_slots — same float,
-            # without the O(pool) membership scan per vector.
-            measured_rate = n_repeat / n_slots
         vec = VectorSpec(
             pairs=pairs,
             vector_id=self._emitted,
             meta={
                 "declared_repeated_rate": p.repeated_rate,
-                "measured_repeated_rate": measured_rate,
+                # Every repeated slot comes from the pool (seen before
+                # this call) and every fresh tensor has a brand-new uid,
+                # so the measured rate is exactly n_repeat / n_slots.
+                "measured_repeated_rate": n_repeat / n_slots,
                 "distribution": p.distribution,
                 "tensor_size": p.tensor_size,
                 "vector_size": n_slots,

@@ -56,6 +56,17 @@ class TestChoice:
         cl.add_compute(1, 1e9)  # holder is pathologically backed up
         assert CostGreedyScheduler().choose(p, cl) == 0
 
+    def test_lost_device_never_chosen(self):
+        """After a device loss the pick is a survivor, lowest id on ties."""
+        from repro.schedulers.groute import GrouteScheduler
+
+        cl = make_cluster(num_devices=3)
+        cl.fail_device(0)
+        p = make_pair()
+        assert CostGreedyScheduler().choose(p, cl) == 1
+        assert GrouteScheduler().choose(p, cl) == 1
+        assert len(CostGreedyScheduler().estimate_added_time_batch(p, cl)) == 2
+
     def test_beats_random_end_to_end(self):
         params = WorkloadParams(vector_size=32, tensor_size=128, batch=8, repeated_rate=0.75, num_vectors=6)
         vectors = SyntheticWorkload(params, seed=2).vectors()

@@ -86,6 +86,21 @@ class TestCandidateQueue:
         self.cl.assigned_slots[:] = 100
         assert sched.build_candidates(make_pair(), self.cl) == [0, 1, 2, 3]
 
+    def test_shard_view_scopes_holders_to_the_shard(self):
+        """Holders outside a ShardView never become candidates."""
+        from repro.serve.sharded.node import ShardView
+
+        view = ShardView(self.cl, [0, 1])
+        view.begin_vector(8)
+        p = make_pair()
+        self.cl.register(p.left, 3)
+        self.cl.register(p.right, 3)
+        self.cl.register(p.left, 1)
+        sched = MiccoScheduler()
+        assert sched.build_candidates(p, view) == [1]
+        assert sched.pattern_counts[ReusePattern.ONE_REPEATED] == 1
+        assert MiccoScheduler().choose(p, view) == 1
+
     def test_pattern_counts_updated(self):
         sched = MiccoScheduler()
         p = make_pair()

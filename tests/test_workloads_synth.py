@@ -51,6 +51,21 @@ class TestGeneration:
         for v in vecs[1:]:
             assert v.meta["measured_repeated_rate"] == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5, 0.75, 1.0])
+    def test_measured_rate_is_the_recounted_rate(self, rate, distribution):
+        """``measured_repeated_rate`` equals the share of slots whose uid
+        appeared in an earlier vector, counted from the stream itself."""
+        params = WorkloadParams(
+            vector_size=14, repeated_rate=rate, distribution=distribution, num_vectors=8
+        )
+        seen: set[int] = set()
+        for v in SyntheticWorkload(params, seed=5).vectors():
+            slots = [s.uid for pair in v.pairs for s in pair.inputs]
+            recount = sum(1 for uid in slots if uid in seen) / len(slots)
+            assert v.meta["measured_repeated_rate"] == recount
+            seen.update(slots)
+
     def test_zero_rate_all_unique(self):
         params = WorkloadParams(vector_size=16, repeated_rate=0.0, num_vectors=4)
         vecs = SyntheticWorkload(params, seed=1).vectors()
