@@ -19,7 +19,7 @@ from repro.core.config import MiccoConfig
 from repro.serve import (
     AutoscalerConfig,
     BurstyArrivals,
-    MultiTenantServer,
+    MiccoServer,
     PoissonArrivals,
     ServeConfig,
     TenantSpec,
@@ -49,7 +49,7 @@ def heavy_share(result):
 
 def run_fairness(policy):
     cfg = ServeConfig(queue_capacity=128, queue_policy=policy, tenants=fairness_tenants())
-    server = MultiTenantServer(config=MiccoConfig(num_devices=2), serve=cfg)
+    server = MiccoServer(config=MiccoConfig(num_devices=2), serve=cfg)
     return server.run(seed=SEED)
 
 
@@ -84,7 +84,7 @@ def run_autoscaled(autoscale: bool):
     )
     # The fixed baseline gets exactly the autoscaler's floor: one device.
     devices = 4 if autoscale else 1
-    server = MultiTenantServer(config=MiccoConfig(num_devices=devices), serve=cfg)
+    server = MiccoServer(config=MiccoConfig(num_devices=devices), serve=cfg)
     result = server.run(seed=SEED)
     server.cluster.check_invariants()
     return result

@@ -2,7 +2,7 @@
 
 A saturating two-tenant workload on a two-node (4+4 GPU) cluster is
 served twice: once through the single global control loop
-(:class:`MultiTenantServer` — one scheduling round in flight for the
+(:class:`MiccoServer` — one scheduling round in flight for the
 whole cluster) and once through the two-level sharded plane
 (:class:`ShardedServer` — a global router over per-node schedulers,
 each with its own admission queue and in-flight window).  With the
@@ -41,7 +41,7 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.gpusim import CostModel, Topology
 from repro.serve import (
     HealthConfig,
-    MultiTenantServer,
+    MiccoServer,
     PoissonArrivals,
     ServeConfig,
     ShardedServer,
@@ -189,7 +189,7 @@ def section(result, wall_s: float) -> dict:
 def sweep():
     out = {}
     out["single"] = timed(
-        MultiTenantServer(config=cluster_config(), serve=serve_config())
+        MiccoServer(config=cluster_config(), serve=serve_config())
     )
     out["sharded"] = timed(
         ShardedServer(config=cluster_config(), serve=serve_config(sharded=True))

@@ -8,10 +8,10 @@ Public API highlights
 * :class:`repro.WorkloadParams` / :class:`repro.SyntheticWorkload` —
   synthetic vector streams with the paper's data characteristics.
 * :mod:`repro.schedulers` — MICCO heuristic and baseline schedulers.
-* :mod:`repro.serve` — online serving simulator (:class:`repro.MiccoServer`):
-  arrival processes, admission control, latency SLO metrics; multi-tenant
-  mode (:class:`repro.MultiTenantServer`) with weighted-fair admission
-  and a p99-driven device-pool autoscaler.
+* :mod:`repro.serve` — online serving simulator (:func:`repro.serve`,
+  :class:`repro.MiccoServer`): arrival processes, admission control,
+  latency SLO metrics; tenant rosters (``ServeConfig.tenants``) with
+  weighted-fair admission and a p99-driven device-pool autoscaler.
 * :mod:`repro.faults` — seeded fault injection (:class:`repro.FaultPlan`)
   and recovery: chaos-hardened serving on a shrinking device pool.
 * :mod:`repro.ml` — from-scratch regression models + reuse-bound tuner.
@@ -34,7 +34,6 @@ from repro.serve import (
     BurstyArrivals,
     LatencyReport,
     MiccoServer,
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     ServeResult,
@@ -72,7 +71,6 @@ __all__ = [
     "serve",
     "make_server",
     "MiccoServer",
-    "MultiTenantServer",
     "ServeConfig",
     "ServeResult",
     "TenantSpec",

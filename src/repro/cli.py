@@ -501,8 +501,8 @@ def _run_serve(argv: list[str], *, chaos: bool = False) -> int:
         plan.to_json(args.save_plan)
         print(f"fault plan written to {args.save_plan}")
 
-    # One entry point for every mode: serve() picks MiccoServer /
-    # MultiTenantServer / ShardedServer from the ServeConfig alone.
+    # One entry point for every mode: serve() picks MiccoServer or
+    # ShardedServer from the ServeConfig alone.
     if serve_cfg.tenants:
         # Multi-tenant mode: the tenant specs define the traffic, so the
         # single-stream workload/arrival flags are unused.
@@ -580,10 +580,10 @@ def _run_serve(argv: list[str], *, chaos: bool = False) -> int:
                 f"drop rate {t['drop_rate']:.1%} ({t['completed']}/{t['offered']})   {verdict}"
             )
     if result.autoscale is not None:
-        a = result.autoscale
+        a, c = result.autoscale, serve_cfg.autoscaler
         print(
             f"  autoscale  {a['scale_ups']} scale-up(s), {a['scale_downs']} scale-down(s) "
-            f"within [{a['min_devices']}, {a['max_devices']}] devices"
+            f"within [{c.min_devices}, {c.max_devices}] devices"
         )
     if result.faults is not None:
         f = result.faults

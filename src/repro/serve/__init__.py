@@ -10,11 +10,13 @@ and the execution engine into one deterministic discrete-event loop
 latency SLO metrics — tail percentiles, windowed throughput, drop rate
 (:mod:`repro.serve.slo`).
 
-Multi-tenant mode (:mod:`repro.serve.tenancy`,
-:class:`repro.serve.MultiTenantServer`) interleaves several weighted
-tenant streams into one timeline with weighted-fair admission and
-per-tenant SLO attainment, and an optional p99-driven autoscaler
+Multi-tenant serving (:mod:`repro.serve.tenancy`, a
+``ServeConfig.tenants`` roster) interleaves several weighted tenant
+streams into one timeline with weighted-fair admission and per-tenant
+SLO attainment, and an optional p99-driven autoscaler
 (:mod:`repro.serve.autoscale`) grows and shrinks the device pool.
+Every mode enters through :func:`repro.serve.serve` (or
+:func:`repro.serve.make_server`).
 
 Failure-domain resilience rides on top: correlated ``node_lost`` faults
 kill whole nodes atomically (survivor rescheduling pays the slow
@@ -24,10 +26,11 @@ replay warm-restores replacement devices, and the
 to complete under the live fault rate (``"predicted-infeasible"``).
 
 The two-level sharded control plane (:mod:`repro.serve.sharded`,
-enabled with ``ServeConfig(sharded=True)``) replaces the single loop
-with a global router over per-node local schedulers coordinated through
-periodically synced load/residency digests — same timeline, same
-determinism, distributed control decisions.  Routing is pluggable:
+enabled with ``ServeConfig(sharded=True)``) replaces the one
+whole-cluster shard with a global router over per-node local
+schedulers coordinated through periodically synced load/residency
+digests — same timeline, same determinism, distributed control
+decisions.  Routing is pluggable:
 three static digest heuristics plus ``"learned"``
 (:mod:`repro.serve.sharded.learned`), an online per-shard
 completion-latency predictor that routes to the argmin predicted
@@ -83,7 +86,7 @@ from repro.serve.queueing import (
     WeightedFair,
     make_policy,
 )
-from repro.serve.server import MiccoServer, MultiTenantServer, ServeConfig, ServeResult
+from repro.serve.server import MiccoServer, ServeConfig, ServeResult
 from repro.serve.sharded import (
     ROUTING_POLICIES,
     GlobalScheduler,
@@ -133,7 +136,6 @@ __all__ = [
     "FaultAware",
     "make_policy",
     "MiccoServer",
-    "MultiTenantServer",
     "ServeConfig",
     "ServeResult",
     "TenantSpec",

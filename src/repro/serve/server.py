@@ -10,12 +10,12 @@ horizons are derived from the cost model — so device compute overlaps
 later arrivals exactly as on real hardware.
 
 The loop serves *shards*.  :class:`MiccoServer` runs one shard spanning
-the whole cluster behind a :class:`PassThroughRouter`;
-:class:`MultiTenantServer` is the same with several
+the whole cluster behind a :class:`PassThroughRouter`, serving either
+one vector stream or several
 :class:`~repro.serve.tenancy.TenantSpec` arrival streams interleaved and
-admitted weighted-fair, the report carrying per-tenant tails and SLO
-attainment.  :class:`~repro.serve.sharded.ShardedServer` runs one shard
-per topology node behind the stale-digest
+admitted weighted-fair, the report then carrying per-tenant tails and
+SLO attainment.  :class:`~repro.serve.sharded.ShardedServer` runs one
+shard per topology node behind the stale-digest
 :class:`~repro.serve.sharded.server.GlobalScheduler`.  An optional
 :class:`~repro.serve.autoscale.Autoscaler` grows and shrinks each
 shard's alive device pool from queue-depth and windowed-p99 signals.
@@ -30,8 +30,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -159,8 +157,8 @@ class ServeConfig:
         reason ``"fault-abandoned"`` instead — the baseline a chaos run
         compares against.
     tenants:
-        Tenant roster; non-empty enables the multi-tenant serving mode
-        (:class:`MultiTenantServer`).
+        Tenant roster; non-empty makes :meth:`MiccoServer.run` draw the
+        traffic from the tenant specs (multi-tenant serving).
     autoscaler:
         Pool autoscaling policy; ``None`` keeps the pool fixed.
     faults:
@@ -236,9 +234,9 @@ class ServeConfig:
         (:class:`~repro.serve.health.HealthConfig`): heartbeat-driven
         suspicion tracking, quarantine/probation lifecycle, forwarding
         circuit breakers and (optionally) hedged dispatch on the
-        sharded control plane.  ``None`` (default) disables health
-        inference — gray faults then go entirely unnoticed by the
-        router.
+        sharded control plane, so it requires ``sharded=True``.
+        ``None`` (default) disables health inference — gray faults then
+        go entirely unnoticed by the router.
     trace:
         Engine trace recording (:class:`~repro.gpusim.trace.TraceConfig`):
         ``"report"`` (default, lazy report-derived Chrome traces, no
@@ -348,6 +346,11 @@ class ServeConfig:
             raise ConfigurationError(
                 f"health must be a HealthConfig or None, got {self.health!r}"
             )
+        if self.health is not None and not self.sharded:
+            raise ConfigurationError(
+                "health checks and hedging run on the sharded control plane: "
+                "set sharded=True (micco serve --sharded) to use ServeConfig.health"
+            )
         if self.trace is not None and not isinstance(self.trace, TraceConfig):
             raise ConfigurationError(
                 f"trace must be a TraceConfig or None, got {self.trace!r}"
@@ -445,11 +448,11 @@ class ServeResult:
     #: covers every dispatch.
     rounds: list[dict] = field(default_factory=list)
     #: Sharded-control-plane section (routing counters, per-shard
-    #: records); ``None`` for single-control-plane runs.
+    #: records); ``None`` for one-shard runs (no routing tier).
     sharding: dict | None = None
     #: Health-subsystem section (suspicion timeline, quarantine
     #: episodes, hedge/breaker counters); ``None`` unless
-    #: :attr:`ServeConfig.health` was set on a sharded run.
+    #: :attr:`ServeConfig.health` was set.
     health: dict | None = None
     #: Replayable health/hedge/breaker event log (empty without the
     #: health subsystem).
@@ -610,43 +613,29 @@ class ServeResult:
         return trace
 
 
-# Depth counter for the supported construction path: while positive,
-# server __init__ skips the direct-construction DeprecationWarning.
-# ``repro.serve.api`` wraps every instantiation in ``_api_construction``.
-_api_depth = 0
-
-
-@contextmanager
-def _api_construction():
-    """Mark server construction as coming through ``repro.serve.api``."""
-    global _api_depth
-    _api_depth += 1
-    try:
-        yield
-    finally:
-        _api_depth -= 1
-
-
 class PassThroughRouter:
     """The router of a one-shard run: every ticket goes to shard 0.
 
     Single-stream and multi-tenant serving are the sharded loop with one
     shard spanning the whole cluster.  This router keeps no digests and
     no charge ledger, so the loop schedules no
-    :class:`~repro.serve.timeline.DigestSync` or
-    :class:`~repro.serve.timeline.HealthTick` events for it: a one-shard
-    run processes exactly its tickets' events.
+    :class:`~repro.serve.timeline.DigestSync` events for it and the
+    report has no ``sharding`` section.  Once shard 0 is dead there is
+    nowhere to route: work re-homed off it is shed.
     """
 
     #: No routing policy: nothing is learned or reported.
     policy = None
+    #: No digests, so no periodic syncs.
+    sync_interval_s = None
 
-    def __init__(self):
+    def __init__(self, shards: dict):
+        self.shards = shards
         self.forwards = 0
         self.reroutes = 0
 
     def route(self, vector: VectorSpec, now: float, exclude=frozenset()) -> int | None:
-        return None if 0 in exclude else 0
+        return None if 0 in exclude or self.shards[0].dead else 0
 
     def charge(self, ticket: Ticket, node: int, now: float) -> None:
         pass
@@ -670,14 +659,15 @@ class ServeRun:
     ``on_*`` handler after applying due faults, blame quarantines and
     autoscaling.
 
-    ``sharded`` selects the control plane.  A sharded run routes through
-    :class:`~repro.serve.sharded.server.GlobalScheduler` over stale
-    digests, re-homes work off dead or flapped shards and may run health
-    checks and hedging.  A one-shard run keeps the single-loop
-    conventions its reports have always had: the fault-aware gate is the
-    queue's own policy, a dead cluster sheds its work instead of
-    re-homing it, recovery walks tickets in dispatch order, and rounds,
-    queue counters and autoscale sections carry no shard breakdown.
+    Every run follows the same conventions whatever its shard count:
+    fault-aware admission is decided once, before routing; a shard with
+    no alive device holds its queue and a dead shard re-homes its work
+    through the router; recovery walks tickets in vector-id order.  What
+    differs comes from the router the server supplies: a
+    :class:`~repro.serve.sharded.server.GlobalScheduler` syncs stale
+    digests, may run health checks and hedging and reports a
+    ``sharding`` section, while a :class:`PassThroughRouter` does none
+    of that.
     """
 
     def __init__(self, server: "MiccoServer", streams: list[TenantStream], faults, seed):
@@ -688,7 +678,6 @@ class ServeRun:
         self.cluster = cluster
         self.engine = server.engine
         self.streams = streams
-        self.sharded = server.sharded
         self.timeline = Timeline()
         self.report = LatencyReport()
         self.total = ExecutionMetrics(num_devices=cluster.num_devices)
@@ -726,22 +715,20 @@ class ServeRun:
         for shard in self.ordered:
             for d in shard.devices:
                 self.node_of[d] = shard.node
-        if self.sharded:
-            # Fault-aware admission runs once at the global tier, before
-            # routing, so shed accounting is not split across shards.
-            self.gate = (
-                FaultAware(Fifo(), min_success_prob=cfg.admission_min_success)
-                if cfg.fault_aware_admission
-                else None
-            )
-        else:
-            policy = self.ordered[0].queue.policy
-            self.gate = policy if isinstance(policy, FaultAware) else None
+        # Fault-aware admission runs once at the global tier, before
+        # routing, so shed accounting is not split across shards.  A
+        # FaultAware queue policy is itself the gate (its inner policy
+        # orders each shard queue); reset, so fixed-seed replays match.
+        self.gate = None
+        if isinstance(cfg.queue_policy, FaultAware):
+            self.gate = cfg.queue_policy
+            self.gate.reset()
+        elif cfg.fault_aware_admission:
+            self.gate = FaultAware(Fifo(), min_success_prob=cfg.admission_min_success)
         self.router = server._make_router(self.shards, seed)
 
-        # ----- health subsystem (sharded only: monitor, breakers, hedging)
-        self.hcfg = cfg.health if self.sharded else None
-        hcfg = self.hcfg
+        # ----- health subsystem: monitor, breakers, hedging
+        self.hcfg = hcfg = cfg.health
         self.monitor: HealthMonitor | None = None
         self.breakers: dict[int, CircuitBreaker] = {}
         self.breaker_log: list[dict] = []
@@ -772,7 +759,7 @@ class ServeRun:
                 for n in sorted(self.shards)
             }
             self.router.breakers = self.breakers
-        if self.sharded and self.integ is not None:
+        if self.integ is not None:
             integ = self.integ
             self.router.blame_of = lambda node: max(
                 (integ.ewma[d] for d in self.shards[node].devices), default=0.0
@@ -821,12 +808,12 @@ class ServeRun:
         engine.injector = injector
         engine.integrity = integ
         self.cluster.journal = journal
-        if self.sharded:
+        if self.router.sync_interval_s is not None:
             # Initial digests so routing works before the first sync fires.
             self.router.sync(0.0, self.linkless())
-            timeline.push(DigestSync(cfg.sync_interval_s))
-            if self.monitor is not None:
-                timeline.push(HealthTick(self.hcfg.heartbeat_interval_s))
+            timeline.push(DigestSync(self.router.sync_interval_s))
+        if self.monitor is not None:
+            timeline.push(HealthTick(self.hcfg.heartbeat_interval_s))
         handlers = {
             VectorArrival: self.on_arrival,
             SchedulingDone: self.on_scheduled,
@@ -885,11 +872,6 @@ class ServeRun:
             t.sched_done_s = now
         shard = self.shards.get(members[0].shard)
         if shard is None or shard.dead or shard.view.num_alive == 0:
-            if not self.sharded:
-                # The one shard is the whole cluster: nowhere to re-home.
-                for t in members:
-                    self.abandon(t, now)
-                return
             # The shard died (or flapped down to zero alive devices)
             # between dispatch and sched-done.  A dead shard's inflight
             # was already zeroed; a flapped shard's round slot is
@@ -1032,7 +1014,7 @@ class ServeRun:
         if self.timeline.work_remaining:
             # Stop syncing once only control timers remain: digests with
             # no traffic left would tick forever.
-            self.timeline.push(DigestSync(now + self.cfg.sync_interval_s))
+            self.timeline.push(DigestSync(now + self.router.sync_interval_s))
 
     def on_health_tick(self, event: HealthTick, now: float) -> None:
         monitor, hcfg = self.monitor, self.hcfg
@@ -1086,25 +1068,22 @@ class ServeRun:
             shard.inflight_tickets[id(t)] = t
         latency = self.cfg.schedule_latency_per_pair_s * rnd.num_pairs
         self.timeline.push(SchedulingDone(now + latency, members[0], round=rnd))
-        log = {"round_id": rnd.round_id}
-        if self.sharded:
-            log["shard"] = shard.node
-        log.update(
-            members=[t.vector.vector_id for t in members],
-            pairs=rnd.num_pairs,
-            dispatch_s=now,
-            sched_done_s=now + latency,
-        )
-        self.rounds_log.append(log)
+        self.rounds_log.append({
+            "round_id": rnd.round_id,
+            "shard": shard.node,
+            "members": [t.vector.vector_id for t in members],
+            "pairs": rnd.num_pairs,
+            "dispatch_s": now,
+            "sched_done_s": now + latency,
+        })
 
     def refill(self, shard, now: float) -> None:
         """Dispatch queued rounds while the shard has free round slots.
 
-        A sharded shard flapped down to zero devices holds its queue for
-        the restore; the one-shard loop keeps dispatching, so a dead
-        cluster sheds its queue through :meth:`on_scheduled`.
+        A shard flapped down to zero devices holds its queue for the
+        restore.
         """
-        if shard.dead or (self.sharded and shard.view.num_alive == 0):
+        if shard.dead or shard.view.num_alive == 0:
             return
         while shard.inflight < self.cfg.max_inflight:
             members = self.pop_round(shard, now)
@@ -1496,26 +1475,20 @@ class ServeRun:
                 complete = max(complete, busy_until[dev])
         return complete
 
-    def affected(self, dead: set[int], by_vector: bool) -> list[Ticket]:
-        """In-flight tickets with pairs on ``dead`` devices.
-
-        Dispatch order, or vector-id order for sharded recovery.
-        """
+    def affected(self, dead: set[int]) -> list[Ticket]:
+        """In-flight tickets with pairs on ``dead`` devices, by vector id."""
         out = [t for t in self.pending.values() if not dead.isdisjoint(t.assignment)]
-        if by_vector:
-            out.sort(key=lambda t: t.vector.vector_id)
+        out.sort(key=lambda t: t.vector.vector_id)
         return out
 
-    def drain_device(
-        self, shard, dev: int, now: float, *, reaudit: bool = False, by_vector: bool = False
-    ) -> int:
+    def drain_device(self, shard, dev: int, now: float, *, reaudit: bool = False) -> int:
         """Move in-flight pairs off a just-retired device; returns vectors moved.
 
         With ``reaudit`` (blame quarantine) the moved tickets' audit
         status resets so the re-executed work is audited again.
         """
         moved = 0
-        for ticket in self.affected({dev}, by_vector):
+        for ticket in self.affected({dev}):
             try:
                 complete = self.reschedule_orphans(ticket, {dev}, now, shard)
             except FaultError:
@@ -1529,8 +1502,8 @@ class ServeRun:
 
     # ------------------------------------------------------------ autoscaling
     def tag(self, shard, text: str, sep: str = " ") -> str:
-        """Prefix an autoscale reason with its shard (sharded runs only)."""
-        return f"shard {shard.node}{sep}{text}" if self.sharded else text
+        """Prefix an autoscale reason with its shard."""
+        return f"shard {shard.node}{sep}{text}"
 
     def shrink_to_initial(self, shard) -> None:
         """Retire shard devices down to the autoscaler's initial pool size."""
@@ -1743,11 +1716,9 @@ class ServeRun:
         """Apply a ``heartbeat_loss`` gray fault: silence, not death.
 
         The node's devices keep executing; only their *telemetry* goes
-        dark for ``duration_s``.  The sharded health monitor reacts to
-        the silence window; a one-shard run colocates the scheduler with
-        its devices, so there the window is only recorded (for the trace
-        and :meth:`FaultInjector.silent_devices`) and the same plan
-        replays identically in both modes.
+        dark for ``duration_s``.  A health monitor reacts to the silence
+        window; without one the window is only recorded (for the trace
+        and :meth:`FaultInjector.silent_devices`).
         """
         devices = [d for d in self.blast_radius(fault) if self.cluster.is_alive(d)]
         if not devices:
@@ -1755,7 +1726,7 @@ class ServeRun:
         self.injector.note_heartbeat_loss(devices, fault.time_s, fault.time_s + fault.duration_s)
         self.injector.stats.record_event(
             "fault", fault.device, fault.time_s, fault.duration_s,
-            label="heartbeat loss" if self.sharded else f"heartbeat loss: devices {devices} silent",
+            label="heartbeat loss",
         )
 
     def apply_bitflip(self, fault: FaultEvent, now: float) -> None:
@@ -1799,8 +1770,8 @@ class ServeRun:
         marks it dead and re-routes its queue, while a flap leaves it
         standing — unannounced, a gray fault — until the
         :class:`DeviceRestore` per device pushed here brings it back
-        ``duration_s`` later.  In a one-shard run a dead cluster has
-        nowhere to re-home to, so everything admitted is shed.  With
+        ``duration_s`` later.  The pass-through router of a one-shard
+        run has no other shard, so there re-homed work is shed.  With
         :attr:`AutoscalerConfig.replace_lost`, one replacement warm-up
         is requested per permanently lost device.
         """
@@ -1822,14 +1793,10 @@ class ServeRun:
                 fault.duration_s if flap else 0.0,
                 label="node flap down" if flap else fault.kind.value.replace("_", " "),
             )
-        if not self.sharded and cluster.num_alive == 0:
-            for ticket in list(self.pending.values()):
-                self.abandon(ticket, now)
-        else:
-            by_shard: dict[int, set[int]] = {}
-            for d in orphaned:
-                by_shard.setdefault(self.node_of[d], set()).add(d)
-            self.recover(fault, by_shard, now)
+        by_shard: dict[int, set[int]] = {}
+        for d in orphaned:
+            by_shard.setdefault(self.node_of[d], set()).add(d)
+        self.recover(fault, by_shard, now)
         if flap:
             # Transient: the devices come back on their own.
             for dev in sorted(orphaned):
@@ -1845,7 +1812,6 @@ class ServeRun:
         flap = fault.kind is FaultKind.NODE_FLAP
         latest = now
         rescheduled = 0
-        affected_total = 0
         for node in sorted(by_shard):
             shard = self.shards[node]
             dead = by_shard[node]
@@ -1856,9 +1822,7 @@ class ServeRun:
                 shard.rescale_bounds(shard.view.num_alive + len(dead), shard.view.num_alive)
             elif not flap:
                 self.kill_shard(shard, now)
-            affected = self.affected(dead, by_vector=self.sharded)
-            affected_total += len(affected)
-            for ticket in affected:
+            for ticket in self.affected(dead):
                 if down and not flap:
                     # The charge cannot complete on the dead shard; drop
                     # it (and any learned sample) before the ticket
@@ -1898,14 +1862,11 @@ class ServeRun:
             stats.record_recovery(kind, 0.0)
             return
         stats.record_recovery(kind, latest - fault.time_s)
-        if self.sharded and flap and not rescheduled:
+        if flap and not rescheduled:
             return
-        # The one-shard log counts every affected vector, rescheduled or
-        # abandoned; the sharded log counts the vectors that moved.
-        count = rescheduled if self.sharded else affected_total
         stats.record_event(
             "recovery", fault.device, now, max(latest - now, 0.0),
-            label=f"rescheduled {count} vectors",
+            label=f"rescheduled {rescheduled} vectors",
         )
 
     def kill_shard(self, shard, now: float) -> None:
@@ -1914,7 +1875,6 @@ class ServeRun:
         shard.inflight = 0
         shard.inflight_tickets.clear()
         shard.pending_online.clear()
-        self.router.digests.pop(shard.node, None)
         for t in shard.drain_queue():
             self.reroute(t, now)
 
@@ -2043,9 +2003,9 @@ class ServeRun:
         drop reason ``corrupt``) so nothing can fetch them over D2D;
         then the device drains like an autoscale scale-down, with the
         moved tickets' audit status reset so the re-executed work is
-        audited again.  A sharded run also escalates the blame into the
-        health monitor as a suspicion floor: corruption is exactly the
-        gray failure heartbeats cannot see.  The last alive device of
+        audited again.  A health monitor, when present, takes the blame
+        as a suspicion floor: corruption is exactly the gray failure
+        heartbeats cannot see.  The last alive device of
         the cluster or of a shard is never retired (a degraded answer
         beats no answer; mandatory audits of its output flag what cannot
         be verified).
@@ -2061,12 +2021,9 @@ class ServeRun:
                 "blame", dev, now, 0.0,
                 label=f"quarantined (corruption ewma {integ.ewma[dev]:.3f})",
             )
-        if self.sharded:
-            if self.monitor is not None:
-                self.monitor.raise_suspicion(shard.node, self.hcfg.quarantine_threshold)
-            self.health_event(
-                "blame", shard.node, now, f"device {dev} quarantined for corruption"
-            )
+        if self.monitor is not None:
+            self.monitor.raise_suspicion(shard.node, self.hcfg.quarantine_threshold)
+        self.health_event("blame", shard.node, now, f"device {dev} quarantined for corruption")
         if (
             not cluster.is_alive(dev)
             or cluster.num_alive <= 1
@@ -2077,7 +2034,7 @@ class ServeRun:
         before = shard.view.num_alive
         cluster.retire_device(dev)
         shard.rescale_bounds(before, shard.view.num_alive)
-        self.drain_device(shard, dev, now, reaudit=True, by_vector=self.sharded)
+        self.drain_device(shard, dev, now, reaudit=True)
 
     # ---------------------------------------------------------------- result
     def result(self, recorder: TraceRecorder | None, trace_mode: str) -> ServeResult:
@@ -2089,17 +2046,13 @@ class ServeRun:
             fault_summary = self.injector.stats.summary()
             fault_events = list(self.injector.stats.events)
         specs = [s.spec for s in self.streams if s.spec is not None]
-        if self.sharded:
-            queue, autoscale, sharding = self.sharded_sections()
-        else:
-            shard = self.ordered[0]
-            queue = shard.queue.counters()
-            autoscale = shard.scaler.summary() if shard.scaler is not None else None
-            sharding = None
-        health, routing, routing_events = None, None, []
+        queue, autoscale = self.shard_sections()
+        health, sharding, routing, routing_events = None, None, None, []
         if self.monitor is not None:
             health = self.health_section()
         policy = self.router.policy
+        if policy is not None:
+            sharding = self.sharding_section()
         if policy is not None and policy.wants_features:
             routing = policy.summary()
             routing_events = sorted(
@@ -2131,8 +2084,8 @@ class ServeRun:
             trace_mode=trace_mode,
         )
 
-    def sharded_sections(self) -> tuple[dict, dict | None, dict]:
-        """Queue counters, autoscale and sharding sections summed over shards."""
+    def shard_sections(self) -> tuple[dict, dict | None]:
+        """Queue counters and autoscale sections summed over shards."""
         ordered = self.ordered
         queue = {
             "capacity": self.cfg.queue_capacity,
@@ -2164,10 +2117,15 @@ class ServeRun:
                     for s in scaled
                 },
             }
+        return queue, autoscale
+
+    def sharding_section(self) -> dict:
+        """Routing counters and per-shard records of a routed run."""
         router = self.router
-        sharding = {
+        ordered = self.ordered
+        return {
             "routing": router.policy.name,
-            "sync_interval_s": self.cfg.sync_interval_s,
+            "sync_interval_s": router.sync_interval_s,
             "num_shards": len(ordered),
             "syncs": router.syncs,
             "forwards": router.forwards,
@@ -2189,7 +2147,6 @@ class ServeRun:
                 for s in ordered
             ],
         }
-        return queue, autoscale, sharding
 
     def health_section(self) -> dict:
         """Health section; also folds transitions into the event log."""
@@ -2220,7 +2177,11 @@ class MiccoServer:
     The run is a :class:`ServeRun` with one shard spanning the whole
     cluster behind a :class:`PassThroughRouter`; the shard's view is the
     :class:`~repro.gpusim.cluster.ClusterState` itself and its scheduler
-    is :attr:`scheduler`.
+    is :attr:`scheduler`.  The traffic is one vector stream, or — with
+    :attr:`ServeConfig.tenants` set — every tenant's stream interleaved
+    and admitted weighted-fair (unless :attr:`ServeConfig.queue_policy`
+    overrides it), the result then carrying per-tenant p50/p95/p99,
+    throughput, drop rate and SLO attainment alongside the global report.
 
     Parameters
     ----------
@@ -2234,10 +2195,13 @@ class MiccoServer:
     predictor:
         Optional reuse-bound predictor; consulted per vector when the
         scheduler exposes ``set_bounds`` (MICCO-optimal serving).
-    """
 
-    #: Whether runs use the two-level sharded control plane.
-    sharded = False
+    Example
+    -------
+    >>> cfg = ServeConfig(tenants=(heavy, light), autoscaler=AutoscalerConfig())
+    >>> result = make_server(cfg).run(seed=0)
+    >>> result.summary()["tenants"]["heavy"]["slo"]["attained"]
+    """
 
     def __init__(
         self,
@@ -2246,14 +2210,6 @@ class MiccoServer:
         serve: ServeConfig | None = None,
         predictor=None,
     ):
-        if not _api_depth:
-            warnings.warn(
-                f"constructing {type(self).__name__} directly is deprecated; "
-                "use repro.serve.api.serve() (or make_server()) which picks "
-                "the server class from the ServeConfig",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.config = config or MiccoConfig()
         self.serve_config = serve or ServeConfig()
         self.scheduler = scheduler if scheduler is not None else MiccoScheduler()
@@ -2271,23 +2227,28 @@ class MiccoServer:
     # ------------------------------------------------------------------- run
     def run(
         self,
-        vectors: list[VectorSpec],
-        arrivals,
+        vectors: list[VectorSpec] | None = None,
+        arrivals=None,
         *,
         seed=0,
         reset: bool = True,
         faults: FaultPlan | None = None,
     ) -> ServeResult:
-        """Serve ``vectors`` arriving per ``arrivals``; returns SLO metrics.
+        """Serve one stream or the tenant roster; returns SLO metrics.
 
         Parameters
         ----------
         vectors:
-            The request stream, in arrival order.
+            The request stream, in arrival order.  Omit it (and
+            ``arrivals``) when :attr:`ServeConfig.tenants` is set: the
+            streams then come from the tenant specs.
         arrivals:
             An :class:`~repro.serve.arrivals.ArrivalProcess` (sampled
             with ``seed``) or an explicit sequence of absolute arrival
             timestamps, one per vector.
+        seed:
+            Drives the arrival draws and the tenant workloads, and makes
+            the whole run — scheduling, scaling, percentiles — replayable.
         reset:
             Start from an empty cluster and idle devices (default).
         faults:
@@ -2303,11 +2264,28 @@ class MiccoServer:
             keeps serving.  The result's ``faults`` section reports
             counts, recovery latencies and availability.
         """
-        if not vectors:
-            raise ConfigurationError("serving run needs at least one vector")
-        return self._run_streams(
-            [self._stream(vectors, arrivals, seed)], faults=faults, reset=reset, seed=seed
-        )
+        cfg = self.serve_config
+        if cfg.tenants:
+            if vectors is not None or arrivals is not None:
+                raise ConfigurationError(
+                    "ServeConfig.tenants is set: streams come from the tenant "
+                    "specs, do not pass vectors/arrivals"
+                )
+            streams = build_streams(cfg.tenants, seed)
+        else:
+            if not vectors or arrivals is None:
+                raise ConfigurationError(
+                    "single-stream serving needs vectors and arrivals "
+                    "(or a ServeConfig.tenants roster)"
+                )
+            streams = [self._stream(vectors, arrivals, seed)]
+        if reset:
+            self.cluster.reset()
+            if hasattr(self.scheduler, "reset_stats"):
+                self.scheduler.reset_stats()
+        if faults is None:
+            faults = cfg.faults
+        return ServeRun(self, streams, faults, seed).execute()
 
     @staticmethod
     def _stream(vectors, arrivals, seed) -> TenantStream:
@@ -2318,15 +2296,6 @@ class MiccoServer:
             # Explicit timestamps: validate through the trace process.
             times = TraceArrivals(list(arrivals)).arrival_times(len(vectors))
         return TenantStream(spec=None, vectors=list(vectors), times=times)
-
-    def _run_streams(self, streams: list[TenantStream], *, faults, reset: bool, seed) -> ServeResult:
-        if reset:
-            self.cluster.reset()
-            if hasattr(self.scheduler, "reset_stats"):
-                self.scheduler.reset_stats()
-        if faults is None:
-            faults = self.serve_config.faults
-        return ServeRun(self, streams, faults, seed).execute()
 
     # ----------------------------------------------------------- shard set-up
     def _build_shards(self, streams: list[TenantStream]) -> dict:
@@ -2348,7 +2317,7 @@ class MiccoServer:
         }
 
     def _make_router(self, shards: dict, seed):
-        return PassThroughRouter()
+        return PassThroughRouter(shards)
 
     def _resolve_policy(self, streams: list[TenantStream]) -> QueuePolicy:
         """Build one shard queue's dispatch policy for this run's streams.
@@ -2356,67 +2325,16 @@ class MiccoServer:
         ``"auto"`` picks weighted-fair when tenants are configured
         (their weights seed the policy) and FIFO otherwise; explicit
         names are honoured as-is.  A :class:`QueuePolicy` instance is
-        used directly by a one-shard run and deep-copied per shard by a
-        sharded one.  With :attr:`ServeConfig.fault_aware_admission` a
-        one-shard run wraps the policy in :class:`FaultAware` (unless it
-        already is); a sharded run gates admission once at its global
-        tier instead.
+        deep-copied per shard; a :class:`FaultAware` one contributes its
+        inner policy, since the run gates admission once at its global
+        tier (see :class:`ServeRun`).
         """
-        cfg = self.serve_config
-        policy = cfg.queue_policy
+        policy = self.serve_config.queue_policy
+        if isinstance(policy, FaultAware):
+            policy = policy.inner
         if isinstance(policy, QueuePolicy):
-            if self.sharded:
-                return copy.deepcopy(policy)
-        else:
-            weights = {s.spec.name: s.spec.weight for s in streams if s.spec is not None}
-            if policy == "auto":
-                policy = "weighted" if weights else "fifo"
-            policy = WeightedFair(weights) if policy == "weighted" else make_policy(policy)
-        if cfg.fault_aware_admission and not self.sharded and not isinstance(policy, FaultAware):
-            policy = FaultAware(policy, min_success_prob=cfg.admission_min_success)
-        return policy
-
-
-class MultiTenantServer(MiccoServer):
-    """Multi-tenant mode of :class:`MiccoServer`.
-
-    The tenant roster lives in :attr:`ServeConfig.tenants`; each run
-    materialises every tenant's vectors and arrival times from the run
-    seed (independent per-tenant generators), interleaves them into one
-    simulated timeline, and admits via weighted fair queueing across
-    the tenants (unless :attr:`ServeConfig.queue_policy` overrides it —
-    handy for fairness baselines).  The result carries per-tenant
-    p50/p95/p99, throughput, drop rate and SLO attainment alongside the
-    global report.
-
-    Example
-    -------
-    >>> cfg = ServeConfig(tenants=(heavy, light), autoscaler=AutoscalerConfig())
-    >>> result = make_server(cfg).run(seed=0)
-    >>> result.summary()["tenants"]["heavy"]["slo"]["attained"]
-    """
-
-    def __init__(
-        self,
-        scheduler: Scheduler | None = None,
-        config: MiccoConfig | None = None,
-        serve: ServeConfig | None = None,
-        predictor=None,
-    ):
-        super().__init__(scheduler, config, serve, predictor)
-        if not self.serve_config.tenants:
-            raise ConfigurationError(
-                "MultiTenantServer needs ServeConfig.tenants; "
-                "use MiccoServer for single-stream serving"
-            )
-
-    def run(self, *, seed=0, reset: bool = True, faults: FaultPlan | None = None) -> ServeResult:
-        """Serve every tenant's stream on the shared cluster.
-
-        ``seed`` drives the per-tenant workload and arrival draws (and
-        makes the whole run — scheduling, scaling, percentiles —
-        replayable).  ``faults`` takes precedence over
-        :attr:`ServeConfig.faults`.
-        """
-        streams = build_streams(self.serve_config.tenants, seed)
-        return self._run_streams(streams, faults=faults, reset=reset, seed=seed)
+            return copy.deepcopy(policy)
+        weights = {s.spec.name: s.spec.weight for s in streams if s.spec is not None}
+        if policy == "auto":
+            policy = "weighted" if weights else "fifo"
+        return WeightedFair(weights) if policy == "weighted" else make_policy(policy)

@@ -41,18 +41,18 @@ import numpy as np
 
 from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultPlan
 from repro.schedulers.base import Scheduler
-# Kept as module globals although the loop lives in repro.serve.server:
-# bench/layers.py traces batching by patching them in both modules.
+# Kept as module globals although the loop and the stream set-up live in
+# repro.serve.server: bench/layers.py traces batching and workload
+# generation by patching them in both modules.
 from repro.schedulers.batching import merge_vectors, split_assignment  # noqa: F401
 from repro.serve.autoscale import Autoscaler
 from repro.serve.health import CircuitBreaker, HealthMonitor
 from repro.serve.queueing import AdmissionQueue
-from repro.serve.server import MiccoServer, ServeConfig, ServeResult
+from repro.serve.server import MiccoServer, ServeConfig
 from repro.serve.sharded.node import NodeRuntime, ShardView
 from repro.serve.sharded.routing import RoutingPolicy, make_routing_policy
-from repro.serve.tenancy import build_streams
+from repro.serve.tenancy import build_streams  # noqa: F401
 from repro.serve.timeline import Ticket
 from repro.tensor.spec import VectorSpec
 from repro.workloads.characteristics import CharacteristicsTracker
@@ -280,9 +280,9 @@ class ShardedServer(MiccoServer):
     (``sync_interval_s``, ``routing``); tenants and the autoscaler are
     applied *per shard* (weighted-fair admission inside each shard's
     queue, the autoscaler config clamped to each shard's device count).
-    The event loop is the shared :class:`~repro.serve.server.ServeRun`;
-    this class only supplies the topology shards and the
-    :class:`GlobalScheduler` in front of them.
+    The event loop and :meth:`~repro.serve.server.MiccoServer.run` are
+    shared with :class:`MiccoServer`; this class only supplies the
+    topology shards and the :class:`GlobalScheduler` in front of them.
 
     Example
     -------
@@ -292,8 +292,6 @@ class ShardedServer(MiccoServer):
     >>> result = make_server(serve, cluster=cfg).run(vectors, arrivals)
     >>> result.sharding["shards"][0]["routed"]
     """
-
-    sharded = True
 
     def __init__(
         self,
@@ -315,38 +313,6 @@ class ShardedServer(MiccoServer):
                 f"has {self.cluster.num_devices}"
             )
         self.topology = topo
-
-    # ------------------------------------------------------------------- run
-    def run(
-        self,
-        vectors: list[VectorSpec] | None = None,
-        arrivals=None,
-        *,
-        seed=0,
-        reset: bool = True,
-        faults: FaultPlan | None = None,
-    ) -> ServeResult:
-        """Serve one stream (``vectors`` + ``arrivals``) or the tenant roster.
-
-        With :attr:`ServeConfig.tenants` configured the streams come
-        from the tenant specs (multi-tenant sharded serving) and
-        ``vectors``/``arrivals`` must be omitted; otherwise this
-        mirrors :meth:`MiccoServer.run`'s single-stream signature.
-        """
-        if self.serve_config.tenants:
-            if vectors is not None or arrivals is not None:
-                raise ConfigurationError(
-                    "ServeConfig.tenants is set: streams come from the tenant "
-                    "specs, do not pass vectors/arrivals"
-                )
-            streams = build_streams(self.serve_config.tenants, seed)
-        else:
-            if not vectors:
-                raise ConfigurationError(
-                    "serving run needs at least one vector (or ServeConfig.tenants)"
-                )
-            streams = [self._stream(vectors, arrivals, seed)]
-        return self._run_streams(streams, faults=faults, reset=reset, seed=seed)
 
     # ----------------------------------------------------------- shard set-up
     def _build_shards(self, streams) -> dict[int, NodeRuntime]:

@@ -10,8 +10,8 @@ distributions compete for residency) and per-tenant SLO targets.
 :func:`build_streams` materialises the specs into seeded
 :class:`TenantStream`\\ s — per-tenant vectors and arrival timestamps
 drawn from statistically independent generators spawned off one run
-seed — which :class:`~repro.serve.server.MultiTenantServer` interleaves
-into a single simulated timeline.
+seed — which :meth:`~repro.serve.server.MiccoServer.run` interleaves
+into a single simulated timeline when ``ServeConfig.tenants`` is set.
 """
 
 from __future__ import annotations

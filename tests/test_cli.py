@@ -120,6 +120,16 @@ class TestServe:
         assert rc == 2
         assert "unknown arrival process" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--health", "--hedge"])
+    def test_health_without_sharded_is_an_error(self, capsys, tmp_path, flag):
+        # Health checks only exist on the sharded control plane; asking
+        # for them on a one-shard run must not be silently ignored.
+        rc = main(["serve", flag, "--num-vectors", "4", "--json", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "micco serve: error:" in err and "sharded=True" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_list_mentions_serve(self, capsys):
         assert main(["list"]) == 0
         assert "serve" in capsys.readouterr().out
@@ -284,6 +294,19 @@ class TestServeConfigFile:
             assert rc == 2
             assert "malformed JSON" in capsys.readouterr().err
 
+    def test_sharded_autoscale_line(self, capsys, tmp_path):
+        # Both server classes report the autoscale section the same way;
+        # the console line takes the pool bounds from the config.
+        from pathlib import Path
+
+        example = Path(__file__).resolve().parent.parent / "examples" / "tenants.json"
+        rc = main([
+            "serve", "--config", str(example), "--sharded", "--num-devices", "8",
+            "--devices-per-node", "4", "--json", str(tmp_path / "r.json"),
+        ])
+        assert rc == 0
+        assert "within [1, 4] devices" in capsys.readouterr().out
+
     def test_example_tenants_config_parses(self):
         from pathlib import Path
 
@@ -335,7 +358,8 @@ class TestFailureDomainsCli:
         payload = json.loads(report.read_text())
         assert payload["config"]["serve"]["warm_restore"] is True
         assert payload["config"]["serve"]["fault_aware_admission"] is True
-        assert payload["queue"]["policy"] == "fault-aware(fifo)"
+        # The fault-aware gate sits before routing; the queue keeps FIFO order.
+        assert payload["queue"]["policy"] == "fifo"
         assert "journal" in payload
 
     def test_node_loss_runs_are_byte_identical(self, tmp_path):

@@ -101,6 +101,20 @@ class TestDeviceLossRecovery:
         assert result.faults["availability_pct"] == 100.0
         assert result.faults["device_losses"] == 2
 
+    def test_losing_every_device_sheds_queued_and_inflight_work(self):
+        # The whole-cluster shard dies with work queued and in flight:
+        # its queue re-homes through the pass-through router, which has
+        # no other shard, so every ticket is shed instead of stranding.
+        plan = FaultPlan((FaultEvent(FaultKind.NODE_LOST, 2e-3, 0),))
+        server, result = run_multinode(
+            plan, n=12, arrivals=[0.0] * 12, num_devices=4, devices_per_node=4
+        )
+        s = result.summary()
+        assert server.cluster.num_alive == 0
+        assert s["completed"] + s["dropped"] == s["offered"] == 12
+        assert s["dropped_by_reason"]["fault-abandoned"] == 12 - s["completed"] > 0
+        assert result.sharding is None and all(r["shard"] == 0 for r in result.rounds)
+
     def test_duplicate_loss_entries_are_idempotent(self):
         plan = FaultPlan((
             FaultEvent(FaultKind.DEVICE_LOST, 0.01, 1),
@@ -334,14 +348,15 @@ class TestWarmRestore:
 
 
 class TestFaultAwareAdmission:
+    LOSSES = FaultPlan((
+        FaultEvent(FaultKind.DEVICE_LOST, 1.5e-3, 0),
+        FaultEvent(FaultKind.DEVICE_LOST, 1.6e-3, 1),
+    ))
+
     def test_predicted_infeasible_sheds_under_fault_pressure(self):
-        plan = FaultPlan((
-            FaultEvent(FaultKind.DEVICE_LOST, 1.5e-3, 0),
-            FaultEvent(FaultKind.DEVICE_LOST, 1.6e-3, 1),
-        ))
         serve = ServeConfig(fault_aware_admission=True, admission_min_success=0.9)
         _, result = run_chaos(
-            plan, serve=serve, n=12, arrivals=[i * 1e-3 for i in range(12)]
+            self.LOSSES, serve=serve, n=12, arrivals=[i * 1e-3 for i in range(12)]
         )
         reasons = result.report.drops_by_reason()
         assert reasons.get("predicted-infeasible", 0) > 0
@@ -349,7 +364,8 @@ class TestFaultAwareAdmission:
         # Shed vectors never executed: nothing was fault-abandoned mid-run.
         s = result.summary()
         assert s["dropped_by_reason"] == reasons
-        assert s["queue"]["policy"] == "fault-aware(fifo)"
+        # The gate sits before routing; the queue keeps its own order.
+        assert s["queue"]["policy"] == "fifo"
 
     def test_gate_admits_everything_without_faults(self):
         serve = ServeConfig(fault_aware_admission=True)
@@ -360,9 +376,41 @@ class TestFaultAwareAdmission:
     def test_fault_aware_composes_with_explicit_policy(self):
         from repro.serve import Sjf
 
-        serve = ServeConfig(queue_policy=Sjf(), fault_aware_admission=True)
-        _, result = run_chaos(None, serve=serve)
-        assert result.queue["policy"] == "fault-aware(sjf)"
+        serve = ServeConfig(
+            queue_policy=Sjf(), fault_aware_admission=True, admission_min_success=0.9
+        )
+        _, result = run_chaos(
+            self.LOSSES, serve=serve, n=12, arrivals=[i * 1e-3 for i in range(12)]
+        )
+        assert result.queue["policy"] == "sjf"
+        assert result.report.drops_by_reason().get("predicted-infeasible", 0) > 0
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["one-shard", "sharded"])
+    def test_policy_instance_gates_every_mode(self, sharded):
+        # A FaultAware instance given as the queue policy is the run's
+        # admission gate whatever the shard count; its inner policy
+        # orders the shard queues, and the gate resets per run so a
+        # rerun replays identically.
+        from repro.serve import FaultAware, Fifo, make_server
+
+        gate = FaultAware(Fifo(), min_success_prob=0.9)
+        server = make_server(
+            ServeConfig(sharded=sharded, queue_policy=gate),
+            cluster=multinode_config(),
+            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
+        )
+        node_loss = FaultPlan((FaultEvent(FaultKind.NODE_LOST, 1.5e-3, 0),))
+        runs = [
+            server.run(
+                make_vectors(24), [i * 1e-3 for i in range(24)], seed=0, faults=node_loss
+            )
+            for _ in range(2)
+        ]
+        reasons = runs[0].report.drops_by_reason()
+        assert reasons.get("predicted-infeasible", 0) > 0
+        assert runs[0].faults["predicted_infeasible"] == reasons["predicted-infeasible"]
+        assert runs[0].queue["policy"] == "fifo"
+        assert runs[0].summary() == runs[1].summary()
 
 
 class TestLinkLossDegradation:

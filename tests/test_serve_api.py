@@ -1,7 +1,5 @@
 """Tests for the unified ``repro.serve.api.serve()`` entry point."""
 
-import warnings
-
 import pytest
 
 from repro.core.config import MiccoConfig
@@ -11,7 +9,6 @@ from repro.gpusim.device import GIB
 from repro.schedulers.micco import MiccoScheduler
 from repro.serve import (
     MiccoServer,
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     ShardedServer,
@@ -54,8 +51,10 @@ class TestDispatch:
         assert type(server) is MiccoServer
 
     def test_tenants_select_multi_tenant(self):
+        # A tenant roster is traffic, not a server class: the one-shard
+        # server draws its streams from the specs.
         server = make_server(tenant_cfg(), cluster=CONFIG)
-        assert type(server) is MultiTenantServer
+        assert type(server) is MiccoServer
 
     def test_sharded_selects_sharded(self):
         server = make_server(ServeConfig(sharded=True), cluster=sharded_cluster())
@@ -76,11 +75,9 @@ class TestServe:
             arrivals=PoissonArrivals(500.0),
             seed=11,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            direct = MiccoServer(
-                MiccoScheduler(), CONFIG, ServeConfig(queue_capacity=4)
-            ).run(vectors, PoissonArrivals(500.0), seed=11)
+        direct = MiccoServer(
+            MiccoScheduler(), CONFIG, ServeConfig(queue_capacity=4)
+        ).run(vectors, PoissonArrivals(500.0), seed=11)
         assert via_api.summary() == direct.summary()
 
     def test_tenant_run(self):
@@ -115,31 +112,21 @@ class TestServe:
         with pytest.raises(ConfigurationError):
             serve(tenant_cfg(), cluster=CONFIG, vectors=stream(), arrivals=[0.0])
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["one-shard", "sharded"])
+    def test_both_servers_share_the_stream_check(self, sharded):
+        # One run() front door: the tenants-vs-stream check is the same
+        # whichever server class the config selects.
+        with_tenants = make_server(tenant_cfg(sharded=sharded), cluster=sharded_cluster())
+        with pytest.raises(ConfigurationError, match="tenant specs"):
+            with_tenants.run(stream(), PoissonArrivals(500.0), seed=0)
+        plain = make_server(ServeConfig(sharded=sharded), cluster=sharded_cluster())
+        with pytest.raises(ConfigurationError, match="needs vectors and arrivals"):
+            plain.run(seed=0)
+        with pytest.raises(ConfigurationError, match="needs vectors and arrivals"):
+            plain.run(stream(), seed=0)
+
     def test_single_stream_requires_vectors_and_arrivals(self):
         with pytest.raises(ConfigurationError):
             serve(ServeConfig(), cluster=CONFIG)
         with pytest.raises(ConfigurationError):
             serve(ServeConfig(), cluster=CONFIG, vectors=stream())
-
-
-class TestDeprecation:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="MiccoServer"):
-            MiccoServer(config=CONFIG)
-        with pytest.warns(DeprecationWarning, match="MultiTenantServer"):
-            MultiTenantServer(config=CONFIG, serve=tenant_cfg())
-        with pytest.warns(DeprecationWarning, match="ShardedServer"):
-            ShardedServer(
-                config=sharded_cluster(), serve=ServeConfig(sharded=True)
-            )
-
-    def test_api_paths_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            make_server(cluster=CONFIG)
-            serve(
-                cluster=CONFIG,
-                vectors=stream(num_vectors=2),
-                arrivals=[0.0, 0.1],
-                seed=0,
-            )

@@ -9,7 +9,6 @@ from repro.serve import (
     AutoscalerConfig,
     BurstyArrivals,
     MiccoServer,
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     TenantSpec,
@@ -168,7 +167,7 @@ class TestAutoscaledServing:
             ),
         )
         cfg = ServeConfig(tenants=tenants, autoscaler=burst_config())
-        server = MultiTenantServer(config=MiccoConfig(num_devices=4), serve=cfg)
+        server = MiccoServer(config=MiccoConfig(num_devices=4), serve=cfg)
         r1 = server.run(seed=1)
         r2 = server.run(seed=1)
         assert r1.summary() == r2.summary()

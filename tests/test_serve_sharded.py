@@ -381,6 +381,15 @@ class TestServeConfigV5:
         with pytest.raises(ConfigurationError):
             ServeConfig(health={"hedging": True})  # not a HealthConfig
 
+    def test_health_requires_sharded(self):
+        # Health checks run on the sharded control plane only; a
+        # one-shard config carrying them is rejected, not ignored.
+        with pytest.raises(ConfigurationError, match="sharded=True"):
+            ServeConfig(health=HealthConfig())
+        with pytest.raises(ConfigurationError, match="sharded=True"):
+            ServeConfig.from_dict({"health": HealthConfig().to_dict()})
+        assert ServeConfig(sharded=True, health=HealthConfig()).health == HealthConfig()
+
 
 class TestDeadlineAwareBatching:
     def two_tenant_serve(self, p99_s):
@@ -404,14 +413,12 @@ class TestDeadlineAwareBatching:
         return sum(sizes) / len(sizes)
 
     def test_tight_deadlines_cut_rounds_short(self):
-        from repro.serve import MultiTenantServer
-
-        tight = MultiTenantServer(
+        tight = MiccoServer(
             MiccoScheduler(ReuseBounds(0, 4, 0)),
             MiccoConfig(num_devices=4, memory_bytes=64 * MIB),
             self.two_tenant_serve(p99_s=0.05),
         ).run(seed=0)
-        loose = MultiTenantServer(
+        loose = MiccoServer(
             MiccoScheduler(ReuseBounds(0, 4, 0)),
             MiccoConfig(num_devices=4, memory_bytes=64 * MIB),
             self.two_tenant_serve(p99_s=60.0),

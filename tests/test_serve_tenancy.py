@@ -4,12 +4,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve import (
-    MultiTenantServer,
     PoissonArrivals,
     ServeConfig,
     SloTargets,
     TenantSpec,
     TraceArrivals,
+    make_server,
 )
 from repro.serve.slo import LatencyReport
 from repro.serve.tenancy import build_streams, tenant_sections
@@ -156,21 +156,23 @@ class TestServeConfigTenancy:
             ServeConfig.from_dict({"queue_capcity": 3})
 
 
-class TestMultiTenantServer:
+class TestTenantServing:
     def test_requires_tenants(self):
-        with pytest.raises(ConfigurationError):
-            MultiTenantServer(serve=ServeConfig())
+        # Without a roster the run has no traffic unless a stream is given.
+        server = make_server(ServeConfig())
+        with pytest.raises(ConfigurationError, match="tenants roster"):
+            server.run(seed=0)
 
     def test_per_tenant_sections_in_result(self):
         cfg = ServeConfig(tenants=(spec("a", weight=2.0), spec("b")))
-        result = MultiTenantServer(serve=cfg).run(seed=0)
+        result = make_server(cfg).run(seed=0)
         assert set(result.tenants) == {"a", "b"}
         assert result.summary()["tenants"]["a"]["summary"]["offered"] == 4
         assert result.queue["policy"] == "weighted"
 
     def test_deterministic_per_seed(self):
         cfg = ServeConfig(tenants=(spec("a"), spec("b")))
-        server = MultiTenantServer(serve=cfg)
+        server = make_server(cfg)
         assert server.run(seed=3).summary() == server.run(seed=3).summary()
 
     def test_weighted_shares_under_saturation(self):
@@ -191,7 +193,7 @@ class TestMultiTenantServer:
             weight=1.0,
         )
         cfg = ServeConfig(queue_capacity=64, tenants=(heavy, light))
-        result = MultiTenantServer(serve=cfg).run(seed=0)
+        result = make_server(cfg).run(seed=0)
         completions = sorted(result.report.completed, key=lambda r: r.dispatch_s)
         first_half = completions[: n]
         share = sum(1 for r in first_half if r.tenant == "heavy") / len(first_half)
