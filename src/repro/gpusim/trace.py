@@ -181,8 +181,8 @@ class TraceConfig:
           report, exactly as before this block existed.
         * ``"full"`` — attach a :class:`TraceRecorder` with a
           :class:`FullSink` for the run; every engine event is kept
-          (``ServeResult.engine_trace``).  Opting in routes execution
-          through the traced (reference) engine path.
+          (``ServeResult.engine_trace``).  The engine's one executor
+          records the events; simulated results are unchanged.
         * ``"sampling"`` — as ``"full"`` but with a
           :class:`SamplingSink` keeping 1 in ``sample_stride`` events.
         * ``"off"`` — no recorder *and* ``ServeResult.to_trace()``
@@ -281,9 +281,15 @@ class TraceRecorder:
         return cache
 
     def record(self, kind: str, device: int, duration_s: float, *, uid: int = -1, nbytes: int = 0, label: str = "") -> None:
-        """Append an event at the device's current simulated time."""
+        """Append an event at the device's current simulated time.
+
+        A negative duration is rejected (as in :meth:`record_at`): it
+        would run the lane's clock backwards.
+        """
         if kind not in _EVENT_KIND_SET:
             raise ValueError(f"unknown trace event kind {kind!r}; expected one of {EVENT_KINDS}")
+        if duration_s < 0:
+            raise ValueError(f"event duration must be >= 0, got {duration_s}")
         clock = self._device_clock
         start = clock.get(device, 0.0)
         clock[device] = start + duration_s

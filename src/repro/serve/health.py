@@ -245,6 +245,7 @@ class HealthMonitor:
         self.suspicion_samples: list[tuple[float, int, float]] = []
         #: ``{node, start_s, end_s}``; ``end_s is None`` while open.
         self.quarantine_episodes: list[dict] = []
+        self._quarantines: dict[int, int] = {n: 0 for n in self.nodes}
 
     # -------------------------------------------------------------- signals
     def beat(self, node: int, now: float) -> None:
@@ -355,6 +356,7 @@ class HealthMonitor:
             # The floor's purpose (force one quarantine) is served; from
             # here probation beats decide re-admission on merit.
             self._floor[node] = 0.0
+            self._quarantines[node] += 1
             self.quarantine_episodes.append(
                 {"node": node, "start_s": float(now), "end_s": None}
             )
@@ -384,7 +386,7 @@ class HealthMonitor:
 
     def quarantine_count(self, node: int) -> int:
         """Times ``node`` has entered quarantine so far (routing feature)."""
-        return sum(1 for ep in self.quarantine_episodes if ep["node"] == node)
+        return self._quarantines[node]
 
     def summary(self) -> dict:
         """JSON-ready health section for the serve report."""

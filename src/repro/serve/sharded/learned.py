@@ -38,6 +38,7 @@ from repro.serve.sharded.routing import (
     RoutingPolicy,
     ShardSnapshot,
     rank_shards,
+    vector_input_bytes,
 )
 from repro.utils.rng import as_generator
 
@@ -62,17 +63,19 @@ FEATURE_NAMES = (
 _MIB = 1024**2
 
 
-def route_features(vector, snap: ShardSnapshot) -> np.ndarray:
-    """Feature row for placing ``vector`` on the shard behind ``snap``."""
-    uids: dict[int, int] = {}
-    for pair in vector.pairs:
-        for spec in pair.inputs:
-            uids.setdefault(spec.uid, spec.nbytes)
-    overlap = sum(
-        nbytes for uid, nbytes in uids.items() if uid in snap.residency
-    )
+def route_features(vector, snap: ShardSnapshot, uids: dict[int, int] | None = None) -> np.ndarray:
+    """Feature row for placing ``vector`` on the shard behind ``snap``.
+
+    ``uids`` is :func:`vector_input_bytes` of ``vector``; callers scoring
+    one vector against several shards pass it in to build it once.
+    """
+    if uids is None:
+        uids = vector_input_bytes(vector)
+    # An integer sum: exact in any order, so the intersection's order
+    # does not matter.
+    overlap = sum([uids[uid] for uid in uids.keys() & snap.residency.keys()])
     return np.array(
-        [
+        (
             snap.queue_depth,
             snap.inflight,
             snap.pending,
@@ -87,7 +90,7 @@ def route_features(vector, snap: ShardSnapshot) -> np.ndarray:
             len(vector.pairs),
             len(uids),
             overlap / _MIB,
-        ],
+        ),
         dtype=np.float64,
     )
 
@@ -152,10 +155,20 @@ class LearnedRouting(RoutingPolicy):
         self.events: list[dict] = []
         self._warm = False
         self._last_kind = "fallback"
+        # (vector, vector_input_bytes(vector)) of the last vector scored:
+        # choose() and the note_placed() that follows share one build.
+        self._uids_of = (None, None)
 
     def reseed(self, seed) -> None:
         """Rebind the exploration stream (the server derives it per run)."""
         self._rng = as_generator(seed)
+
+    def _vector_uids(self, vector) -> dict[int, int]:
+        last, uids = self._uids_of
+        if last is not vector:
+            uids = vector_input_bytes(vector)
+            self._uids_of = (vector, uids)
+        return uids
 
     def model(self, node: int) -> SlidingWindowRegressor:
         m = self._models.get(node)
@@ -170,12 +183,16 @@ class LearnedRouting(RoutingPolicy):
 
     def choose(self, vector, snapshots: list[ShardSnapshot]) -> int:
         self.decisions += 1
-        if any(
-            self.model(s.node).samples < self.min_samples for s in snapshots
-        ):
-            self.fallback_decisions += 1
-            self._last_kind = "fallback"
-            return rank_shards(snapshots)
+        models = []
+        for s in snapshots:
+            # Models are created on first sight, so the scan stops at
+            # the first cold one exactly as an ``any()`` would.
+            m = self.model(s.node)
+            if m.samples < self.min_samples:
+                self.fallback_decisions += 1
+                self._last_kind = "fallback"
+                return rank_shards(snapshots)
+            models.append(m)
         if self.explore_floor > 0.0:
             draw = float(self._rng.random())
         else:
@@ -188,10 +205,9 @@ class LearnedRouting(RoutingPolicy):
         self.learned_decisions += 1
         self._last_kind = "learned"
         best_node, best_pred = None, None
-        for snap in snapshots:
-            pred = self.model(snap.node).predict_one(
-                route_features(vector, snap)
-            )
+        uids = self._vector_uids(vector)
+        for snap, model in zip(snapshots, models):
+            pred = model.predict_one(route_features(vector, snap, uids))
             if pred is None:  # pragma: no cover - warm models always predict
                 pred = float("inf")
             if (
@@ -206,7 +222,8 @@ class LearnedRouting(RoutingPolicy):
 
     def note_placed(self, ticket, snap: ShardSnapshot, now: float) -> None:
         """Record the pending sample for a just-placed ticket."""
-        x = route_features(ticket.vector, snap)
+        vector = ticket.vector
+        x = route_features(vector, snap, self._vector_uids(vector))
         pred = self.model(snap.node).predict_one(x)
         ticket.route_sample = (snap.node, now, x, pred, self._last_kind)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from repro.errors import SchedulingError
 from repro.gpusim.cluster import ClusterState
 from repro.serve.queueing import AdmissionQueue
-from repro.serve.sharded.routing import ShardSnapshot
 
 
 class ShardView:
@@ -43,15 +42,41 @@ class ShardView:
         self._device_set = frozenset(self.devices)
         if not self.devices:
             raise SchedulingError("a shard view needs at least one device")
+        # The placement hot path reads these per pair.  The cluster never
+        # rebinds them (``reset()`` clears them in place), so they are
+        # bound once instead of delegated through ``__getattr__``.
+        # ``balance_num`` and ``journal`` are rebound, so they are read
+        # through on every access.
+        self.pools = cluster.pools
+        self.compute_s = cluster.compute_s
+        self.memop_s = cluster.memop_s
+        self.assigned_slots = cluster.assigned_slots
+        self._holders = cluster._holders
+        # (the cluster's alive-id list, this shard's survivors in it):
+        # the cluster replaces that list on every alive-set change.
+        self._alive_memo = (None, [])
 
     def __getattr__(self, name):
-        # Anything not shard-scoped (pools, compute_s, free_bytes,
-        # is_resident, record_assignment, ...) is the global state.
+        # Anything not shard-scoped (free_bytes, is_resident,
+        # record_assignment, journal, ...) is the global state.
         return getattr(self._cluster, name)
+
+    @property
+    def balance_num(self) -> float:
+        # Read per placement; a property skips the failed lookup that
+        # precedes every ``__getattr__`` fallback.
+        return self._cluster.balance_num
 
     # ---------------------------------------------------- shard-scoped surface
     def alive_ids(self) -> list[int]:
-        return [d for d in self.devices if self._cluster.is_alive(d)]
+        """The shard's alive device ids, ascending (cached; read-only)."""
+        cluster_ids = self._cluster.alive_ids()
+        key, ids = self._alive_memo
+        if key is not cluster_ids:
+            alive = self._cluster._alive
+            ids = [d for d in self.devices if d in alive]
+            self._alive_memo = (cluster_ids, ids)
+        return ids
 
     @property
     def num_alive(self) -> int:
@@ -76,7 +101,7 @@ class ShardView:
         alive = self.num_alive
         if alive == 0:
             raise SchedulingError("cannot begin a vector: the shard has no alive devices")
-        self._cluster.assigned_slots[:] = 0
+        self.assigned_slots[:] = 0
         self._cluster.balance_num = num_tensors / alive
 
 
@@ -213,11 +238,10 @@ class NodeRuntime:
     def digest(self, now: float, linkless_devices=frozenset()) -> NodeDigest:
         """Snapshot this shard's load and residency for the global tier."""
         residency: dict[int, int] = {}
-        cluster = self.view._cluster
+        pools = self.view.pools
         for d in self.view.alive_ids():
-            pool = cluster.pools[d]
-            for uid in pool.resident_uids():
-                residency[uid] = pool.nbytes_of(uid)
+            # The pool's uid -> nbytes map, least recently used first.
+            residency.update(pools[d]._resident)
         return NodeDigest(
             node=self.node,
             time_s=now,
@@ -226,39 +250,6 @@ class NodeRuntime:
             inflight=self.inflight,
             linkless=any(d in linkless_devices for d in self.devices),
             residency=residency,
-        )
-
-    def snapshot(
-        self,
-        digest: NodeDigest,
-        suspect: bool = False,
-        *,
-        age_s: float = 0.0,
-        suspicion: float = 0.0,
-        quarantines: int = 0,
-        breaker: int = 0,
-        blame: float = 0.0,
-    ) -> ShardSnapshot:
-        """Combine the last digest with the router-side correction.
-
-        The keyword-only tail carries the enriched features for
-        ``wants_features`` policies; static policies call with defaults
-        and get exactly the historical snapshot.
-        """
-        return ShardSnapshot(
-            node=self.node,
-            alive=digest.alive,
-            queue_depth=digest.queue_depth,
-            inflight=digest.inflight,
-            linkless=digest.linkless,
-            suspect=suspect,
-            residency=digest.residency,
-            pending=self.routed_since_sync,
-            age_s=age_s,
-            suspicion=suspicion,
-            quarantines=quarantines,
-            breaker=breaker,
-            blame=blame,
         )
 
     def drain_queue(self):

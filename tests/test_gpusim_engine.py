@@ -1,11 +1,20 @@
 """Unit tests for the ExecutionEngine: counters, residency, costs."""
 
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchedulingError
+from repro.faults import FaultPlan
+from repro.faults.injector import FaultInjector
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.metrics import ExecutionMetrics
+from repro.gpusim.topology import Topology
+from repro.gpusim.trace import FullSink, TraceRecorder
+from repro.integrity import IntegrityConfig, IntegrityState
 from repro.tensor.flops import pair_flops
 from repro.tensor.spec import TensorPair, VectorSpec
 from repro.tensor.storage import TensorStore
@@ -275,3 +284,113 @@ class TestDrainOutputs:
         assert (m.memop_s == memop_before).all()
         for p in v.pairs:
             assert cluster.devices_holding(p.out.uid) == frozenset()
+
+
+# --------------------------------------------------------------- attachments
+TENSOR_BYTES = 16 * 16 * 2 * 8  # make_tensor(): 16x16, batch 2, complex64
+
+
+@st.composite
+def pair_runs(draw):
+    """A cluster shape plus a pair sequence over a small reused tensor pool.
+
+    Devices hold 3-6 tensors, so most fetches evict; reused inputs make
+    reuse hits and D2D fetches (cross-node ones when a topology is on).
+    """
+    num_devices = draw(st.integers(2, 8))
+    per_node = draw(st.sampled_from([d for d in (1, 2, 4) if num_devices % d == 0]))
+    topology = draw(st.booleans())
+    capacity = draw(st.integers(3, 6)) * TENSOR_BYTES
+    pool_size = draw(st.integers(2, 10))
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, pool_size - 1),
+                st.integers(0, pool_size - 1),
+                st.integers(0, num_devices - 1),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return num_devices, per_node if topology else None, capacity, pool_size, steps
+
+
+def _run_pairs(run, attach=None):
+    """Execute ``run`` on a fresh cluster; returns (metrics, cluster)."""
+    num_devices, per_node, capacity, pairs = run
+    cluster = make_cluster(num_devices=num_devices, memory_bytes=capacity)
+    topo = None if per_node is None else Topology(num_devices=num_devices, devices_per_node=per_node)
+    engine = ExecutionEngine(cluster, CostModel(topology=topo))
+    if attach is not None:
+        attach(engine, num_devices)
+    m = ExecutionMetrics(num_devices=num_devices)
+    for pair, dev in pairs:
+        engine.execute_pair(pair, dev, m)
+    return m, cluster
+
+
+def _attach_trace(engine, n):
+    engine.trace = TraceRecorder(FullSink())
+
+
+def _attach_injector(engine, n):
+    engine.injector = FaultInjector(FaultPlan(), num_devices=n)
+
+
+def _attach_integrity(engine, n):
+    engine.integrity = IntegrityState(IntegrityConfig(mode="spot"), n)
+
+
+class TestAttachmentsChangeNothing:
+    """The one executor computes the same simulation whatever is attached."""
+
+    @staticmethod
+    def _materialise(drawn):
+        num_devices, per_node, capacity, pool_size, steps = drawn
+        pool = [make_tensor() for _ in range(pool_size)]
+        pairs = [(make_pair(left=pool[a], right=pool[b]), dev) for a, b, dev in steps]
+        return num_devices, per_node, capacity, pairs
+
+    @given(pair_runs(), st.sampled_from([_attach_trace, _attach_injector, _attach_integrity]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_metrics_costs_and_residency(self, drawn, attach):
+        run = self._materialise(drawn)
+        bare_m, bare_cl = _run_pairs(run)
+        m, cl = _run_pairs(run, attach)
+        assert m.counts == bare_m.counts
+        assert m.total_flops == bare_m.total_flops
+        assert m.pairs_executed == bare_m.pairs_executed
+        assert np.array_equal(m.pairs_per_device, bare_m.pairs_per_device)
+        assert np.array_equal(m.compute_s, bare_m.compute_s)
+        assert np.array_equal(m.memop_s, bare_m.memop_s)
+        assert np.array_equal(cl.compute_s, bare_cl.compute_s)
+        assert np.array_equal(cl.memop_s, bare_cl.memop_s)
+        assert cl._holders == bare_cl._holders
+        assert [list(p._resident.items()) for p in cl.pools] == [
+            list(p._resident.items()) for p in bare_cl.pools
+        ]
+        cl.check_invariants()
+
+    @given(pair_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_lane_event_order_per_pair(self, drawn):
+        # Per pair, the device lane reads: for each fetched input its
+        # evictions, then its alloc, then its copy; then the output's
+        # evictions and alloc; then the kernel.
+        num_devices, per_node, capacity, pairs = self._materialise(drawn)
+        cluster = make_cluster(num_devices=num_devices, memory_bytes=capacity)
+        topo = None if per_node is None else Topology(num_devices=num_devices, devices_per_node=per_node)
+        trace = TraceRecorder(FullSink())
+        engine = ExecutionEngine(cluster, CostModel(topology=topo), trace=trace)
+        m = ExecutionMetrics(num_devices=num_devices)
+        pattern = re.compile(r"((evict )*alloc (h2d|d2d) )*(evict )*alloc kernel ")
+        for pair, dev in pairs:
+            evictions = m.counts.evictions
+            start = len(trace)
+            engine.execute_pair(pair, dev, m)
+            events = trace.events[start:]
+            assert {e.device for e in events} == {dev}
+            kinds = "".join(e.kind + " " for e in events)
+            assert pattern.fullmatch(kinds), kinds
+            assert kinds.count("evict") == m.counts.evictions - evictions

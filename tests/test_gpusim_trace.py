@@ -41,6 +41,17 @@ class TestRecorder:
         assert a.end_s == k.start_s
         assert other.start_s == 0.0  # devices have independent clocks
 
+    def test_negative_duration_rejected_and_lane_clock_kept(self):
+        # A negative duration would run the lane clock backwards, so the
+        # next event would overlap the ones already on the lane.
+        tr = TraceRecorder()
+        tr.record("kernel", 0, 1.0)
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            tr.record("kernel", 0, -0.5)
+        tr.record("kernel", 0, 0.1)
+        first, last = tr.events
+        assert last.start_s == first.end_s == 1.0
+
     def test_clear(self):
         tr = TraceRecorder()
         tr.record("alloc", 0, 1.0)

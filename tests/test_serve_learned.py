@@ -1,6 +1,7 @@
 """Learned routing: online latency prediction, cold start, determinism."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -67,7 +68,7 @@ class TestFeatures:
             1, depth=3, inflight=2, pending=1,
             age_s=0.02, suspicion=1.5, quarantines=2, breaker=1, blame=0.3,
         )
-        s = ShardSnapshot(**{**s.__dict__, "residency": {some_uid: uids[some_uid]}})
+        s = dataclasses.replace(s, residency={some_uid: uids[some_uid]})
         x = route_features(v, s)
         assert x.shape == (len(FEATURE_NAMES),)
         row = dict(zip(FEATURE_NAMES, x))
@@ -151,7 +152,8 @@ class TestSampleLifecycle:
         assert ticket.route_sample is None
         assert policy.model(0).samples == 1
         # The observed label is the route->completion latency.
-        assert policy.model(0)._window[-1][1] == pytest.approx(0.5)
+        _, y = policy.model(0).window_samples()
+        assert y[-1] == pytest.approx(0.5)
 
     def test_non_completions_drop_the_sample(self):
         # Reroutes / sheds / hedge losers must not poison the model

@@ -8,6 +8,7 @@ from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.gpusim import CostModel, Topology
+from repro.gpusim.cluster import ClusterState
 from repro.gpusim.trace import TraceConfig
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.micco import MiccoScheduler
@@ -20,6 +21,7 @@ from repro.serve import (
     SloTargets,
     TenantSpec,
 )
+from repro.serve.sharded.node import ShardView
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
 MIB = 1024**2
@@ -53,6 +55,40 @@ def run_sharded(*, serve=None, n=16, arrivals=None, seed=0, faults=None,
         arrivals if arrivals is not None else PoissonArrivals(300.0),
         seed=seed, faults=faults,
     )
+
+
+class TestShardView:
+    """The view binds the cluster's never-rebound state once and caches
+    its alive list; both must keep following the cluster."""
+
+    def test_bound_state_survives_reset_and_device_loss(self):
+        cluster = ClusterState.homogeneous(8, 64 * MIB)
+        view = ShardView(cluster, [4, 5, 6, 7])
+        bound = ("pools", "compute_s", "memop_s", "assigned_slots", "_holders")
+        for name in bound:
+            assert getattr(view, name) is getattr(cluster, name)
+        cluster.fail_device(5)
+        cluster.reset()
+        for name in bound:
+            assert getattr(view, name) is getattr(cluster, name)
+        view.begin_vector(6)
+        assert cluster.balance_num == 6 / 4  # delegated, rebound by the cluster
+
+    def test_alive_ids_follow_the_cluster(self):
+        cluster = ClusterState.homogeneous(8, 64 * MIB)
+        view = ShardView(cluster, [4, 5, 6, 7])
+        assert view.alive_ids() == [4, 5, 6, 7]
+        cluster.fail_device(5)
+        assert view.alive_ids() == [4, 6, 7]
+        assert view.num_alive == 3
+        cluster.retire_device(7)
+        assert view.alive_ids() == [4, 6]
+        cluster.activate_device(7)
+        assert view.alive_ids() == [4, 6, 7]
+        cluster.fail_device(1)  # another shard's loss leaves this view alone
+        assert view.alive_ids() == [4, 6, 7]
+        cluster.reset()
+        assert view.alive_ids() == [4, 5, 6, 7]
 
 
 class TestShardedServerBasics:

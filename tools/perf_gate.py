@@ -16,7 +16,10 @@ A real core regression shows up there even when the runner itself got
 faster.  A baseline without a ``throughput`` section (older payloads)
 passes trivially — the gate arms itself on the first commit that
 carries one; a baseline without ``events_per_cal`` skips that gauge
-with a note.
+with a note.  The throughput section's ``gray`` run (sharded serving
+with learned routing, health and hedging under a straggler) is gauged
+the same way on its ``events_per_cal``, and skipped with a note when
+the baseline predates it.
 
 The ``integrity`` section gets an *absolute* bound instead of a
 baseline diff: spot-mode auditing on the clean throughput workload
@@ -117,6 +120,19 @@ def check(fresh: dict, baseline: dict, tolerance: float) -> list[str]:
     else:
         print("perf gate: note baseline throughput has no events_per_cal; "
               "skipping the calibrated gauge")
+    base_gray = base_t.get("gray", {}).get("events_per_cal")
+    if base_gray is None:
+        print("perf gate: note baseline throughput has no gray.events_per_cal; "
+              "skipping the gray gauge")
+    elif "gray" not in fresh_t:
+        failures.append("fresh throughput section has no gray run")
+    else:
+        gauge(
+            "gray events per calibration loop",
+            fresh_t["gray"]["events_per_cal"],
+            base_gray,
+            bigger_is_better=True,
+        )
     gauge(
         "peak RSS (MiB)",
         fresh_t["fast"]["peak_rss_mib"],
