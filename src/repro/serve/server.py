@@ -1319,10 +1319,10 @@ class ServeRun:
         if cfg.max_batch_vectors <= 1:
             nxt = shard.queue.pop()
             return [nxt] if nxt is not None else []
-        # ``ClusterState.alive_ids`` returns the same cached list object
-        # until the alive set changes, so its identity keys the budget
-        # cache — steady-state rounds skip the per-device memory sum.  A
-        # ShardView builds a fresh list per call and always recomputes.
+        # ``ClusterState.alive_ids`` and ``ShardView.alive_ids`` both
+        # return one cached list per alive-set change, so its identity
+        # keys the budget cache — steady-state rounds skip the
+        # per-device memory sum.
         alive = shard.view.alive_ids()
         cache = shard.budget_cache
         if cache is not None and cache[0] is alive:
