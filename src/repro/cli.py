@@ -347,6 +347,29 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``micco serve``/``chaos`` flags that override one ServeConfig field:
+#: argparse dest -> (field, switched).  A value flag (``switched`` None)
+#: passes its value when given; a switch sets the field to ``switched``
+#: when present.  ``--health``/``--hedge``/``--verify`` layer onto an
+#: existing block instead and are handled in :func:`_run_serve`.
+_SERVE_OVERRIDES = {
+    "queue_capacity": ("queue_capacity", None),
+    "queue_policy": ("queue_policy", None),
+    "max_inflight": ("max_inflight", None),
+    "max_batch_vectors": ("max_batch_vectors", None),
+    "batch_memory_frac": ("batch_memory_frac", None),
+    "sharded": ("sharded", True),
+    "sync_interval": ("sync_interval_s", None),
+    "routing": ("routing", None),
+    "explore_floor": ("explore_floor", None),
+    "min_samples": ("min_samples", None),
+    "refit_interval": ("refit_interval", None),
+    "warm_restore": ("warm_restore", True),
+    "fault_aware": ("fault_aware_admission", True),
+    "no_recovery": ("recover_faults", False),
+}
+
+
 def run_serve(argv: list[str], *, chaos: bool = False) -> int:
     import json
 
@@ -403,28 +426,10 @@ def _run_serve(argv: list[str], *, chaos: bool = False) -> int:
     else:
         serve_cfg = ServeConfig()
     overrides = {}
-    if args.queue_capacity is not None:
-        overrides["queue_capacity"] = args.queue_capacity
-    if args.queue_policy is not None:
-        overrides["queue_policy"] = args.queue_policy
-    if args.max_inflight is not None:
-        overrides["max_inflight"] = args.max_inflight
-    if args.max_batch_vectors is not None:
-        overrides["max_batch_vectors"] = args.max_batch_vectors
-    if args.batch_memory_frac is not None:
-        overrides["batch_memory_frac"] = args.batch_memory_frac
-    if args.sharded:
-        overrides["sharded"] = True
-    if args.sync_interval is not None:
-        overrides["sync_interval_s"] = args.sync_interval
-    if args.routing is not None:
-        overrides["routing"] = args.routing
-    if args.explore_floor is not None:
-        overrides["explore_floor"] = args.explore_floor
-    if args.min_samples is not None:
-        overrides["min_samples"] = args.min_samples
-    if args.refit_interval is not None:
-        overrides["refit_interval"] = args.refit_interval
+    for dest, (name, switched) in _SERVE_OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is not None and value is not False:
+            overrides[name] = value if switched is None else switched
     if args.health or args.hedge:
         # --hedge implies --health; either flag layers onto any health
         # block the config file already carries.
@@ -435,12 +440,6 @@ def _run_serve(argv: list[str], *, chaos: bool = False) -> int:
         # mirroring how --health layers onto an existing health block.
         base = serve_cfg.integrity or IntegrityConfig()
         overrides["integrity"] = base.with_(mode=args.verify)
-    if args.warm_restore:
-        overrides["warm_restore"] = True
-    if args.fault_aware:
-        overrides["fault_aware_admission"] = True
-    if chaos and args.no_recovery:
-        overrides["recover_faults"] = False
     if overrides:
         serve_cfg = serve_cfg.with_(**overrides)
 

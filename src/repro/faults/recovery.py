@@ -196,17 +196,7 @@ class FaultStats:
                 lo = min(max(t, 0.0), makespan_s)
                 if makespan_s > lo:
                     per_device.setdefault(dev, []).append((lo, makespan_s))
-        dead = 0.0
-        for intervals in per_device.values():
-            intervals.sort()
-            cur_lo, cur_hi = intervals[0]
-            for lo, hi in intervals[1:]:
-                if lo > cur_hi:
-                    dead += cur_hi - cur_lo
-                    cur_lo, cur_hi = lo, hi
-                else:
-                    cur_hi = max(cur_hi, hi)
-            dead += cur_hi - cur_lo
+        dead = _union_length(per_device)
         return 100.0 * (1.0 - dead / (makespan_s * num_devices))
 
     def degraded_device_s(self, makespan_s: float) -> float:
@@ -222,18 +212,7 @@ class FaultStats:
             lo, hi = min(start, makespan_s), min(end, makespan_s)
             if hi > lo:
                 per_device.setdefault(dev, []).append((lo, hi))
-        total = 0.0
-        for intervals in per_device.values():
-            intervals.sort()
-            cur_lo, cur_hi = intervals[0]
-            for lo, hi in intervals[1:]:
-                if lo > cur_hi:
-                    total += cur_hi - cur_lo
-                    cur_lo, cur_hi = lo, hi
-                else:
-                    cur_hi = max(cur_hi, hi)
-            total += cur_hi - cur_lo
-        return total
+        return _union_length(per_device)
 
     def summary(self, makespan_s: float | None = None, num_devices: int | None = None) -> dict:
         """Deterministic, JSON-ready fault section for the SLO report.
@@ -273,3 +252,23 @@ class FaultStats:
     def to_json(self, path: str | Path) -> None:
         """Write summary + the replayable fault/retry/recovery event log."""
         dump_json(path, {"summary": self.summary(), "events": list(self.events)})
+
+
+def _union_length(per_device: dict[int, list[tuple[float, float]]]) -> float:
+    """Summed length of each device's merged intervals (sorted in place).
+
+    Overlapping intervals on one device count once; devices add up, in
+    ``per_device`` order, so the float sum is reproducible bit for bit.
+    """
+    total = 0.0
+    for intervals in per_device.values():
+        intervals.sort()
+        cur_lo, cur_hi = intervals[0]
+        for lo, hi in intervals[1:]:
+            if lo > cur_hi:
+                total += cur_hi - cur_lo
+                cur_lo, cur_hi = lo, hi
+            else:
+                cur_hi = max(cur_hi, hi)
+        total += cur_hi - cur_lo
+    return total

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
+from repro.utils.codec import JsonConfig
 
 #: Event kinds emitted by the engine, plus the serving layer's
 #: per-vector lifecycle spans (wait → schedule → execute), the chaos
@@ -170,7 +171,7 @@ TRACE_MODES = ("report", "full", "sampling", "off")
 
 
 @dataclass(frozen=True)
-class TraceConfig:
+class TraceConfig(JsonConfig):
     """The ``trace`` block of ``ServeConfig`` (schema v6).
 
     Parameters
@@ -190,6 +191,8 @@ class TraceConfig:
     sample_stride:
         Thinning factor for ``"sampling"`` mode.
     """
+
+    BLOCK = "trace"
 
     mode: str = "report"
     sample_stride: int = 16
@@ -211,21 +214,6 @@ class TraceConfig:
         if self.mode == "sampling":
             return SamplingSink(self.sample_stride)
         return None
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "sample_stride": self.sample_stride}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TraceConfig":
-        if not isinstance(d, dict):
-            raise ConfigurationError(f"trace config must be a JSON object, got {d!r}")
-        unknown = set(d) - {"mode", "sample_stride"}
-        if unknown:
-            raise ConfigurationError(f"unknown trace config keys: {sorted(unknown)}")
-        return cls(
-            mode=d.get("mode", "report"),
-            sample_stride=d.get("sample_stride", 16),
-        )
 
 
 # --------------------------------------------------------------- recorder

@@ -36,9 +36,10 @@ reported completions — the caveat the README documents).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.utils.codec import JsonConfig
 
 #: Detection modes of the integrity subsystem.
 #:
@@ -78,7 +79,7 @@ def mix64(*values: int) -> int:
 
 
 @dataclass(frozen=True)
-class IntegrityConfig:
+class IntegrityConfig(JsonConfig):
     """The ``integrity`` block of ``ServeConfig`` (schema v7).
 
     Parameters
@@ -106,6 +107,8 @@ class IntegrityConfig:
         Let a quarantined blame state actually retire the device from
         the serving pool (the last alive device is never retired).
     """
+
+    BLOCK = "integrity"
 
     mode: str = "off"
     audit_fraction: float = 0.25
@@ -136,31 +139,6 @@ class IntegrityConfig:
             raise ConfigurationError(
                 f"blame_alpha must be in (0, 1), got {self.blame_alpha}"
             )
-
-    def with_(self, **kwargs) -> "IntegrityConfig":
-        """Copy with overrides (sweep convenience)."""
-        return replace(self, **kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "audit_fraction": self.audit_fraction,
-            "audit_budget_frac": self.audit_budget_frac,
-            "blame_threshold": self.blame_threshold,
-            "blame_alpha": self.blame_alpha,
-            "verify_transfers": self.verify_transfers,
-            "quarantine_devices": self.quarantine_devices,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IntegrityConfig":
-        if not isinstance(d, dict):
-            raise ConfigurationError(f"integrity config must be a JSON object, got {d!r}")
-        known = set(cls().to_dict())
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigurationError(f"unknown integrity config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class IntegrityState:

@@ -7,7 +7,7 @@ shape (``ServeResult`` vs ``LatencyReport`` vs ``FaultStats``).  The
 * ``summary() -> dict`` — flat, JSON-ready headline numbers, and
 * ``to_json(path)``     — write the full report to disk.
 
-Implementations: :class:`~repro.serve.server.ServeResult`,
+Implementations: :class:`~repro.serve.result.ServeResult`,
 :class:`~repro.serve.slo.LatencyReport`,
 :class:`~repro.faults.recovery.FaultStats`.  Use
 ``isinstance(obj, Report)`` (runtime-checkable) to accept any of them.

@@ -6,9 +6,11 @@ behave when vectors *arrive over time*?  It wires an arrival process
 (:mod:`repro.serve.arrivals`), a bounded admission queue with pluggable
 dispatch policies (:mod:`repro.serve.queueing`), any existing scheduler
 and the execution engine into one deterministic discrete-event loop
-(:mod:`repro.serve.timeline`, :mod:`repro.serve.server`), and reports
+(:mod:`repro.serve.timeline`, :mod:`repro.serve.server`) configured by
+one :class:`ServeConfig` (:mod:`repro.serve.config`), and reports
 latency SLO metrics — tail percentiles, windowed throughput, drop rate
-(:mod:`repro.serve.slo`).
+(:mod:`repro.serve.slo`) — in a :class:`ServeResult`
+(:mod:`repro.serve.result`).
 
 Multi-tenant serving (:mod:`repro.serve.tenancy`, a
 ``ServeConfig.tenants`` roster) interleaves several weighted tenant
@@ -86,7 +88,9 @@ from repro.serve.queueing import (
     WeightedFair,
     make_policy,
 )
-from repro.serve.server import MiccoServer, ServeConfig, ServeResult
+from repro.serve.config import ServeConfig
+from repro.serve.result import ServeResult
+from repro.serve.server import MiccoServer
 from repro.serve.sharded import (
     ROUTING_POLICIES,
     GlobalScheduler,

@@ -2,7 +2,7 @@
 
 Every serving mode is one :class:`~repro.serve.server.MiccoServer.run`
 over the shards its server supplies.  :func:`make_server` picks the
-server class from the :class:`~repro.serve.server.ServeConfig` alone —
+server class from the :class:`~repro.serve.config.ServeConfig` alone —
 :class:`~repro.serve.sharded.ShardedServer` (one shard per topology
 node behind the global router) for ``sharded=True``,
 :class:`~repro.serve.server.MiccoServer` (one whole-cluster shard)
@@ -25,7 +25,9 @@ Example
 from __future__ import annotations
 
 from repro.core.config import MiccoConfig
-from repro.serve.server import MiccoServer, ServeConfig, ServeResult
+from repro.serve.config import ServeConfig
+from repro.serve.result import ServeResult
+from repro.serve.server import MiccoServer
 from repro.serve.sharded import ShardedServer
 
 __all__ = ["make_server", "serve"]
@@ -84,7 +86,7 @@ def serve(
 
     ``seed`` drives every stochastic draw (arrivals, tenant workloads,
     fault application order); identical arguments give byte-identical
-    :class:`~repro.serve.server.ServeResult` reports.  ``faults``
+    :class:`~repro.serve.result.ServeResult` reports.  ``faults``
     (a :class:`~repro.faults.plan.FaultPlan`) takes precedence over
     ``config.faults``.
     """

@@ -25,15 +25,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.utils.codec import JsonConfig
 
 
 @dataclass(frozen=True)
-class AutoscalerConfig:
+class AutoscalerConfig(JsonConfig):
     """Knobs of the pool autoscaler.
 
     Parameters
@@ -66,6 +67,8 @@ class AutoscalerConfig:
         loss replacement is reactive, not a load decision).  The
         replacements still pay ``warmup_s`` and honour ``max_devices``.
     """
+
+    BLOCK = "autoscaler"
 
     min_devices: int = 1
     max_devices: int = 8
@@ -116,33 +119,6 @@ class AutoscalerConfig:
             raise ConfigurationError(
                 f"down_latency_frac must be in (0, 1], got {self.down_latency_frac}"
             )
-
-    def with_(self, **kwargs) -> "AutoscalerConfig":
-        """Copy with overrides (sweep convenience)."""
-        return replace(self, **kwargs)
-
-    # ----------------------------------------------------------- persistence
-    def to_dict(self) -> dict:
-        return {
-            "min_devices": self.min_devices,
-            "max_devices": self.max_devices,
-            "initial_devices": self.initial_devices,
-            "p99_target_s": self.p99_target_s,
-            "window_s": self.window_s,
-            "up_queue_depth": self.up_queue_depth,
-            "down_queue_depth": self.down_queue_depth,
-            "warmup_s": self.warmup_s,
-            "cooldown_s": self.cooldown_s,
-            "down_latency_frac": self.down_latency_frac,
-            "replace_lost": self.replace_lost,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AutoscalerConfig":
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad autoscaler config: {exc}") from None
 
 
 class Autoscaler:

@@ -38,14 +38,15 @@ so fixed-seed runs replay byte-for-byte.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import ConfigurationError
+from repro.utils.codec import JsonConfig
 
 
 @dataclass(frozen=True)
-class HealthConfig:
+class HealthConfig(JsonConfig):
     """Knobs for heartbeat health tracking, breakers and hedging.
 
     Attributes
@@ -99,6 +100,8 @@ class HealthConfig:
         Open time after which the breaker half-opens and admits one
         probe ticket.
     """
+
+    BLOCK = "health"
 
     heartbeat_interval_s: float = 0.01
     alpha: float = 0.3
@@ -164,43 +167,6 @@ class HealthConfig:
                 f"breaker_probe_interval_s must be > 0, "
                 f"got {self.breaker_probe_interval_s}"
             )
-
-    def with_(self, **overrides) -> "HealthConfig":
-        """Functional update, re-running validation."""
-        return replace(self, **overrides)
-
-    def to_dict(self) -> dict:
-        return {
-            "heartbeat_interval_s": self.heartbeat_interval_s,
-            "alpha": self.alpha,
-            "suspect_threshold": self.suspect_threshold,
-            "quarantine_threshold": self.quarantine_threshold,
-            "probation_beats": self.probation_beats,
-            "hedging": self.hedging,
-            "hedge_deadline_s": self.hedge_deadline_s,
-            "adaptive_hedging": self.adaptive_hedging,
-            "hedge_quantile": self.hedge_quantile,
-            "hedge_window": self.hedge_window,
-            "hedge_multiplier": self.hedge_multiplier,
-            "hedge_min_samples": self.hedge_min_samples,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_probe_interval_s": self.breaker_probe_interval_s,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HealthConfig":
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"health config must be an object, got {payload!r}"
-            )
-        known = set(cls().to_dict())
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"health config has unknown keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**payload)
 
 
 class ShardHealthState(str, Enum):

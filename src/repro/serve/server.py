@@ -29,9 +29,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import json
-from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
 
 from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError, FaultError
@@ -42,24 +39,22 @@ from repro.gpusim.cluster import ClusterState
 from repro.gpusim.device import mi100_like
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.metrics import ExecutionMetrics
-from repro.gpusim.trace import TraceConfig, TraceRecorder
-from repro.integrity import IntegrityConfig, IntegrityState
-from repro.reporting import dump_json
+from repro.gpusim.trace import TraceRecorder
+from repro.integrity import IntegrityState
 from repro.schedulers.base import Scheduler
 from repro.schedulers.batching import batch_shape_key, merge_vectors, split_assignment
 from repro.schedulers.micco import MiccoScheduler
 from repro.serve.arrivals import ArrivalProcess, TraceArrivals
-from repro.serve.autoscale import Autoscaler, AutoscalerConfig
+from repro.serve.autoscale import Autoscaler
+from repro.serve.config import ServeConfig
 from repro.serve.health import (
     AdaptiveHedgeDeadline,
     CircuitBreaker,
-    HealthConfig,
     HealthMonitor,
     HedgePair,
     hedge_shielded,
 )
 from repro.serve.queueing import (
-    QUEUE_POLICIES,
     AdmissionQueue,
     FaultAware,
     Fifo,
@@ -67,8 +62,9 @@ from repro.serve.queueing import (
     WeightedFair,
     make_policy,
 )
+from repro.serve.result import ServeResult
 from repro.serve.slo import LatencyReport
-from repro.serve.tenancy import TenantSpec, TenantStream, build_streams, tenant_sections
+from repro.serve.tenancy import TenantStream, build_streams, tenant_sections
 from repro.serve.timeline import (
     BatchRound,
     DeviceOnline,
@@ -83,534 +79,6 @@ from repro.serve.timeline import (
 )
 from repro.tensor.spec import VectorSpec
 from repro.workloads.characteristics import CharacteristicsTracker
-
-
-#: Schema version that introduced each :class:`ServeConfig` field; fields
-#: not listed date from version 1.  Version 2 added the resilience knobs,
-#: 3 batching, 4 the sharded control plane, 5 the ``health`` block, 6 the
-#: ``trace`` block, 7 the ``integrity`` block and 8 learned routing.
-_FIELD_VERSIONS = {
-    "warm_restore": 2,
-    "journal_capacity": 2,
-    "prewarm_fraction": 2,
-    "fault_aware_admission": 2,
-    "admission_min_success": 2,
-    "max_batch_vectors": 3,
-    "batch_memory_frac": 3,
-    "sharded": 4,
-    "sync_interval_s": 4,
-    "routing": 4,
-    "health": 5,
-    "trace": 6,
-    "integrity": 7,
-    "explore_floor": 8,
-    "min_samples": 8,
-    "refit_interval": 8,
-}
-
-#: Fields holding nested configs: name -> (to JSON, from JSON).
-_NESTED = {
-    "tenants": (
-        lambda ts: [t.to_dict() for t in ts],
-        lambda ds: tuple(TenantSpec.from_dict(t) for t in ds),
-    ),
-    "autoscaler": (AutoscalerConfig.to_dict, AutoscalerConfig.from_dict),
-    "faults": (FaultPlan.to_dicts, FaultPlan.from_dicts),
-    "health": (HealthConfig.to_dict, HealthConfig.from_dict),
-    "trace": (TraceConfig.to_dict, TraceConfig.from_dict),
-    "integrity": (IntegrityConfig.to_dict, IntegrityConfig.from_dict),
-}
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Single source of truth for a serving run (cluster knobs aside).
-
-    Everything the serving layer needs nests here — queue and inflight
-    knobs, the tenant roster, the autoscaler policy and a fault plan —
-    and the whole object round-trips through JSON
-    (:meth:`to_json` / :meth:`from_json`), which is what
-    ``micco serve --config cfg.json`` loads.  Cluster and cost-model
-    knobs stay in :class:`~repro.core.config.MiccoConfig`.
-
-    Parameters
-    ----------
-    queue_capacity:
-        Bounded admission-queue depth; arrivals beyond it are shed.
-    queue_policy:
-        A :class:`~repro.serve.queueing.QueuePolicy` instance or one of
-        ``"auto"``, ``"fifo"``, ``"sjf"``, ``"weighted"``.  ``"auto"``
-        resolves to FIFO for single-tenant runs and to weighted-fair
-        (weights from the tenant specs) when tenants are configured.
-    max_inflight:
-        Vectors dispatched but not yet complete.  1 models the paper's
-        single sequential scheduling thread; higher values pipeline
-        scheduling of one vector under execution of the previous.
-    schedule_latency_per_pair_s:
-        Simulated scheduling cost per pair (Table V measures ~10µs-scale
-        per-pair decision overhead); deterministic by construction so
-        repeated runs produce identical latencies.
-    recover_faults:
-        When a fault plan is active and a device is lost, re-schedule
-        the in-flight pairs that were assigned to it onto the survivors
-        (default).  With recovery off, affected vectors are shed with
-        reason ``"fault-abandoned"`` instead — the baseline a chaos run
-        compares against.
-    tenants:
-        Tenant roster; non-empty makes :meth:`MiccoServer.run` draw the
-        traffic from the tenant specs (multi-tenant serving).
-    autoscaler:
-        Pool autoscaling policy; ``None`` keeps the pool fixed.
-    faults:
-        Fault plan injected during the run (an explicit ``faults=``
-        argument to :meth:`MiccoServer.run` takes precedence).
-    warm_restore:
-        Attach a :class:`~repro.faults.journal.ResidencyJournal` to the
-        cluster for the run and replay it onto every device that comes
-        online (autoscale warm-up, loss replacement): the journal's
-        hottest currently-homeless tensors are pre-loaded into free
-        memory before the device takes traffic, instead of each being
-        re-fetched from the host on the next vectors' critical path.
-    journal_capacity:
-        Retained residency-delta window of the journal (entries).
-    prewarm_fraction:
-        At most this fraction of an activating device's memory may be
-        filled by warm restore (the rest stays free for live traffic).
-    fault_aware_admission:
-        Wrap the dispatch policy in
-        :class:`~repro.serve.queueing.FaultAware`: vectors whose
-        estimated completion probability (from the live fault rate and
-        the surviving pool fraction) falls below
-        ``admission_min_success`` are shed at admission with reason
-        ``"predicted-infeasible"`` instead of burning device time and
-        being fault-abandoned mid-run.
-    admission_min_success:
-        Completion-probability threshold of the fault-aware gate.
-    max_batch_vectors:
-        Upper bound on queued vectors coalesced into one *scheduling
-        round* at dispatch.  1 (default) disables batching; higher
-        values let the dispatcher merge like-shaped vectors (same
-        workload shape family, combined footprint within
-        ``batch_memory_frac``) into one super-vector scheduled together
-        — repeated tensors are placed once and reused across the round
-        — then de-multiplexed back into per-vector completions so
-        per-ticket latency, SLO and fault accounting stay exact.
-    batch_memory_frac:
-        Fraction of the *alive* pool's combined device memory a round's
-        unique tensor footprint may occupy.  The batch assembler stops
-        adding members when the next one would cross this budget.
-    sharded:
-        Run the two-level sharded control plane
-        (:class:`~repro.serve.sharded.ShardedServer`): a global router
-        admits and routes tickets to per-node local schedulers, each
-        owning only its node's devices.  Requires a multi-node
-        :class:`~repro.gpusim.topology.Topology` on the cost model.
-    sync_interval_s:
-        How often (simulated seconds) node runtimes report load/
-        residency digests back to the global router.  Between syncs the
-        router works from deliberately stale summaries.
-    routing:
-        Global routing policy name — one of
-        :data:`~repro.serve.sharded.routing.ROUTING_POLICIES`
-        (``"least-loaded"``, ``"residency-affinity"``,
-        ``"threshold-local"``, ``"learned"``).  Unknown names fail at
-        config-parse time, not after the run has started.
-    explore_floor:
-        Learned routing only: probability in ``[0, 1)`` that a warm
-        decision picks a uniform-random candidate instead of the
-        argmin predicted latency, so every shard keeps getting sampled
-        (a recovered shard can be re-discovered).  Drawn from the
-        run-seeded exploration stream — fixed seeds replay
-        byte-identically.
-    min_samples:
-        Learned routing only: observed completions required on *every*
-        candidate shard's model before predictions are trusted; below
-        it routing falls back to the least-loaded ranking (cold start).
-    refit_interval:
-        Learned routing only: observations between incremental refits
-        of a shard's sliding-window latency model.
-    health:
-        Gray-failure health subsystem
-        (:class:`~repro.serve.health.HealthConfig`): heartbeat-driven
-        suspicion tracking, quarantine/probation lifecycle, forwarding
-        circuit breakers and (optionally) hedged dispatch on the
-        sharded control plane, so it requires ``sharded=True``.
-        ``None`` (default) disables health inference — gray faults then
-        go entirely unnoticed by the router.
-    trace:
-        Engine trace recording (:class:`~repro.gpusim.trace.TraceConfig`):
-        ``"report"`` (default, lazy report-derived Chrome traces, no
-        recorder), ``"full"`` / ``"sampling"`` (attach a recorder with
-        the matching sink — opts execution out of the trace-free fast
-        path), or ``"off"`` (no traces at all).  ``None`` means
-        ``"report"``.
-    integrity:
-        Result-integrity subsystem
-        (:class:`~repro.integrity.IntegrityConfig`): checksum lineage
-        over tensor copies, sampled audit recomputation of completed
-        pairs on other devices (``spot`` / ``suspect-full``), taint
-        invalidation + repair with exact SLO accounting, and per-device
-        corruption blame with quarantine.  ``None`` (default) disables
-        integrity checking — silent corruption then reaches reported
-        completions unnoticed.
-    """
-
-    queue_capacity: int = 64
-    queue_policy: QueuePolicy | str = "auto"
-    max_inflight: int = 1
-    schedule_latency_per_pair_s: float = 2e-5
-    recover_faults: bool = True
-    tenants: tuple[TenantSpec, ...] = ()
-    autoscaler: AutoscalerConfig | None = None
-    faults: FaultPlan | None = None
-    warm_restore: bool = False
-    journal_capacity: int = 4096
-    prewarm_fraction: float = 0.5
-    fault_aware_admission: bool = False
-    admission_min_success: float = 0.5
-    max_batch_vectors: int = 1
-    batch_memory_frac: float = 0.5
-    sharded: bool = False
-    sync_interval_s: float = 0.05
-    routing: str = "least-loaded"
-    explore_floor: float = 0.05
-    min_samples: int = 24
-    refit_interval: int = 16
-    health: HealthConfig | None = None
-    trace: TraceConfig | None = None
-    integrity: IntegrityConfig | None = None
-
-    def __post_init__(self):
-        if self.queue_capacity <= 0:
-            raise ConfigurationError(f"queue_capacity must be > 0, got {self.queue_capacity}")
-        if isinstance(self.queue_policy, str):
-            if self.queue_policy not in QUEUE_POLICIES + ("auto",):
-                raise ConfigurationError(
-                    f"unknown queue policy {self.queue_policy!r}; expected a QueuePolicy "
-                    f"or one of {QUEUE_POLICIES + ('auto',)}"
-                )
-        elif not isinstance(self.queue_policy, QueuePolicy):
-            raise ConfigurationError(
-                f"queue_policy must be a QueuePolicy or a name, got {self.queue_policy!r}"
-            )
-        if self.max_inflight < 1:
-            raise ConfigurationError(f"max_inflight must be >= 1, got {self.max_inflight}")
-        if self.schedule_latency_per_pair_s < 0:
-            raise ConfigurationError(
-                f"schedule_latency_per_pair_s must be >= 0, got {self.schedule_latency_per_pair_s}"
-            )
-        if self.journal_capacity < 1:
-            raise ConfigurationError(
-                f"journal_capacity must be >= 1, got {self.journal_capacity}"
-            )
-        if not 0 < self.prewarm_fraction <= 1:
-            raise ConfigurationError(
-                f"prewarm_fraction must be in (0, 1], got {self.prewarm_fraction}"
-            )
-        if not 0 < self.admission_min_success < 1:
-            raise ConfigurationError(
-                f"admission_min_success must be in (0, 1), got {self.admission_min_success}"
-            )
-        if self.max_batch_vectors < 1:
-            raise ConfigurationError(
-                f"max_batch_vectors must be >= 1, got {self.max_batch_vectors}"
-            )
-        if not 0 < self.batch_memory_frac <= 1:
-            raise ConfigurationError(
-                f"batch_memory_frac must be in (0, 1], got {self.batch_memory_frac}"
-            )
-        if self.sync_interval_s <= 0:
-            raise ConfigurationError(
-                f"sync_interval_s must be > 0, got {self.sync_interval_s}"
-            )
-        # Imported lazily: repro.serve.sharded imports this module.
-        from repro.serve.sharded.routing import ROUTING_POLICIES
-
-        if self.routing not in ROUTING_POLICIES:
-            raise ConfigurationError(
-                f"unknown routing policy {self.routing!r}; expected one of {ROUTING_POLICIES}"
-            )
-        if not 0 <= self.explore_floor < 1:
-            raise ConfigurationError(
-                f"explore_floor must be in [0, 1), got {self.explore_floor}"
-            )
-        if self.min_samples < 2:
-            raise ConfigurationError(
-                f"min_samples must be >= 2, got {self.min_samples}"
-            )
-        if self.refit_interval < 1:
-            raise ConfigurationError(
-                f"refit_interval must be >= 1, got {self.refit_interval}"
-            )
-        if self.health is not None and not isinstance(self.health, HealthConfig):
-            raise ConfigurationError(
-                f"health must be a HealthConfig or None, got {self.health!r}"
-            )
-        if self.health is not None and not self.sharded:
-            raise ConfigurationError(
-                "health checks and hedging run on the sharded control plane: "
-                "set sharded=True (micco serve --sharded) to use ServeConfig.health"
-            )
-        if self.trace is not None and not isinstance(self.trace, TraceConfig):
-            raise ConfigurationError(
-                f"trace must be a TraceConfig or None, got {self.trace!r}"
-            )
-        if self.integrity is not None and not isinstance(self.integrity, IntegrityConfig):
-            raise ConfigurationError(
-                f"integrity must be an IntegrityConfig or None, got {self.integrity!r}"
-            )
-        object.__setattr__(self, "tenants", tuple(self.tenants))
-        for t in self.tenants:
-            if not isinstance(t, TenantSpec):
-                raise ConfigurationError(f"tenants entries must be TenantSpec, got {t!r}")
-        names = [t.name for t in self.tenants]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"tenant names must be unique, got {names}")
-
-    def with_(self, **kwargs) -> "ServeConfig":
-        """Copy with overrides (sweep convenience)."""
-        return replace(self, **kwargs)
-
-    #: Schema version :meth:`to_json` writes.  Older files still load,
-    #: with every field newer than their version at its default; which
-    #: version introduced which field is :data:`_FIELD_VERSIONS`.
-    CONFIG_VERSION = 8
-
-    # ------------------------------------------------------------ persistence
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "queue_policy" and not isinstance(value, str):
-                value = value.name
-            elif f.name in _NESTED:
-                # An empty roster is still a list; other unset blocks are null.
-                value = _NESTED[f.name][0](value) if value or f.name == "tenants" else None
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServeConfig":
-        if not isinstance(d, dict):
-            raise ConfigurationError(f"serve config must be a JSON object, got {d!r}")
-        version = d.get("version", cls.CONFIG_VERSION)
-        if version not in range(1, cls.CONFIG_VERSION + 1):
-            raise ConfigurationError(
-                f"unsupported serve config version {version!r}; "
-                f"this build reads 1 through {cls.CONFIG_VERSION}"
-            )
-        known = {f.name for f in fields(cls) if _FIELD_VERSIONS.get(f.name, 1) <= version}
-        unknown = set(d) - known - {"version"}
-        if unknown:
-            raise ConfigurationError(f"unknown serve config keys: {sorted(unknown)}")
-        kwargs = {}
-        for name, value in d.items():
-            if name in _NESTED:
-                if value:
-                    kwargs[name] = _NESTED[name][1](value)
-            elif name != "version":
-                kwargs[name] = value
-        return cls(**kwargs)
-    def to_json(self, path: str | Path) -> None:
-        """Write the full config; :meth:`from_json` round-trips it."""
-        dump_json(path, {"version": self.CONFIG_VERSION, **self.to_dict()})
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ServeConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-@dataclass
-class ServeResult:
-    """Outcome of one online serving run."""
-
-    report: LatencyReport
-    metrics: ExecutionMetrics
-    #: Admission-queue counter snapshot (admitted/dropped/peak depth).
-    queue: dict = field(default_factory=dict)
-    #: Absolute arrival timestamps actually offered (chronological).
-    arrival_s: list[float] = field(default_factory=list)
-    #: Fault section (``FaultStats.summary``); ``None`` without a plan.
-    faults: dict | None = None
-    #: Replayable fault/retry/recovery event log (empty without a plan).
-    fault_events: list[dict] = field(default_factory=list)
-    #: Per-tenant sections (summary + SLO attainment); ``None`` for
-    #: single-tenant runs.
-    tenants: dict | None = None
-    #: Autoscaler section (actions, scale counts); ``None`` without one.
-    autoscale: dict | None = None
-    #: Residency-journal section (restores, prewarmed tensors);
-    #: ``None`` unless :attr:`ServeConfig.warm_restore` was on.
-    journal: dict | None = None
-    #: Per-round dispatch log: one record per scheduling round
-    #: (``round_id``, member vector ids, pair count, dispatch/sched-done
-    #: timestamps).  Singleton rounds are logged too, so the log always
-    #: covers every dispatch.
-    rounds: list[dict] = field(default_factory=list)
-    #: Sharded-control-plane section (routing counters, per-shard
-    #: records); ``None`` for one-shard runs (no routing tier).
-    sharding: dict | None = None
-    #: Health-subsystem section (suspicion timeline, quarantine
-    #: episodes, hedge/breaker counters); ``None`` unless
-    #: :attr:`ServeConfig.health` was set.
-    health: dict | None = None
-    #: Replayable health/hedge/breaker event log (empty without the
-    #: health subsystem).
-    health_events: list[dict] = field(default_factory=list)
-    #: Result-integrity section (injected/detected/escaped counters,
-    #: audit overhead, blame log); ``None`` unless
-    #: :attr:`ServeConfig.integrity` enabled a mode other than ``off``.
-    integrity: dict | None = None
-    #: Timeline events processed by the serving loop (control-plane
-    #: work, the denominator of the events/sec benchmark figure).
-    events_processed: int = 0
-    #: Learned-routing section (decision/exploration counters, per-shard
-    #: sample counts, refits and mean absolute prediction error);
-    #: ``None`` unless :attr:`ServeConfig.routing` is ``"learned"``.
-    routing: dict | None = None
-    #: Replayable learned-routing event log — model refits and the
-    #: cold-start→warm transition (empty for static policies).
-    routing_events: list[dict] = field(default_factory=list)
-    #: Engine-level event recorder for the run; populated only when
-    #: :attr:`ServeConfig.trace` selects ``"full"`` or ``"sampling"``.
-    engine_trace: TraceRecorder | None = None
-    #: Trace mode the run was configured with (``TraceConfig.mode``).
-    trace_mode: str = "report"
-
-    @property
-    def p99(self) -> float:
-        return self.report.p99
-
-    @property
-    def dropped(self) -> int:
-        return len(self.report.dropped)
-
-    def tenant_report(self, name: str) -> LatencyReport:
-        """Per-tenant latency-report view (see :meth:`LatencyReport.for_tenant`)."""
-        return self.report.for_tenant(name)
-
-    def summary(self) -> dict:
-        """Headline SLO numbers plus engine counters."""
-        out = self.report.summary()
-        out["queue"] = dict(self.queue)
-        out["gflops"] = self.metrics.gflops
-        out["reuse_hits"] = self.metrics.counts.reuse_hits
-        out["transfers"] = self.metrics.counts.input_fetches
-        if self.faults is not None:
-            out["faults"] = self.faults
-        if self.tenants is not None:
-            out["tenants"] = self.tenants
-        if self.autoscale is not None:
-            out["autoscale"] = self.autoscale
-        if self.journal is not None:
-            out["journal"] = self.journal
-        if self.sharding is not None:
-            out["sharding"] = self.sharding
-        if self.health is not None:
-            out["health"] = self.health
-        if self.integrity is not None:
-            out["integrity"] = self.integrity
-        if self.routing is not None:
-            out["routing"] = self.routing
-        out["events_processed"] = self.events_processed
-        return out
-
-    def to_json(self, path: str | Path, *, extra: dict | None = None) -> None:
-        """Write the full result: summary, per-vector records, sections."""
-        payload = {
-            "summary": self.summary(),
-            "completed": [asdict(r) for r in self.report.completed],
-            "dropped": [asdict(r) for r in self.report.dropped],
-        }
-        if self.faults is not None:
-            payload["faults"] = self.faults
-            payload["fault_events"] = self.fault_events
-        if self.tenants is not None:
-            payload["tenants"] = self.tenants
-        if self.autoscale is not None:
-            payload["autoscale"] = self.autoscale
-        if self.journal is not None:
-            payload["journal"] = self.journal
-        if self.sharding is not None:
-            payload["sharding"] = self.sharding
-        if self.health is not None:
-            payload["health"] = self.health
-            payload["health_events"] = self.health_events
-        if self.integrity is not None:
-            payload["integrity"] = self.integrity
-        if self.routing is not None:
-            payload["routing"] = self.routing
-            payload["routing_events"] = self.routing_events
-        if self.rounds:
-            payload["rounds"] = self.rounds
-        if extra:
-            payload.update(extra)
-        dump_json(path, payload)
-
-    def to_trace(self) -> TraceRecorder:
-        """Chrome-trace view: vector lifecycle lanes plus pool events.
-
-        Fault and autoscale events render on lane ``-(device + 1)``,
-        batched scheduling rounds on a ``batch`` lane block below the
-        device lanes (``-(num_devices + 1 + round_id)``), and health /
-        hedge / breaker events on a per-node lane block far below both
-        (``-(100_000 + node)``), and learned-routing events (refits,
-        warm-up) on their own per-node block below that
-        (``-(200_000 + node)``), so none of them collide with the
-        per-vector lanes (vector ids are non-negative).
-
-        With :attr:`trace_mode` ``"off"`` an empty recorder is returned
-        (nothing is rendered).  Engine-level device events, when
-        recorded, stay on :attr:`engine_trace` — their device lanes use
-        the same ids as the vector lanes, so they are deliberately not
-        merged here.
-        """
-        if self.trace_mode == "off":
-            return TraceRecorder()
-        trace = self.report.to_trace()
-        for rnd in self.rounds:
-            if len(rnd["members"]) < 2:
-                continue  # singleton rounds add nothing over the vector lanes
-            trace.record_at(
-                "batch",
-                -(self.metrics.num_devices + 1 + rnd["round_id"]),
-                rnd["dispatch_s"],
-                rnd["sched_done_s"] - rnd["dispatch_s"],
-                label=f"round {rnd['round_id']}: v{rnd['members']}",
-            )
-        for ev in self.fault_events:
-            trace.record_at(
-                ev["kind"],
-                -(ev["device"] + 1),
-                ev["time_s"],
-                ev["duration_s"],
-                label=ev["label"],
-            )
-        for act in (self.autoscale or {}).get("actions", ()):
-            trace.record_at(
-                f"scale-{act['action']}",
-                -(act["device"] + 1),
-                act["time_s"],
-                0.0,
-                label=act["reason"] or act["action"],
-            )
-        for ev in self.health_events:
-            trace.record_at(
-                ev["kind"],
-                -(100_000 + ev["node"]),
-                ev["time_s"],
-                0.0,
-                label=ev["label"],
-            )
-        for ev in self.routing_events:
-            trace.record_at(
-                f"routing-{ev['kind']}",
-                -(200_000 + ev["node"]),
-                ev["time_s"],
-                0.0,
-                label=ev["label"],
-            )
-        return trace
 
 
 class PassThroughRouter:

@@ -11,7 +11,7 @@ only ever *rank* candidates; correctness (the ticket lands on an alive
 shard with queue space, or is forwarded) is the router's job.
 
 This module is intentionally a leaf — it imports nothing from the
-serving loop — so :class:`~repro.serve.server.ServeConfig` can validate
+serving loop — so :class:`~repro.serve.config.ServeConfig` can validate
 routing names without a circular import.
 """
 

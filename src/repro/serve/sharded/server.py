@@ -17,7 +17,7 @@ for bit; what changes is the *scope* of every control decision:
   balance share, the reuse bounds and the candidate tiers are all
   shard-local;
 * node runtimes report load/residency digests every
-  :attr:`~repro.serve.server.ServeConfig.sync_interval_s`; between
+  :attr:`~repro.serve.config.ServeConfig.sync_interval_s`; between
   syncs the router works from stale summaries, corrected only by its
   own routing decisions;
 * a ``node_lost`` fault kills exactly one shard — its queued tickets
@@ -49,7 +49,8 @@ from repro.schedulers.batching import merge_vectors, split_assignment  # noqa: F
 from repro.serve.autoscale import Autoscaler
 from repro.serve.health import CircuitBreaker, HealthMonitor
 from repro.serve.queueing import AdmissionQueue
-from repro.serve.server import MiccoServer, ServeConfig
+from repro.serve.config import ServeConfig
+from repro.serve.server import MiccoServer
 from repro.serve.sharded.node import NodeRuntime, ShardView
 from repro.serve.sharded.routing import RoutingPolicy, ShardSnapshot, make_routing_policy
 from repro.serve.tenancy import build_streams  # noqa: F401
@@ -280,7 +281,7 @@ class ShardedServer(MiccoServer):
 
     Requires a multi-node :class:`~repro.gpusim.topology.Topology` on
     the cost model — each topology node becomes one shard.  The serving
-    knobs come from the same :class:`~repro.serve.server.ServeConfig`
+    knobs come from the same :class:`~repro.serve.config.ServeConfig`
     (``sync_interval_s``, ``routing``); tenants and the autoscaler are
     applied *per shard* (weighted-fair admission inside each shard's
     queue, the autoscaler config clamped to each shard's device count).

@@ -23,12 +23,13 @@ from repro.errors import ConfigurationError
 from repro.serve.arrivals import ArrivalProcess, arrivals_from_dict
 from repro.serve.slo import LatencyReport
 from repro.tensor.spec import VectorSpec
+from repro.utils.codec import JsonConfig, converted, nested
 from repro.utils.rng import spawn_generators
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
 
 @dataclass(frozen=True)
-class SloTargets:
+class SloTargets(JsonConfig):
     """Per-tenant service-level objectives (all optional).
 
     Latency targets are on end-to-end sojourn time (arrival →
@@ -36,6 +37,8 @@ class SloTargets:
     shed fraction.  Unset targets are not evaluated (and vacuously
     attained).
     """
+
+    BLOCK = "slo"
 
     p50_s: float | None = None
     p95_s: float | None = None
@@ -82,24 +85,9 @@ class SloTargets:
             "attained": all(c["met"] for c in checks.values()),
         }
 
-    def to_dict(self) -> dict:
-        return {
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "max_drop_rate": self.max_drop_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SloTargets":
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad SLO targets: {exc}") from None
-
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(JsonConfig):
     """One traffic source sharing the cluster.
 
     Parameters
@@ -113,16 +101,21 @@ class TenantSpec:
         is the tenant's stream length.
     weight:
         Weighted-fair admission share (relative to the other tenants'
-        weights under saturation).
+        weights under saturation).  Keyword-only, like ``slo``; it is
+        declared second so the JSON form lists it right after ``name``.
     slo:
         Per-tenant latency / drop-rate targets.
     """
 
+    BLOCK = "tenant"
+
     name: str
-    arrivals: ArrivalProcess
-    workload: WorkloadParams = field(default_factory=WorkloadParams)
-    weight: float = 1.0
-    slo: SloTargets = field(default_factory=SloTargets)
+    weight: float = field(default=1.0, kw_only=True)
+    arrivals: ArrivalProcess = converted(
+        lambda arrivals: arrivals.to_dict(), lambda d, path: arrivals_from_dict(d)
+    )
+    workload: WorkloadParams = nested(WorkloadParams, default_factory=WorkloadParams)
+    slo: SloTargets = nested(SloTargets, default_factory=SloTargets, kw_only=True)
 
     def __post_init__(self):
         if not self.name:
@@ -140,36 +133,6 @@ class TenantSpec:
     @property
     def num_vectors(self) -> int:
         return self.workload.num_vectors
-
-    # ----------------------------------------------------------- persistence
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return {
-            "name": self.name,
-            "weight": self.weight,
-            "arrivals": self.arrivals.to_dict(),
-            "workload": asdict(self.workload),
-            "slo": self.slo.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TenantSpec":
-        if not isinstance(d, dict) or "name" not in d or "arrivals" not in d:
-            raise ConfigurationError(
-                f"tenant spec needs at least 'name' and 'arrivals', got {d!r}"
-            )
-        known = {"name", "weight", "arrivals", "workload", "slo"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigurationError(f"unknown tenant spec keys: {sorted(unknown)}")
-        return cls(
-            name=d["name"],
-            weight=d.get("weight", 1.0),
-            arrivals=arrivals_from_dict(d["arrivals"]),
-            workload=WorkloadParams(**d.get("workload", {})),
-            slo=SloTargets.from_dict(d.get("slo", {})),
-        )
 
 
 @dataclass

@@ -103,7 +103,7 @@ class BatchRound:
     """One scheduling round: the batch of tickets dispatched together.
 
     The serving loop may coalesce several mergeable queued vectors into
-    one round (see :attr:`~repro.serve.server.ServeConfig.max_batch_vectors`);
+    one round (see :attr:`~repro.serve.config.ServeConfig.max_batch_vectors`);
     their pairs are scheduled as a single merged vector so repeated
     tensors across the members are placed once, then each member gets
     its own :class:`VectorCompletion` event.  ``remaining`` counts the
@@ -182,7 +182,7 @@ class VectorCompletion(Event):
 class DigestSync(Event):
     """The sharded control plane refreshes its per-node digests.
 
-    Fired every :attr:`~repro.serve.server.ServeConfig.sync_interval_s`
+    Fired every :attr:`~repro.serve.config.ServeConfig.sync_interval_s`
     simulated seconds by :class:`~repro.serve.sharded.ShardedServer`.
     Between syncs the global router deliberately works from stale
     summaries (corrected only by its own routing decisions since the

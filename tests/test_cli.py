@@ -286,6 +286,21 @@ class TestServeConfigFile:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_tenant_workload_key_exits_2(self, capsys, tmp_path):
+        # A misspelt key inside a nested block used to escape as a
+        # TypeError traceback instead of a clean usage error.
+        import json
+
+        path = self.make_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["tenants"][0]["workload"]["vectr_size"] = 8
+        path.write_text(json.dumps(doc))
+        rc = main(["serve", "--config", str(path), "--json", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "vectr_size" in err and "tenants[0].workload" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_corrupt_json_reports_cleanly(self, capsys, tmp_path):
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text("not json at all")

@@ -394,16 +394,23 @@ class TestEndToEnd:
         assert on_disk["integrity"]["mode"] == "spot"
         assert ServeConfig.from_json(path) == cfg
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", range(1, ServeConfig.CONFIG_VERSION + 1))
     def test_integrity_key_rejected_in_older_files(self, tmp_path, version):
+        """A version-N file rejects every field newer than N (the
+        ``integrity`` block before 7 among them) and accepts the rest."""
+        import dataclasses
         import json
 
         path = tmp_path / "old.json"
-        path.write_text(json.dumps(
-            {"version": version, "integrity": {"mode": "spot"}}
-        ))
-        with pytest.raises(ConfigurationError):
-            ServeConfig.from_json(path)
+        defaults = ServeConfig().to_dict()
+        for f in dataclasses.fields(ServeConfig):
+            value = {"mode": "spot"} if f.name == "integrity" else defaults[f.name]
+            path.write_text(json.dumps({"version": version, f.name: value}))
+            if f.metadata.get("since", 1) > version:
+                with pytest.raises(ConfigurationError, match=f"'{f.name}' needs version"):
+                    ServeConfig.from_json(path)
+            else:
+                ServeConfig.from_json(path)
 
     def test_drop_reason_surfaces_in_report(self):
         """Flagged tickets shed as integrity-unverified, never reported."""

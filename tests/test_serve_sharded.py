@@ -1,5 +1,6 @@
 """Two-level sharded control plane: routing, staleness, shard death."""
 
+import dataclasses
 import json
 
 import pytest
@@ -25,6 +26,10 @@ from repro.serve.sharded.node import ShardView
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
 MIB = 1024**2
+
+#: Non-default values the config-version ladder test loads for some
+#: versioned fields; every other versioned field is loaded at its default.
+VERSIONED_SAMPLES = {"sharded": True, "sync_interval_s": 0.01, "routing": "threshold-local"}
 
 
 def sharded_config(num_devices: int = 8, devices_per_node: int = 4) -> MiccoConfig:
@@ -384,15 +389,21 @@ class TestServeConfigV5:
         assert cfg.health is None
 
     @pytest.mark.parametrize("key, value", [
-        ("sharded", True),
-        ("sync_interval_s", 0.01),
-        ("routing", "threshold-local"),
+        (f.name, VERSIONED_SAMPLES.get(f.name, ServeConfig().to_dict()[f.name]))
+        for f in dataclasses.fields(ServeConfig)
+        if f.metadata.get("since", 1) > 1
     ])
     def test_v4_keys_rejected_in_version_3_file(self, tmp_path, key, value):
-        path = tmp_path / "v3.json"
-        path.write_text(json.dumps({"version": 3, key: value}))
-        with pytest.raises(ConfigurationError):
+        # Every versioned field, read from its ``since`` metadata: a file
+        # one version older than the field rejects it, a file at that
+        # version accepts it.
+        since = ServeConfig.__dataclass_fields__[key].metadata["since"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": since - 1, key: value}))
+        with pytest.raises(ConfigurationError, match=f"'{key}' needs version {since}"):
             ServeConfig.from_json(path)
+        path.write_text(json.dumps({"version": since, key: value}))
+        assert ServeConfig.from_json(path).to_dict()[key] == value
 
     def test_v5_key_rejected_in_version_4_file(self, tmp_path):
         path = tmp_path / "v4.json"
