@@ -35,10 +35,11 @@ class ServeConfig(JsonConfig):
     knobs, the tenant roster, the autoscaler policy and a fault plan —
     and the whole object round-trips through JSON
     (:meth:`to_json` / :meth:`from_json`), which is what
-    ``micco serve --config cfg.json`` loads.  Schema version 2 added the
-    resilience knobs, 3 batching, 4 the sharded control plane, 5 the
-    ``health`` block, 6 ``trace``, 7 ``integrity`` and 8 learned routing.  Cluster and cost-model
-    knobs stay in :class:`~repro.core.config.MiccoConfig`.
+    ``micco serve --config cfg.json`` loads.  Cluster and cost-model
+    knobs stay in :class:`~repro.core.config.MiccoConfig`.  Schema
+    version 2 added the resilience knobs, 3 batching, 4 the sharded
+    control plane, 5 the ``health`` block, 6 ``trace``, 7 ``integrity``
+    and 8 learned routing.
 
     Parameters
     ----------
@@ -176,7 +177,7 @@ class ServeConfig(JsonConfig):
     recover_faults: bool = True
     tenants: tuple[TenantSpec, ...] = nested_tuple(TenantSpec, default=())
     autoscaler: AutoscalerConfig | None = nested(AutoscalerConfig, default=None)
-    # An empty plan is written as no plan.
+    # An empty plan injects nothing, so it is written as null like no plan.
     faults: FaultPlan | None = converted(
         lambda plan: plan.to_dicts() or None,
         lambda records, path: FaultPlan.from_dicts(records),
