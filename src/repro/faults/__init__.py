@@ -12,14 +12,20 @@ device pool:
   generation, JSON round-trip, correlated ``node_lost`` failure
   domains),
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the runtime
-  state machine consulted by the engine and the serving loop,
+  state machine consulted by the engine and the serving loop.  The
+  driver protocol is *poll, then apply; the run recovers tickets*:
+  :meth:`~FaultInjector.poll` arms the engine-side faults and returns
+  the rest, :meth:`~FaultInjector.apply` applies each returned event to
+  the cluster and returns the devices it killed with their orphaned
+  tensors, and the serving loop recovers the tickets in flight there,
 * :mod:`repro.faults.recovery` — :class:`RetryPolicy` (exponential
   backoff in simulated time) and :class:`FaultStats` (the SLO report's
   fault section: injected/retried/recovered counts, recovery latencies,
   availability %),
 * :mod:`repro.faults.journal` — :class:`ResidencyJournal`, a bounded
   placement/eviction log replayed to pre-warm replacement devices
-  (warm restore) instead of starting them cold.
+  (:meth:`~ResidencyJournal.warm_restore`) instead of starting them
+  cold.
 """
 
 from repro.faults.injector import FaultInjector

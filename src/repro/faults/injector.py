@@ -1,15 +1,20 @@
 """Runtime fault injection: arms planned faults as simulated time passes.
 
 The :class:`FaultInjector` sits between a :class:`~repro.faults.plan.FaultPlan`
-and the machinery that experiences the faults:
+and the machinery that experiences the faults.  The driver protocol is
+*poll, then apply; the run recovers tickets*:
 
 * the *driver* (the serving loop, or any clock owner) calls
-  :meth:`poll` as simulated time advances; due transient/transfer
-  faults are armed against their device, straggler windows open, and
-  due ``device_lost``/``node_lost`` events are returned for the driver
-  to apply (killing a device — let alone a whole failure domain —
-  needs cluster + scheduler + topology cooperation the injector does
-  not have);
+  :meth:`poll` as simulated time advances.  Due transient/transfer
+  faults are armed against their device and straggler and corruption
+  windows open; every other due event is returned;
+* the driver hands each returned event to :meth:`apply`, which does
+  everything cluster-side — the node-scoped blast radius, link and
+  heartbeat loss, the bitflip victim, failing devices and the fault
+  accounting — and returns ``{device: orphaned uids}`` for the devices
+  it killed;
+* the driver recovers the work in flight on those devices (that needs
+  its router, shards and tickets, which the injector does not have);
 * the *engine* consults :meth:`take_kernel_fault` /
   :meth:`take_transfer_fault` at each operation (consuming one armed
   failure per call) and :meth:`compute_factor` for straggler slowdowns.
@@ -22,7 +27,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.errors import ConfigurationError
+from repro.faults.plan import NODE_SCOPED, FaultEvent, FaultKind, FaultPlan
 from repro.faults.recovery import FaultStats
 from repro.integrity import mix64
 
@@ -98,16 +104,13 @@ class FaultInjector:
 
     # ------------------------------------------------------------ driver side
     def poll(self, now: float) -> list[FaultEvent]:
-        """Advance to ``now``; arm due faults, return due device losses.
+        """Advance to ``now``; arm due faults, return the driver-side ones.
 
         Transient/transfer faults arm against their device (the next
-        ``count`` matching operations fail); straggler windows open.
-        ``device_lost``, ``node_lost`` and ``link_lost`` events are
-        *returned* — the driver must apply them (clear residency,
-        re-schedule orphans, expand a node loss to its failure domain
-        via the topology) and then call :meth:`note_device_lost` per
-        dead device (or :meth:`note_link_lost` for a degraded node) so
-        availability accounting sees them.
+        ``count`` matching operations fail); straggler and corruption
+        windows open.  Every other due event — device, node and link
+        loss, node flaps, heartbeat loss and bitflips — is *returned*;
+        the driver passes each one to :meth:`apply`.
         """
         self.now = max(self.now, now)
         losses: list[FaultEvent] = []
@@ -142,9 +145,102 @@ class FaultInjector:
                     )
                 )
                 self._corrupt_salt += 1
-            else:  # DEVICE_LOST / NODE_LOST / LINK_LOST / gray / bitflip: driver applies
+            else:  # losses, gray faults and bitflips: see apply()
                 losses.append(fault)
         return losses
+
+    def apply(
+        self, fault: FaultEvent, cluster, *, topology=None, integrity=None
+    ) -> dict[int, list[int]]:
+        """Apply one event :meth:`poll` returned to ``cluster``.
+
+        Returns ``{device: orphaned tensor uids}`` for every device the
+        event killed; the caller recovers the work in flight there.  The
+        map is empty for the kinds that kill nothing and for a loss that
+        finds nothing left to kill.
+
+        A node-scoped kind (:data:`~repro.faults.plan.NODE_SCOPED`) hits
+        every device of the node hosting ``fault.device``, through
+        ``topology``; without one it hits the named device only.
+
+        * ``link_lost``: the node's alive devices keep computing, but
+          fetches across their severed inter-node links are staged
+          through the host (see :meth:`reachable_holders`).
+        * ``heartbeat_loss``: the node's alive devices keep computing
+          but stop reporting for ``duration_s`` (:meth:`silent_devices`).
+        * ``tensor_bitflip``: the lowest-uid tensor resident on the alive
+          device is corrupted in place, in ``integrity`` when given;
+          without it the flip is recorded but untracked.
+        * ``device_lost``, ``node_lost`` and ``node_flap``: the radius's
+          devices fail atomically
+          (:meth:`~repro.gpusim.cluster.ClusterState.fail_node`), so no
+          orphan can land on a doomed sibling.
+
+        A link or heartbeat loss on a dead node, a duplicate link loss
+        and a loss whose radius is already dead record nothing.
+        """
+        kind = fault.kind
+        stats = self.stats
+        devices = [fault.device]
+        if kind in NODE_SCOPED and topology is not None and fault.device < topology.num_devices:
+            devices = topology.devices_of_node(topology.node_of(fault.device))
+        if kind is FaultKind.LINK_LOST:
+            devices = [d for d in devices if cluster.is_alive(d) and d not in self._linkless]
+            if devices:
+                stats.link_losses += 1
+                self._linkless.update(devices)
+                stats.record_event(
+                    "fault", fault.device, fault.time_s, 0.0,
+                    label=f"link lost: devices {devices} host-staged",
+                )
+            return {}
+        if kind is FaultKind.HEARTBEAT_LOSS:
+            devices = [d for d in devices if cluster.is_alive(d)]
+            if devices:
+                self.note_heartbeat_loss(devices, fault.time_s, fault.time_s + fault.duration_s)
+                stats.record_event(
+                    "fault", fault.device, fault.time_s, fault.duration_s,
+                    label="heartbeat loss",
+                )
+            return {}
+        if kind is FaultKind.TENSOR_BITFLIP:
+            resident = (
+                cluster.pools[fault.device].resident_uids()
+                if cluster.is_alive(fault.device)
+                else ()
+            )
+            uid = min(resident) if resident else None
+            if uid is not None and integrity is not None:
+                integrity.flip(uid, fault.device, self.now)
+            stats.record_event(
+                "fault", fault.device, fault.time_s, 0.0,
+                label=(
+                    f"tensor bitflip: uid {uid}" if uid is not None
+                    else "tensor bitflip: no resident tensor"
+                ),
+            )
+            return {}
+        if kind not in (FaultKind.DEVICE_LOST, FaultKind.NODE_LOST, FaultKind.NODE_FLAP):
+            raise ConfigurationError(
+                f"{kind.value} faults are armed by poll(); apply() takes the events it returns"
+            )
+        members = [d for d in devices if not cluster.is_failed(d)]
+        if not members:
+            return {}  # already dead (duplicate plan entry)
+        orphaned = cluster.fail_node(members)
+        if not orphaned:
+            return {}  # only offline (retired) devices died
+        if kind is FaultKind.NODE_LOST:
+            stats.node_losses += 1
+        flap = kind is FaultKind.NODE_FLAP
+        for dev, orphans in sorted(orphaned.items()):
+            self.note_device_lost(dev, fault.time_s, len(orphans))
+            stats.record_event(
+                "fault", dev, fault.time_s,
+                fault.duration_s if flap else 0.0,
+                label="node flap down" if flap else kind.value.replace("_", " "),
+            )
+        return orphaned
 
     def drain(self) -> list[FaultEvent]:
         """Arm every remaining fault regardless of time (end-of-run flush)."""
@@ -182,17 +278,6 @@ class FaultInjector:
         return frozenset(
             d for d, start, end in self._silent if start <= now < end
         )
-
-    def note_link_lost(self, devices, time_s: float) -> None:
-        """Record an applied link loss: ``devices`` are D2D-isolated.
-
-        The devices stay alive — only their node's inter-node links are
-        gone.  Subsequent cross-node fetches that can only be served by
-        an unreachable holder fall back to host staging (see
-        :meth:`reachable_holders`).
-        """
-        self.stats.link_losses += 1
-        self._linkless.update(int(d) for d in devices)
 
     @property
     def linkless_devices(self) -> frozenset[int]:

@@ -12,9 +12,9 @@ cross-run replay.
 
 Its purpose is **warm restore**: when the autoscaler activates a
 replacement device after a loss (or a retired device rejoins the pool),
-the server replays the journal — :meth:`hot_tensors` ranks uids by how
-often and how recently they were resident — and pre-warms the hottest
-tensors that currently live nowhere on the pool, instead of letting
+the server replays the journal onto it (:meth:`warm_restore`) —
+:meth:`hot_tensors` ranks uids by how often and how recently they were
+resident — and pre-warms the hottest tensors, instead of letting
 every one of them be re-fetched from the host on the critical path of
 the next vectors.  TENSILE-style dynamic memory scheduling motivates
 exactly this: residency history is a prediction of near-future demand.
@@ -60,7 +60,7 @@ class ResidencyJournal:
         self.now = 0.0
         #: Deltas ever recorded, including rotated-out ones.
         self.total_recorded = 0
-        # Warm-restore accounting (filled by the serving loop).
+        # Warm-restore accounting (see :meth:`warm_restore`).
         self.restores = 0
         self.prewarmed_tensors = 0
         self.prewarm_cost_s = 0.0
@@ -99,6 +99,39 @@ class ResidencyJournal:
         self.restores += 1
         self.prewarmed_tensors += int(tensors)
         self.prewarm_cost_s += float(cost_s)
+
+    def warm_restore(self, device: int, cluster, cost_model, budget: float) -> tuple[int, float]:
+        """Replay the hot set onto a just-activated ``device``.
+
+        The hottest tensors (:meth:`hot_tensors`) not yet resident on
+        the device are pre-loaded while its used memory stays within
+        ``budget`` bytes.  Each one is sourced over a D2D link when a
+        live copy survives elsewhere, from the host otherwise.  The
+        point is to hand a fresh device the pool's hot working set while
+        it is still idle, so the first vectors it serves reuse resident
+        inputs instead of stalling on fetches.  Returns ``(tensors
+        restored, simulated seconds spent)``; the caller charges the
+        seconds to the device's busy horizon.
+        """
+        restored = 0
+        cost = 0.0
+        for uid, nbytes in self.hot_tensors():
+            if cluster.is_resident(uid, device):
+                continue
+            if cluster.used_bytes(device) + nbytes > budget:
+                continue
+            holders = cluster.devices_holding(uid)
+            if not cluster.prewarm(uid, nbytes, device):
+                continue
+            if holders:
+                copy_t = cost_model.d2d_time(nbytes, min(holders), device)
+            else:
+                copy_t = cost_model.h2d_time(nbytes)
+            cost += copy_t + cost_model.alloc_time(nbytes)
+            restored += 1
+        if restored:
+            self.note_restore(device, restored, cost)
+        return restored, cost
 
     # ---------------------------------------------------------------- reading
     def __len__(self) -> int:

@@ -78,6 +78,13 @@ class FaultKind(str, Enum):
     TENSOR_BITFLIP = "tensor_bitflip"
 
 
+#: Kinds whose ``device`` names a node: the event hits every device of
+#: the node hosting it (resolved through the topology when applied).
+NODE_SCOPED = frozenset(
+    {FaultKind.NODE_LOST, FaultKind.LINK_LOST, FaultKind.NODE_FLAP, FaultKind.HEARTBEAT_LOSS}
+)
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One scheduled fault.
@@ -89,9 +96,10 @@ class FaultEvent:
     time_s:
         Simulated timestamp at which the fault becomes active.
     device:
-        Target device id.  For ``node_lost`` this names *any* device of
-        the doomed node; the whole node containing it fails atomically
-        (grouping via :meth:`~repro.gpusim.topology.Topology.node_of`).
+        Target device id.  For a node-scoped kind (see
+        :data:`NODE_SCOPED`) this names *any* device of the affected
+        node; the fault hits every device of that node (grouping via
+        :meth:`~repro.gpusim.topology.Topology.node_of`).
     duration_s:
         Window length: straggler slowdown window, ``heartbeat_loss``
         silence window, or ``node_flap`` down time per cycle (ignored

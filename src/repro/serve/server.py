@@ -124,8 +124,9 @@ class ServeRun:
     per-run ledger: in-flight tickets, device busy horizons, the fault
     injector, the residency journal, integrity and health state.
     :meth:`execute` drains the timeline, dispatching each event to its
-    ``on_*`` handler after applying due faults, blame quarantines and
-    autoscaling.
+    ``on_*`` handler after applying due faults (the injector applies
+    them to the cluster; the run recovers the orphaned tickets), blame
+    quarantines and autoscaling.
 
     Every run follows the same conventions whatever its shard count:
     fault-aware admission is decided once, before routing; a shard with
@@ -236,11 +237,7 @@ class ServeRun:
         # Anchor each shard's reuse bounds before any pool-size change so
         # every rescale derives from the run's original (bounds, pool).
         for shard in self.ordered:
-            if (
-                server.predictor is None
-                and hasattr(shard.scheduler, "bounds")
-                and hasattr(shard.scheduler, "set_bounds")
-            ):
+            if server.predictor is None and server.built_bounds is not None:
                 shard.bounds_anchor = (shard.scheduler.bounds, shard.view.num_alive)
             if shard.scaler is not None:
                 self.shrink_to_initial(shard)
@@ -292,6 +289,7 @@ class ServeRun:
             HealthTick: self.on_health_tick,
         }
         scaled = [s for s in self.ordered if s.scaler is not None]
+        topology = self.server.config.cost_model.topology
         try:
             while timeline:
                 event = timeline.pop()
@@ -301,7 +299,11 @@ class ServeRun:
                     journal.advance(now)
                 if injector is not None:
                     for fault in injector.poll(now):
-                        self.apply_fault(fault, now)
+                        orphaned = injector.apply(
+                            fault, self.cluster, topology=topology, integrity=integ
+                        )
+                        if orphaned:
+                            self.recover(fault, orphaned, now)
                 if integ is not None:
                     for dev in integ.poll_quarantines():
                         self.quarantine_device(dev, now)
@@ -430,9 +432,9 @@ class ServeRun:
 
         Cold by default; with :attr:`ServeConfig.warm_restore` the
         residency journal is replayed onto it first (see
-        :meth:`warm_restore`) and the pre-warm transfer time is charged
-        to the device's busy horizon — paid up front, off the next
-        vectors' critical path.
+        :meth:`~repro.faults.journal.ResidencyJournal.warm_restore`) and
+        the pre-warm transfer time is charged to the device's busy
+        horizon — paid up front, off the next vectors' critical path.
         """
         dev = event.device
         shard = self.shards[self.node_of[dev]]
@@ -441,9 +443,8 @@ class ServeRun:
         shard.pending_online.discard(dev)
         if self.cluster.is_failed(dev) or self.cluster.is_alive(dev):
             return  # lost while warming up, or a stale event
-        before = shard.view.num_alive
         self.cluster.activate_device(dev)
-        restored = self.rejoin(shard, dev, now, before)
+        restored = self.rejoin(shard, dev, now)
         if shard.scaler is not None:
             reason = "warm-up complete"
             if restored:
@@ -465,9 +466,8 @@ class ServeRun:
         shard = self.shards[self.node_of[dev]]
         if shard.dead or not self.cluster.is_failed(dev):
             return
-        before = shard.view.num_alive
         self.cluster.restore_device(dev)
-        restored = self.rejoin(shard, dev, now, before)
+        restored = self.rejoin(shard, dev, now)
         injector = self.injector
         if injector is not None:
             injector.note_device_restored(dev, now)
@@ -986,9 +986,8 @@ class ServeRun:
             ),
         )
         while view.num_alive > target:
-            before = view.num_alive
             self.cluster.retire_device(view.alive_ids()[-1])
-            shard.rescale_bounds(before, view.num_alive)
+            shard.rescale_bounds()
 
     def autoscale_step(self, shard, now: float) -> None:
         """Evaluate the shard's autoscaler and apply its decision, if any."""
@@ -1011,9 +1010,8 @@ class ServeRun:
             if shard.pending_online or view.num_alive <= c.min_devices:
                 return
             dev = view.alive_ids()[-1]
-            before = view.num_alive
             self.cluster.retire_device(dev)
-            shard.rescale_bounds(before, view.num_alive)
+            shard.rescale_bounds()
             # Drain: in-flight pairs on the retiring device finish on the
             # survivors through the orphan-rescheduling path.
             moved = self.drain_device(shard, dev, now)
@@ -1061,7 +1059,7 @@ class ServeRun:
             if not self.request_device(shard, now, reason, cooldown=False):
                 return
 
-    def rejoin(self, shard, dev: int, now: float, before: int) -> int:
+    def rejoin(self, shard, dev: int, now: float) -> int:
         """Common tail of a device (re)joining its shard's pool.
 
         The device starts idle at ``now``; with a residency journal it
@@ -1070,214 +1068,50 @@ class ServeRun:
         """
         self.busy_until[dev] = now
         restored = 0
-        if self.journal is not None:
-            restored, cost = self.warm_restore(dev, now)
-            self.busy_until[dev] += cost
-        shard.rescale_bounds(before, shard.view.num_alive)
-        return restored
-
-    def warm_restore(self, device: int, now: float) -> tuple[int, float]:
-        """Replay the residency journal onto a just-activated device.
-
-        The journal's hottest tensors not yet resident on *this* device
-        are pre-loaded — sourced over a D2D link when a live copy
-        survives elsewhere, from the host otherwise — until
-        :attr:`ServeConfig.prewarm_fraction` of the device's memory is
-        used.  The point is to hand the fresh device the pool's hot
-        working set while it is still idle: the first vectors it serves
-        reuse resident inputs instead of stalling on fetches on their
-        critical path.  Returns ``(tensors restored, simulated seconds
-        spent)``; the caller charges the seconds to the device's busy
-        horizon.
-        """
         journal = self.journal
-        cluster = self.cluster
-        cm = self.server.config.cost_model
-        budget = self.cfg.prewarm_fraction * cluster.devices[device].memory_bytes
-        restored = 0
-        cost = 0.0
-        for uid, nbytes in journal.hot_tensors():
-            if cluster.is_resident(uid, device):
-                continue
-            if cluster.used_bytes(device) + nbytes > budget:
-                continue
-            holders = cluster.devices_holding(uid)
-            if not cluster.prewarm(uid, nbytes, device):
-                continue
-            if holders:
-                copy_t = cm.d2d_time(nbytes, min(holders), device)
-            else:
-                copy_t = cm.h2d_time(nbytes)
-            cost += copy_t + cm.alloc_time(nbytes)
-            restored += 1
-        if restored:
-            journal.note_restore(device, restored, cost)
+        if journal is not None:
+            cluster = self.cluster
+            budget = self.cfg.prewarm_fraction * cluster.devices[dev].memory_bytes
+            restored, cost = journal.warm_restore(
+                dev, cluster, self.server.config.cost_model, budget
+            )
+            self.busy_until[dev] += cost
             injector = self.injector
-            if injector is not None:
+            if restored and injector is not None:
                 injector.stats.prewarmed_tensors += restored
                 injector.stats.record_recovery("warm_restore", cost)
                 injector.stats.record_event(
-                    "prewarm", device, now, cost,
+                    "prewarm", dev, now, cost,
                     label=f"warm restore: {restored} tensors",
                 )
-        return restored, cost
+        shard.rescale_bounds()
+        return restored
 
-    # -------------------------------------------------------- fault handling
-    def apply_fault(self, fault: FaultEvent, now: float) -> None:
-        kind = fault.kind
-        if kind is FaultKind.LINK_LOST:
-            self.apply_link_loss(fault, now)
-        elif kind is FaultKind.HEARTBEAT_LOSS:
-            self.apply_heartbeat_loss(fault, now)
-        elif kind is FaultKind.TENSOR_BITFLIP:
-            self.apply_bitflip(fault, now)
-        else:
-            self.apply_device_loss(fault, now)
+    # -------------------------------------------------------- fault recovery
+    def recover(self, fault: FaultEvent, orphaned: dict[int, list[int]], now: float) -> None:
+        """Re-run (or shed) the in-flight work a loss orphaned, per shard.
 
-    def blast_radius(self, fault: FaultEvent) -> list[int]:
-        """Device ids a loss event takes down (or degrades).
-
-        ``device_lost`` names exactly one device.  The node-scoped
-        kinds — ``node_lost``, ``link_lost``, ``node_flap`` and
-        ``heartbeat_loss`` — name *any* device of the affected node;
-        the failure domain expands to every sibling through the
-        topology (``node_of`` → ``devices_of_node``).  Without a
-        configured topology a node is indistinguishable from a device
-        and the event degrades to a single-device radius.
-        """
-        topo = self.server.config.cost_model.topology
-        node_scoped = (
-            FaultKind.NODE_LOST,
-            FaultKind.LINK_LOST,
-            FaultKind.NODE_FLAP,
-            FaultKind.HEARTBEAT_LOSS,
-        )
-        if fault.kind in node_scoped and topo is not None and fault.device < topo.num_devices:
-            return topo.devices_of_node(topo.node_of(fault.device))
-        return [fault.device]
-
-    def apply_link_loss(self, fault: FaultEvent, now: float) -> None:
-        """Apply a ``link_lost`` fault: the node degrades, devices live on.
-
-        The node's devices stay alive and keep executing, but their
-        inter-node links are gone: subsequent cross-node fetches whose
-        only holders sit across a severed link are staged through the
-        host (counted as ``host_staged_fetches``), and the sharded
-        router deprioritises the degraded node.  No orphan recovery is
-        needed — nothing dies.
-        """
-        injector = self.injector
-        already = injector.linkless_devices
-        devices = [
-            d for d in self.blast_radius(fault)
-            if self.cluster.is_alive(d) and d not in already
-        ]
-        if not devices:
-            return  # dead node or duplicate plan entry: nothing to degrade
-        injector.note_link_lost(devices, now)
-        injector.stats.record_event(
-            "fault", fault.device, fault.time_s, 0.0,
-            label=f"link lost: devices {devices} host-staged",
-        )
-
-    def apply_heartbeat_loss(self, fault: FaultEvent, now: float) -> None:
-        """Apply a ``heartbeat_loss`` gray fault: silence, not death.
-
-        The node's devices keep executing; only their *telemetry* goes
-        dark for ``duration_s``.  A health monitor reacts to the silence
-        window; without one the window is only recorded (for the trace
-        and :meth:`FaultInjector.silent_devices`).
-        """
-        devices = [d for d in self.blast_radius(fault) if self.cluster.is_alive(d)]
-        if not devices:
-            return  # dead node: nothing left to go silent
-        self.injector.note_heartbeat_loss(devices, fault.time_s, fault.time_s + fault.duration_s)
-        self.injector.stats.record_event(
-            "fault", fault.device, fault.time_s, fault.duration_s,
-            label="heartbeat loss",
-        )
-
-    def apply_bitflip(self, fault: FaultEvent, now: float) -> None:
-        """Apply a ``tensor_bitflip``: corrupt one resident copy in place.
-
-        The victim is the lowest-uid tensor resident on the event's
-        device at the fault's time (deterministic).  A dead device or
-        an empty pool makes the flip a no-op — there is nothing to
-        corrupt — and without an integrity subsystem the flip is
-        recorded but untracked (nothing can ever detect it).
-        """
-        device = fault.device
-        uid = None
-        if self.cluster.is_alive(device):
-            resident = self.cluster.pools[device].resident_uids()
-            if resident:
-                uid = min(resident)
-        if uid is not None and self.integ is not None:
-            self.integ.flip(uid, device, now)
-        self.injector.stats.record_event(
-            "fault", device, fault.time_s, 0.0,
-            label=(
-                f"tensor bitflip: uid {uid}" if uid is not None
-                else "tensor bitflip: no resident tensor"
-            ),
-        )
-
-    def apply_device_loss(self, fault: FaultEvent, now: float) -> None:
-        """Kill a failure domain and recover (or shed) the work it orphans.
-
-        ``device_lost`` kills one device, ``node_lost`` and
-        ``node_flap`` every device of the event's node (see
-        :meth:`blast_radius`).  All members leave the pool *atomically*
-        — before any rescheduling — so orphaned pairs only land on
-        survivors (cross-node re-fetches there are charged through
-        :meth:`~repro.gpusim.topology.Topology.d2d_time`).  Each
-        shard that keeps devices rescales its reuse bounds and re-runs
-        its orphaned pairs itself (or sheds them as ``fault-abandoned``
-        with recovery off).  A shard left with no device re-homes its
-        in-flight work on a router-chosen shard; a ``node_lost`` also
-        marks it dead and re-routes its queue, while a flap leaves it
-        standing — unannounced, a gray fault — until the
-        :class:`DeviceRestore` per device pushed here brings it back
+        ``orphaned`` is what :meth:`FaultInjector.apply` killed; every
+        dead device already left the pool, so orphaned pairs only land
+        on survivors.  Each shard that keeps devices rescales its reuse
+        bounds and re-runs its orphaned pairs itself (or sheds them as
+        ``fault-abandoned`` with recovery off).  A shard left with no
+        device re-homes its in-flight work on a router-chosen shard; a
+        ``node_lost`` also marks it dead and re-routes its queue, while
+        a flap leaves it standing — unannounced, a gray fault — until
+        the :class:`DeviceRestore` per device pushed here brings it back
         ``duration_s`` later.  The pass-through router of a one-shard
         run has no other shard, so there re-homed work is shed.  With
         :attr:`AutoscalerConfig.replace_lost`, one replacement warm-up
         is requested per permanently lost device.
         """
-        cluster = self.cluster
-        injector = self.injector
-        flap = fault.kind is FaultKind.NODE_FLAP
-        members = [d for d in self.blast_radius(fault) if not cluster.is_failed(d)]
-        if not members:
-            return  # already dead (duplicate plan entry)
-        orphaned = cluster.fail_node(members)
-        if not orphaned:
-            return  # only offline (retired) devices died: nothing to recover
-        if fault.kind is FaultKind.NODE_LOST:
-            injector.stats.node_losses += 1
-        for dev, orphans in sorted(orphaned.items()):
-            injector.note_device_lost(dev, fault.time_s, len(orphans))
-            injector.stats.record_event(
-                "fault", dev, fault.time_s,
-                fault.duration_s if flap else 0.0,
-                label="node flap down" if flap else fault.kind.value.replace("_", " "),
-            )
-        by_shard: dict[int, set[int]] = {}
-        for d in orphaned:
-            by_shard.setdefault(self.node_of[d], set()).add(d)
-        self.recover(fault, by_shard, now)
-        if flap:
-            # Transient: the devices come back on their own.
-            for dev in sorted(orphaned):
-                self.timeline.push(
-                    DeviceRestore(max(now, fault.time_s + fault.duration_s), device=dev)
-                )
-
-    def recover(self, fault: FaultEvent, by_shard: dict[int, set[int]], now: float) -> None:
-        """Re-run (or shed) the in-flight work a loss orphaned, per shard."""
         cfg = self.cfg
         stats = self.injector.stats
         kind = fault.kind.value
         flap = fault.kind is FaultKind.NODE_FLAP
+        by_shard: dict[int, set[int]] = {}
+        for d in orphaned:
+            by_shard.setdefault(self.node_of[d], set()).add(d)
         latest = now
         rescheduled = 0
         for node in sorted(by_shard):
@@ -1287,7 +1121,7 @@ class ServeRun:
             if not down:
                 # The shard recovers on its own survivors, with its own
                 # rescaled bounds.
-                shard.rescale_bounds(shard.view.num_alive + len(dead), shard.view.num_alive)
+                shard.rescale_bounds()
             elif not flap:
                 self.kill_shard(shard, now)
             for ticket in self.affected(dead):
@@ -1328,14 +1162,19 @@ class ServeRun:
                 self.replace_lost(shard, now, len(dead))
         if not cfg.recover_faults:
             stats.record_recovery(kind, 0.0)
-            return
-        stats.record_recovery(kind, latest - fault.time_s)
-        if flap and not rescheduled:
-            return
-        stats.record_event(
-            "recovery", fault.device, now, max(latest - now, 0.0),
-            label=f"rescheduled {rescheduled} vectors",
-        )
+        else:
+            stats.record_recovery(kind, latest - fault.time_s)
+            if rescheduled or not flap:
+                stats.record_event(
+                    "recovery", fault.device, now, max(latest - now, 0.0),
+                    label=f"rescheduled {rescheduled} vectors",
+                )
+        if flap:
+            # Transient: the devices come back on their own.
+            for dev in sorted(orphaned):
+                self.timeline.push(
+                    DeviceRestore(max(now, fault.time_s + fault.duration_s), device=dev)
+                )
 
     def kill_shard(self, shard, now: float) -> None:
         """A whole shard died: its queue re-routes through the global tier."""
@@ -1499,9 +1338,8 @@ class ServeRun:
             or shard.view.num_alive <= 1
         ):
             return
-        before = shard.view.num_alive
         cluster.retire_device(dev)
-        shard.rescale_bounds(before, shard.view.num_alive)
+        shard.rescale_bounds()
         self.drain_device(shard, dev, now, reaudit=True)
 
     # ---------------------------------------------------------------- result
@@ -1681,6 +1519,14 @@ class MiccoServer:
         self.config = config or MiccoConfig()
         self.serve_config = serve or ServeConfig()
         self.scheduler = scheduler if scheduler is not None else MiccoScheduler()
+        #: The reuse bounds the scheduler was built with.  A run that
+        #: resizes the pool leaves :attr:`scheduler` at rescaled bounds,
+        #: so each reset run starts from these instead.
+        self.built_bounds = (
+            self.scheduler.bounds
+            if hasattr(self.scheduler, "bounds") and hasattr(self.scheduler, "set_bounds")
+            else None
+        )
         self.predictor = predictor
         self.cluster = ClusterState(
             mi100_like(
@@ -1718,7 +1564,8 @@ class MiccoServer:
             Drives the arrival draws and the tenant workloads, and makes
             the whole run — scheduling, scaling, percentiles — replayable.
         reset:
-            Start from an empty cluster and idle devices (default).
+            Start from an empty cluster, idle devices and the scheduler's
+            built reuse bounds (default).
         faults:
             Optional :class:`~repro.faults.plan.FaultPlan`, taking
             precedence over :attr:`ServeConfig.faults`.  Due faults are
@@ -1749,6 +1596,8 @@ class MiccoServer:
             streams = [self._stream(vectors, arrivals, seed)]
         if reset:
             self.cluster.reset()
+            if self.built_bounds is not None:
+                self.scheduler.set_bounds(self.built_bounds)
             if hasattr(self.scheduler, "reset_stats"):
                 self.scheduler.reset_stats()
         if faults is None:

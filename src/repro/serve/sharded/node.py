@@ -203,8 +203,8 @@ class NodeRuntime:
         #: Speculative hedge clones placed on this shard.
         self.hedged_in = 0
 
-    def rescale_bounds(self, alive_before: int, alive_after: int) -> None:
-        """Re-apply the reuse bounds after a pool-size change.
+    def rescale_bounds(self) -> None:
+        """Re-apply the reuse bounds for the view's current pool size.
 
         Rescaling always derives from the *anchor* — the (bounds, pool
         size) pair captured when the run started — never by chaining
@@ -215,24 +215,20 @@ class NodeRuntime:
         shifting the availability test.  From the anchor, returning to
         any previously seen pool size reproduces bit-identical bounds
         (rescaling is evaluated once per target size, so it is
-        idempotent and composition-free by construction).
+        idempotent and composition-free by construction).  Call it after
+        every pool-size change.
 
         Skipped without an anchor (a predictor re-derives bounds per
-        vector anyway, or the scheduler has no bounds to scale).  An
-        empty *previous* pool is fine — the anchor, not the previous
-        size, is the scale source — which matters when a fully
-        flapped-down shard restores its first device.
+        vector anyway, or the scheduler has no bounds to scale) and for
+        an empty pool, which places nothing.
         """
-        if (
-            alive_before != alive_after
-            and alive_after > 0
-            and self.bounds_anchor is not None
-        ):
+        alive = self.view.num_alive
+        if alive > 0 and self.bounds_anchor is not None:
             bounds0, alive0 = self.bounds_anchor
-            if alive_after == alive0:
+            if alive == alive0:
                 self.scheduler.set_bounds(bounds0)
             else:
-                self.scheduler.set_bounds(bounds0.rescaled(alive0, alive_after))
+                self.scheduler.set_bounds(bounds0.rescaled(alive0, alive))
 
     # ------------------------------------------------------------------ digest
     def digest(self, now: float, linkless_devices=frozenset()) -> NodeDigest:

@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultStats, RetryPolicy
+from repro.faults.plan import NODE_SCOPED
+from repro.gpusim import ClusterState, Topology, mi100_like
+from repro.integrity import IntegrityConfig, IntegrityState
 
 
 class TestFaultEvent:
@@ -629,3 +632,110 @@ class TestCorruptionInjector:
         assert inj.poll(0.5) == []
         (ev,) = inj.poll(1.5)
         assert ev.kind is FaultKind.TENSOR_BITFLIP and ev.device == 2
+
+
+def bare_cluster(num_devices=8):
+    return ClusterState(mi100_like(num_devices, memory_bytes=1 << 20))
+
+
+def poll_and_apply(events, cluster, now=1.0, **kwargs):
+    """Drive one injector through the poll-then-apply protocol."""
+    inj = FaultInjector(FaultPlan(tuple(events)))
+    results = [inj.apply(f, cluster, **kwargs) for f in inj.poll(now)]
+    return inj, results
+
+
+class TestInjectorApply:
+    """``FaultInjector.apply`` on a bare cluster, no serving loop."""
+
+    @staticmethod
+    def hit(kind, inj, cluster):
+        if kind in (FaultKind.NODE_LOST, FaultKind.NODE_FLAP):
+            return {d for d in range(cluster.num_devices) if cluster.is_failed(d)}
+        if kind is FaultKind.LINK_LOST:
+            return set(inj.linkless_devices)
+        return set(inj.silent_devices(1.0))
+
+    @pytest.mark.parametrize("with_topology", [False, True])
+    @pytest.mark.parametrize("kind", sorted(NODE_SCOPED, key=lambda k: k.value))
+    def test_node_scoped_radius(self, kind, with_topology):
+        cluster = bare_cluster()
+        topology = Topology(num_devices=8, devices_per_node=4) if with_topology else None
+        event = FaultEvent(kind, 1.0, 5, duration_s=0.5)
+        inj, _ = poll_and_apply([event], cluster, topology=topology)
+        # Without a topology a node is indistinguishable from a device.
+        assert self.hit(kind, inj, cluster) == ({4, 5, 6, 7} if with_topology else {5})
+
+    @pytest.mark.parametrize("dead_first", [False, True])
+    def test_link_loss_noop_when_duplicate_or_dead(self, dead_first):
+        cluster = bare_cluster()
+        topology = Topology(num_devices=8, devices_per_node=4)
+        events = [FaultEvent(FaultKind.LINK_LOST, 1.0, 1)]
+        if dead_first:
+            cluster.fail_node([0, 1, 2, 3])
+        else:
+            events.append(FaultEvent(FaultKind.LINK_LOST, 1.0, 2))  # same node
+        inj, results = poll_and_apply(events, cluster, topology=topology)
+        assert results == [{}] * len(events)
+        assert inj.stats.link_losses == (0 if dead_first else 1)
+        assert len(inj.stats.events) == inj.stats.link_losses
+        assert inj.linkless_devices == (frozenset() if dead_first else frozenset({0, 1, 2, 3}))
+
+    @pytest.mark.parametrize("kind", [FaultKind.DEVICE_LOST, FaultKind.NODE_LOST])
+    def test_repeated_loss_records_nothing(self, kind):
+        cluster = bare_cluster()
+        topology = Topology(num_devices=8, devices_per_node=4)
+        events = [FaultEvent(kind, 1.0, 2), FaultEvent(kind, 1.0, 2)]
+        inj, (first, second) = poll_and_apply(events, cluster, topology=topology)
+        killed = [0, 1, 2, 3] if kind is FaultKind.NODE_LOST else [2]
+        assert sorted(first) == killed
+        assert second == {}
+        assert inj.stats.device_losses == len(killed)
+        assert inj.stats.node_losses == (1 if kind is FaultKind.NODE_LOST else 0)
+        assert len(inj.stats.events) == len(killed)
+
+    @pytest.mark.parametrize(
+        "integrity, dead, label",
+        [
+            (True, False, "tensor bitflip: uid 3"),
+            (False, False, "tensor bitflip: uid 3"),
+            (True, True, "tensor bitflip: no resident tensor"),
+        ],
+    )
+    def test_bitflip_victim(self, integrity, dead, label):
+        cluster = bare_cluster()
+        for uid in (7, 3, 9):
+            assert cluster.prewarm(uid, 1024, 1)
+        if dead:
+            cluster.fail_device(1)
+        integ = IntegrityState(IntegrityConfig(mode="spot"), 8) if integrity else None
+        inj, results = poll_and_apply(
+            [FaultEvent(FaultKind.TENSOR_BITFLIP, 1.0, 1)], cluster, integrity=integ
+        )
+        assert results == [{}]
+        assert [e["label"] for e in inj.stats.events] == [label]
+        if integ is not None:
+            assert integ.injected == (0 if dead else 1)
+            assert integ.dirty_uids_on(1) == ([] if dead else [3])
+        assert inj.stats.device_losses == 0
+
+    def test_node_flap_returns_orphans_and_opens_down_windows(self):
+        cluster = bare_cluster()
+        assert cluster.prewarm(11, 1024, 4)
+        topology = Topology(num_devices=8, devices_per_node=4)
+        inj, (orphaned,) = poll_and_apply(
+            [FaultEvent(FaultKind.NODE_FLAP, 1.0, 5, duration_s=0.5)], cluster, topology=topology
+        )
+        assert orphaned == {4: [11], 5: [], 6: [], 7: []}
+        assert inj.stats.down_windows == [[d, 1.0, None] for d in (4, 5, 6, 7)]
+        assert inj.stats.orphaned_tensors == 1
+        assert inj.stats.node_losses == 0
+        assert [(e["device"], e["duration_s"], e["label"]) for e in inj.stats.events] == [
+            (d, 0.5, "node flap down") for d in (4, 5, 6, 7)
+        ]
+
+    def test_engine_side_kind_is_rejected(self):
+        inj = FaultInjector(FaultPlan())
+        event = FaultEvent(FaultKind.TRANSIENT, 0.0, 0)
+        with pytest.raises(ConfigurationError, match="armed by poll"):
+            inj.apply(event, bare_cluster())

@@ -194,6 +194,34 @@ class TestChaosDeterminism:
         assert len(ids) == len(set(ids))
 
 
+class TestReusedServer:
+    """A one-shard server places through its own scheduler: a run that
+    rescales its bounds must not leak them into the next run."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_faulted_run_then_clean_run_matches_fresh_server(self, seed):
+        # 12 tensor slots over 8 devices: balanceNum is 1.5, so bounds of
+        # 0.5 and of the 8->4 rescaled 1.0 admit different devices.
+        params = WorkloadParams(
+            vector_size=12, tensor_size=128, repeated_rate=0.6, num_vectors=24, batch=4
+        )
+        vectors = SyntheticWorkload(params, seed=3).vectors()
+        plan = FaultPlan(tuple(FaultEvent(FaultKind.DEVICE_LOST, 0.01, d) for d in (4, 5, 6, 7)))
+
+        def build():
+            return MiccoServer(
+                MiccoScheduler(ReuseBounds(0.5, 0.5, 0.5)), MiccoConfig(), ServeConfig()
+            )
+
+        reused = build()
+        reused.run(vectors, PoissonArrivals(200.0), seed=seed, faults=plan)
+        again = reused.run(vectors, PoissonArrivals(200.0), seed=seed)
+        fresh = build().run(vectors, PoissonArrivals(200.0), seed=seed)
+        assert reused.scheduler.bounds == ReuseBounds(0.5, 0.5, 0.5)
+        assert again.summary() == fresh.summary()
+        assert again.rounds == fresh.rounds
+
+
 def multinode_config(num_devices: int = 8, devices_per_node: int = 4) -> MiccoConfig:
     from repro.gpusim import CostModel, Topology
 

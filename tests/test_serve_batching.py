@@ -220,36 +220,45 @@ class TestRescaleAnchoring:
     """Repeated pool changes must not drift the reuse bounds."""
 
     @staticmethod
-    def shard(anchor):
+    def shard(anchor, num_devices=8):
         """The one whole-cluster shard of a single-loop server."""
-        server = make_server(ServeConfig())
+        server = make_server(ServeConfig(), num_devices=num_devices)
         shard = server._build_shards([])[0]
         shard.bounds_anchor = anchor
         return server, shard
 
+    @staticmethod
+    def resize(server, shard, size):
+        """Retire or activate devices until ``size`` are alive, then rescale."""
+        cluster = server.cluster
+        while cluster.num_alive > size:
+            cluster.retire_device(cluster.alive_ids()[-1])
+        while cluster.num_alive < size:
+            cluster.activate_device(cluster.offline_ids()[0])
+        shard.rescale_bounds()
+
     def test_round_trip_restores_exact_bounds(self):
         server, shard = self.shard((ReuseBounds(1, 3, 5), 8))
         # 8 -> 7 -> 5 -> 8: back at the anchor size, bit-exact bounds.
-        shard.rescale_bounds(8, 7)
-        shard.rescale_bounds(7, 5)
-        shard.rescale_bounds(5, 8)
+        for size in (7, 5, 8):
+            self.resize(server, shard, size)
         assert server.scheduler.bounds == ReuseBounds(1, 3, 5)
 
     def test_chained_cycles_equal_single_rescale(self):
         anchor = (ReuseBounds(1, 3, 5), 8)
         walked, walked_shard = self.shard(anchor)
         sizes = [8, 7, 3, 6, 8, 2, 5, 8, 3]
-        for before, after in zip(sizes, sizes[1:]):
-            walked_shard.rescale_bounds(before, after)
+        for size in sizes[1:]:
+            self.resize(walked, walked_shard, size)
         direct, direct_shard = self.shard(anchor)
-        direct_shard.rescale_bounds(8, sizes[-1])
+        self.resize(direct, direct_shard, sizes[-1])
         assert walked.scheduler.bounds == direct.scheduler.bounds
 
     def test_idempotent_per_target_size(self):
-        server, shard = self.shard((ReuseBounds(0, 4, 0), 4))
-        shard.rescale_bounds(4, 3)
+        server, shard = self.shard((ReuseBounds(0, 4, 0), 4), num_devices=4)
+        self.resize(server, shard, 3)
         once = server.scheduler.bounds
-        shard.rescale_bounds(4, 3)  # same transition again
+        self.resize(server, shard, 3)  # same pool size again
         assert server.scheduler.bounds == once
 
     def test_loss_then_restore_recovers_seed_bounds_end_to_end(self):
