@@ -55,6 +55,7 @@ success but the answer is wrong (see :mod:`repro.integrity`):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -82,6 +83,12 @@ class FaultKind(str, Enum):
 #: the node hosting it (resolved through the topology when applied).
 NODE_SCOPED = frozenset(
     {FaultKind.NODE_LOST, FaultKind.LINK_LOST, FaultKind.NODE_FLAP, FaultKind.HEARTBEAT_LOSS}
+)
+
+
+#: Every numeric :class:`FaultEvent` field; each must be finite.
+_NUMERIC_FIELDS = (
+    "time_s", "device", "duration_s", "slow_factor", "count", "period_s", "probability",
 )
 
 
@@ -117,6 +124,8 @@ class FaultEvent:
     probability:
         ``data_corruption`` per-kernel corruption probability over the
         window, in ``(0, 1]``.  Must stay 0 for every other kind.
+
+    Every numeric field must be finite.
     """
 
     kind: FaultKind
@@ -136,6 +145,12 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{[k.value for k in FaultKind]}"
             ) from None
+        # NaN passes every range check below, and a NaN or infinite time
+        # would stall the injector's time-ordered queue.
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"fault {name} must be finite, got {value}")
         if self.time_s < 0:
             raise ConfigurationError(f"fault time_s must be >= 0, got {self.time_s}")
         if self.device < 0:

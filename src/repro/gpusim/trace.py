@@ -1,18 +1,22 @@
-"""Execution tracing: columnar event recording and Chrome-trace export.
+"""Execution tracing: packed event recording and Chrome-trace export.
 
 Attach a :class:`TraceRecorder` to an :class:`ExecutionEngine` to
 capture every simulated event (fetches, evictions, kernels) with its
-device placement and simulated timestamps.  ``to_chrome_trace`` writes
+device placement and simulated timestamps.  ``save_chrome_trace`` writes
 the standard ``chrome://tracing`` / Perfetto JSON so schedules can be
 inspected visually; ``summary_by_device`` gives quick aggregates.
 
-Recording is *columnar*: each event appends one element to a set of
-parallel arrays (kind, device, start, duration, uid, nbytes, label)
-instead of constructing a :class:`TraceEvent` object per event.  The
-object view (:attr:`TraceRecorder.events`) and every rendered export
-(Chrome trace, records) are materialized lazily on first access — a
-run that records a million events but never renders them pays only the
-appends.
+Recording is *packed*: each kept event becomes one 37-byte row (kind
+code, lane, start, duration, uid, nbytes) written in place into a
+fixed-size ``bytearray`` chunk, plus one reference in a side list of
+labels — 45 B per event on a 64-bit build.  Chunks are allocated
+lazily, one at a time, and never move once allocated.  Every read
+(:attr:`TraceRecorder.events`, ``events_of``, ``summary_by_device``,
+``to_records``, ``to_chrome_trace``) is rendered from the rows on call;
+no object view is cached.  ``save_chrome_trace`` streams the file one
+event at a time, so writing a trace costs no more memory than recording
+it.  Times must be finite: a NaN or infinite duration or start is
+rejected before it can reach a lane clock or the JSON file.
 
 What gets recorded is governed by a :class:`TraceSink`:
 
@@ -27,7 +31,8 @@ Serving surfaces the same choice through :class:`TraceConfig` (the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import struct
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -83,7 +88,9 @@ EVENT_KINDS = (
 #: accounting — dropping any of them would make a sampled trace lie.
 ALWAYS_KEPT_KINDS = frozenset({"fault", "audit", "taint", "blame"})
 
-_EVENT_KIND_SET = frozenset(EVENT_KINDS)
+#: Kind name -> the code stored in a packed row (its index in
+#: :data:`EVENT_KINDS`); a missing key is an unknown kind.
+_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,8 @@ class TraceSink(Protocol):
     """Decides, per event, whether the recorder keeps it.
 
     ``keep()`` is consulted once per recorded event *after* validation
-    but before the columnar append; rejected events still advance the
+    but before the row is packed (a :class:`FullSink` is not consulted
+    at all); rejected events still advance the
     device clock (simulated time is not a function of what is kept).
     Implementations must be deterministic — replaying the same event
     sequence must keep the same subset — so fixed-seed runs stay
@@ -129,7 +137,7 @@ class FullSink:
 
 
 class NullSink:
-    """Keep nothing — device clocks advance, columns stay empty."""
+    """Keep nothing — device clocks advance, no row is stored."""
 
     name = "null"
 
@@ -217,78 +225,102 @@ class TraceConfig(JsonConfig):
 
 
 # --------------------------------------------------------------- recorder
+#: One packed event: kind code, lane, start and duration (simulated
+#: seconds), uid, nbytes.  Little-endian with no padding: 37 bytes.
+_ROW = struct.Struct("<Biddqq")
+_ROW_SIZE = _ROW.size
+_pack_into = _ROW.pack_into
+#: Rows per storage chunk (~148 KiB).
+_CHUNK_ROWS = 4096
+_CHUNK_BYTES = _CHUNK_ROWS * _ROW_SIZE
+_INF = float("inf")
+#: :meth:`TraceRecorder.to_records` keys: the :class:`TraceEvent` fields.
+_RECORD_KEYS = tuple(f.name for f in fields(TraceEvent))
+
+
+def _chrome_event(kind: str, lane: int, start: float, duration: float, uid: int, nbytes: int, label: str) -> dict:
+    """One Chrome-tracing 'X' (complete) event, microsecond timestamps."""
+    return {
+        "name": kind + (f" {label}" if label else ""),
+        "cat": kind,
+        "ph": "X",
+        "ts": start * 1e6,
+        "dur": duration * 1e6,
+        "pid": 0,
+        "tid": lane,
+        "args": {"uid": uid, "nbytes": nbytes},
+    }
+
+
 class TraceRecorder:
-    """Collects simulated events during a run, column-wise.
+    """Collects simulated events during a run as packed rows.
 
     The engine clocks each device independently (events on one device
     are serialized; devices run in parallel), matching how the
-    simulator accumulates time.
+    simulator accumulates time.  A lane must fit a signed 32-bit int,
+    ``uid`` and ``nbytes`` a signed 64-bit int.
 
     Parameters
     ----------
     sink:
         Event filter; defaults to :class:`FullSink` (keep everything).
+        It may be swapped mid-recording through :attr:`sink`.
     """
 
     def __init__(self, sink: "TraceSink | None" = None):
         self.sink = sink if sink is not None else FullSink()
-        self._kinds: list[str] = []
-        self._devices: list[int] = []
-        self._starts: list[float] = []
-        self._durations: list[float] = []
-        self._uids: list[int] = []
-        self._nbytes: list[int] = []
+        #: Fixed-size row chunks; only the last one has free rows.
+        self._chunks: list[bytearray] = []
+        #: The last chunk and the byte offset of its next free row (a
+        #: full offset means a chunk is due: none is held until needed).
+        self._chunk = bytearray()
+        self._off = _CHUNK_BYTES
+        #: One label per kept event, so its length is the row count.
         self._labels: list[str] = []
         self._device_clock: dict[int, float] = {}
-        #: Cached object view (invalidated by length change).
-        self._events_cache: list[TraceEvent] | None = None
-
-    def __len__(self) -> int:
-        return len(self._kinds)
 
     @property
-    def events(self) -> list[TraceEvent]:
-        """Object view of the recorded events (materialized lazily).
+    def sink(self) -> TraceSink:
+        return self._sink
 
-        Treat as read-only: it is rebuilt from the columns whenever
-        events were recorded since the last access.
-        """
-        cache = self._events_cache
-        if cache is None or len(cache) != len(self._kinds):
-            cache = [
-                TraceEvent(
-                    kind=k, device=d, start_s=s, duration_s=du,
-                    uid=u, nbytes=nb, label=lb,
-                )
-                for k, d, s, du, u, nb, lb in zip(
-                    self._kinds, self._devices, self._starts, self._durations,
-                    self._uids, self._nbytes, self._labels,
-                )
-            ]
-            self._events_cache = cache
-        return cache
+    @sink.setter
+    def sink(self, sink: TraceSink) -> None:
+        self._sink = sink
+        # A FullSink keeps everything: skip the per-event call.
+        self._keep = None if type(sink) is FullSink else sink.keep
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def _new_chunk(self) -> None:
+        """Start an empty chunk; rows are packed into it in place."""
+        self._chunk = bytearray(_CHUNK_BYTES)
+        self._chunks.append(self._chunk)
+        self._off = 0
 
     def record(self, kind: str, device: int, duration_s: float, *, uid: int = -1, nbytes: int = 0, label: str = "") -> None:
         """Append an event at the device's current simulated time.
 
-        A negative duration is rejected (as in :meth:`record_at`): it
-        would run the lane's clock backwards.
+        A negative, NaN or infinite duration is rejected and the lane's
+        clock is left as it was.
         """
-        if kind not in _EVENT_KIND_SET:
+        code = _KIND_CODE.get(kind)
+        if code is None:
             raise ValueError(f"unknown trace event kind {kind!r}; expected one of {EVENT_KINDS}")
-        if duration_s < 0:
-            raise ValueError(f"event duration must be >= 0, got {duration_s}")
+        if not 0.0 <= duration_s < _INF:
+            raise ValueError(f"event duration must be >= 0 and finite, got {duration_s}")
         clock = self._device_clock
         start = clock.get(device, 0.0)
         clock[device] = start + duration_s
-        if not self.sink.keep(kind, device):
+        keep = self._keep
+        if keep is not None and not keep(kind, device):
             return
-        self._kinds.append(kind)
-        self._devices.append(device)
-        self._starts.append(start)
-        self._durations.append(duration_s)
-        self._uids.append(uid)
-        self._nbytes.append(nbytes)
+        off = self._off
+        if off == _CHUNK_BYTES:
+            self._new_chunk()
+            off = 0
+        _pack_into(self._chunk, off, code, device, start, duration_s, uid, nbytes)
+        self._off = off + _ROW_SIZE
         self._labels.append(label)
 
     def record_at(
@@ -300,79 +332,95 @@ class TraceRecorder:
         wall-clock spans) instead of the per-device running clock.  The
         device clock is still advanced past the event's end so that
         later :meth:`record` calls on the same lane never run backwards.
+        A non-finite start, or a negative or non-finite duration, is
+        rejected and the lane's clock is left as it was.
         """
-        if kind not in _EVENT_KIND_SET:
+        code = _KIND_CODE.get(kind)
+        if code is None:
             raise ValueError(f"unknown trace event kind {kind!r}; expected one of {EVENT_KINDS}")
-        if duration_s < 0:
-            raise ValueError(f"event duration must be >= 0, got {duration_s}")
+        # One chained comparison: finite start, finite duration >= 0.
+        if not -_INF < start_s < _INF > duration_s >= 0.0:
+            raise ValueError(
+                f"event start must be finite and duration >= 0 and finite, "
+                f"got start {start_s}, duration {duration_s}"
+            )
         clock = self._device_clock
         end = start_s + duration_s
         if end > clock.get(device, 0.0):
             clock[device] = end
-        if not self.sink.keep(kind, device):
+        keep = self._keep
+        if keep is not None and not keep(kind, device):
             return
-        self._kinds.append(kind)
-        self._devices.append(device)
-        self._starts.append(start_s)
-        self._durations.append(duration_s)
-        self._uids.append(uid)
-        self._nbytes.append(nbytes)
+        off = self._off
+        if off == _CHUNK_BYTES:
+            self._new_chunk()
+            off = 0
+        _pack_into(self._chunk, off, code, device, start_s, duration_s, uid, nbytes)
+        self._off = off + _ROW_SIZE
         self._labels.append(label)
 
     def clear(self) -> None:
-        self._kinds.clear()
-        self._devices.clear()
-        self._starts.clear()
-        self._durations.clear()
-        self._uids.clear()
-        self._nbytes.clear()
+        self._chunks.clear()
+        self._chunk = bytearray()
+        self._off = _CHUNK_BYTES
         self._labels.clear()
         self._device_clock.clear()
-        self._events_cache = None
 
-    # ------------------------------------------------------------- summaries
+    # ----------------------------------------------------------------- reads
+    def _unpacked(self):
+        """``(kind, lane, start, duration, uid, nbytes, label)`` per kept
+        event, in record order — the :class:`TraceEvent` field order."""
+        chunks = self._chunks
+        views = [*chunks[:-1], memoryview(chunks[-1])[: self._off]] if chunks else []
+        labels = iter(self._labels)
+        for view in views:
+            for code, lane, start, duration, uid, nbytes in _ROW.iter_unpack(view):
+                yield EVENT_KINDS[code], lane, start, duration, uid, nbytes, next(labels)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The recorded events as :class:`TraceEvent` objects.
+
+        Built from the packed rows on every access — no object view is
+        kept, so a recorder never holds more than its 45 B per event.
+        Read it once into a local rather than in a loop.
+        """
+        return [TraceEvent(*row) for row in self._unpacked()]
+
     def events_of(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
+        """The recorded events of one kind, in record order."""
+        return [TraceEvent(*row) for row in self._unpacked() if row[0] == kind]
 
     def summary_by_device(self) -> dict[int, dict[str, float]]:
         """Per-device totals: seconds per event kind plus event count."""
         out: dict[int, dict[str, float]] = {}
-        for k, d, du in zip(self._kinds, self._devices, self._durations):
-            dev = out.get(d)
+        for kind, lane, _, duration, _, _, _ in self._unpacked():
+            dev = out.get(lane)
             if dev is None:
-                dev = out[d] = {kind: 0.0 for kind in EVENT_KINDS} | {"events": 0}
-            dev[k] += du
+                dev = out[lane] = {k: 0.0 for k in EVENT_KINDS} | {"events": 0}
+            dev[kind] += duration
             dev["events"] += 1
         return out
 
     # -------------------------------------------------------------- exports
     def to_chrome_trace(self) -> list[dict]:
-        """Chrome-tracing 'X' (complete) events, microsecond timestamps.
-
-        Rendered from the columns on call — nothing is pre-formatted at
-        record time.
-        """
-        return [
-            {
-                "name": f"{k}" + (f" {lb}" if lb else ""),
-                "cat": k,
-                "ph": "X",
-                "ts": s * 1e6,
-                "dur": du * 1e6,
-                "pid": 0,
-                "tid": d,
-                "args": {"uid": u, "nbytes": nb},
-            }
-            for k, d, s, du, u, nb, lb in zip(
-                self._kinds, self._devices, self._starts, self._durations,
-                self._uids, self._nbytes, self._labels,
-            )
-        ]
+        """Chrome-tracing 'X' (complete) events, microsecond timestamps."""
+        return [_chrome_event(*row) for row in self._unpacked()]
 
     def save_chrome_trace(self, path: str | Path) -> None:
-        """Write a ``chrome://tracing``-loadable JSON file."""
-        Path(path).write_text(json.dumps({"traceEvents": self.to_chrome_trace()}))
+        """Write a ``chrome://tracing``-loadable JSON file.
+
+        Streamed one event at a time; the bytes equal
+        ``json.dumps({"traceEvents": self.to_chrome_trace()})``.
+        """
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"traceEvents": [')
+            sep = ""
+            for row in self._unpacked():
+                fh.write(sep + json.dumps(_chrome_event(*row)))
+                sep = ", "
+            fh.write("]}")
 
     def to_records(self) -> list[dict]:
         """Plain dict records (e.g. for DataFrame construction)."""
-        return [asdict(e) for e in self.events]
+        return [dict(zip(_RECORD_KEYS, row)) for row in self._unpacked()]

@@ -37,6 +37,19 @@ class TestFaultEvent:
         ev = FaultEvent(FaultKind.STRAGGLER, 0.0, 0, duration_s=1.0, slow_factor=2.0)
         assert ev.slow_factor == 2.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["time_s", "device", "duration_s", "slow_factor", "count", "period_s", "probability"]
+    )
+    def test_rejects_non_finite_numbers(self, field, value):
+        # Each base event is valid; only the one field goes non-finite.
+        if field == "probability":
+            base = dict(kind="data_corruption", time_s=0.5, device=1, duration_s=1.0, probability=0.5)
+        else:
+            base = dict(kind="straggler", time_s=0.5, device=1, duration_s=1.0, slow_factor=2.0)
+        with pytest.raises(ConfigurationError, match=f"fault {field} must be finite"):
+            FaultEvent(**{**base, field: value})
+
     def test_to_dict_serialises_kind_as_string(self):
         d = FaultEvent(FaultKind.TRANSFER, 0.5, 2, count=3).to_dict()
         assert d["kind"] == "transfer"
@@ -142,6 +155,23 @@ class TestFromJsonErrorPaths:
         path = self.write(tmp_path, [{"kind": "transient", "time_s": -1.0, "device": 0}])
         with pytest.raises(ConfigurationError, match="time_s"):
             FaultPlan.from_json(path)
+
+    def test_nan_time_rejected_instead_of_stalling_the_queue(self, tmp_path):
+        # A NaN time would sort ahead of the later faults and never come
+        # due, so poll() would stop at it and device 3's fault never fire.
+        records = [
+            {"kind": "transient", "time_s": 0.5, "device": 1},
+            {"kind": "transient", "time_s": float("nan"), "device": 2},
+            {"kind": "transient", "time_s": 0.1, "device": 3},
+        ]
+        path = self.write(tmp_path, records)
+        assert "NaN" in path.read_text()
+        with pytest.raises(ConfigurationError, match="event 1: fault time_s must be finite"):
+            FaultPlan.from_json(path)
+        records[1]["time_s"] = 0.3
+        inj = FaultInjector(FaultPlan.from_json(self.write(tmp_path, records)))
+        inj.poll(1.0)
+        assert [inj.take_kernel_fault(d) for d in (1, 2, 3)] == [True, True, True]
 
     def test_extra_keys_rejected_with_index(self, tmp_path):
         path = self.write(

@@ -1,6 +1,9 @@
 """Unit tests for the trace recorder."""
 
 import json
+import math
+import struct
+import tracemalloc
 
 import pytest
 
@@ -8,10 +11,13 @@ from repro.errors import ConfigurationError
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.trace import (
+    _CHUNK_ROWS,
+    EVENT_KINDS,
     FullSink,
     NullSink,
     SamplingSink,
     TraceConfig,
+    TraceEvent,
     TraceRecorder,
     TraceSink,
 )
@@ -48,6 +54,18 @@ class TestRecorder:
         tr.record("kernel", 0, 1.0)
         with pytest.raises(ValueError, match="duration must be >= 0"):
             tr.record("kernel", 0, -0.5)
+        tr.record("kernel", 0, 0.1)
+        first, last = tr.events
+        assert last.start_s == first.end_s == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_duration_rejected_and_lane_clock_kept(self, bad):
+        # NaN fails no "< 0" test; unless rejected it would turn the lane
+        # clock NaN for every later event.
+        tr = TraceRecorder()
+        tr.record("kernel", 0, 1.0)
+        with pytest.raises(ValueError, match="duration must be >= 0 and finite"):
+            tr.record("kernel", 0, bad)
         tr.record("kernel", 0, 0.1)
         first, last = tr.events
         assert last.start_s == first.end_s == 1.0
@@ -121,6 +139,23 @@ class TestRecordAt:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             TraceRecorder().record_at("wait", 0, 0.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "start, duration",
+        [(math.nan, 1.0), (math.inf, 0.0), (-math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+        ids=["nan-start", "inf-start", "minus-inf-start", "nan-duration", "inf-duration"],
+    )
+    def test_non_finite_times_rejected_and_lane_clock_kept(self, tmp_path, start, duration):
+        tr = TraceRecorder()
+        tr.record_at("wait", 0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="start must be finite and duration >= 0 and finite"):
+            tr.record_at("wait", 0, start, duration)
+        tr.record("kernel", 0, 0.5)
+        assert tr.events[-1].start_s == 3.0
+        # The file is strict JSON: no NaN/Infinity tokens.
+        path = tmp_path / "t.json"
+        tr.save_chrome_trace(path)
+        json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
 
     def test_serve_kinds_accepted(self):
         tr = TraceRecorder()
@@ -262,3 +297,128 @@ class TestTraceConfig:
             TraceConfig.from_dict({"mode": "full", "rate": 2})
         with pytest.raises(ConfigurationError):
             TraceConfig.from_dict("full")
+
+
+def _edge_events() -> list[TraceEvent]:
+    """Events at the edges of every packed field, in record order."""
+    return [
+        TraceEvent("routing-refit", -(200_000 + 7), 0.25, 0.0, -1, 0, "refit ψ→χ"),
+        TraceEvent("health", -(100_000 + 3), 1e300, 5e-324, 2**62, 2**32, "ünïcödé \"q\""),
+        TraceEvent("kernel", 0, 0.0, 1.5, 0, 2**40 + 1, ""),
+        TraceEvent("h2d", 2**31 - 1, 3.0, 2.2250738585072014e-308, -(2**63), 2**63 - 1, "t\n"),
+        TraceEvent("fault", -1, 7.125, 0.0, 12, 0, "device lost"),
+    ]
+
+
+class TestPackedStorage:
+    N = 50_000
+
+    def test_recording_costs_at_most_64_bytes_per_event(self):
+        # A packed row plus its label reference costs 45 B; the bound
+        # leaves room for the label list's over-allocation.
+        tr = TraceRecorder()
+        label = "pair"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(self.N):
+                tr.record("kernel", i % 8, 1e-6 * (i % 13), uid=100_000 + i, nbytes=4096 * i, label=label)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == self.N
+        assert grown / self.N <= 64
+
+    def test_streamed_export_peak_stays_under_one_mib(self, tmp_path):
+        tr = TraceRecorder()
+        for i in range(self.N):
+            tr.record_at("execute", i % 64, 1e-3 * i, 1e-4, uid=i, nbytes=i, label=f"v{i % 97}")
+        path = tmp_path / "trace.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tr.save_chrome_trace(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(json.loads(path.read_text())["traceEvents"]) == self.N
+
+    def test_edge_values_round_trip_exactly(self):
+        expected = _edge_events()
+        tr = TraceRecorder()
+        for e in expected:
+            tr.record_at(e.kind, e.device, e.start_s, e.duration_s, uid=e.uid, nbytes=e.nbytes, label=e.label)
+        # A running-clock event lands right after the lane's last end.
+        tr.record("evict", 0, 0.0, uid=-1)
+        expected.append(TraceEvent("evict", 0, 1.5, 0.0, -1, 0, ""))
+        assert tr.events == expected
+        assert tr.events_of("health") == [expected[1]]
+        assert tr.events_of("drain") == []
+        assert tr.to_chrome_trace() == [
+            {
+                "name": e.kind + (f" {e.label}" if e.label else ""),
+                "cat": e.kind,
+                "ph": "X",
+                "ts": e.start_s * 1e6,
+                "dur": e.duration_s * 1e6,
+                "pid": 0,
+                "tid": e.device,
+                "args": {"uid": e.uid, "nbytes": e.nbytes},
+            }
+            for e in expected
+        ]
+        summary: dict = {}
+        for e in expected:
+            dev = summary.setdefault(e.device, {k: 0.0 for k in EVENT_KINDS} | {"events": 0})
+            dev[e.kind] += e.duration_s
+            dev["events"] += 1
+        assert tr.summary_by_device() == summary
+        assert tr.to_records() == [vars(e) for e in expected]
+
+    @pytest.mark.parametrize("rows", [_CHUNK_ROWS, _CHUNK_ROWS + 1])
+    def test_chunk_boundaries(self, rows):
+        tr = TraceRecorder()
+        assert tr._chunks == []  # storage is allocated on the first row
+        for i in range(rows):
+            tr.record_at("kernel", i % 3, float(i), 0.5, uid=i, nbytes=2 * i, label=str(i))
+        assert len(tr) == rows
+        assert len(tr._chunks) == -(-rows // _CHUNK_ROWS)
+        assert tr.events == [
+            TraceEvent("kernel", i % 3, float(i), 0.5, i, 2 * i, str(i)) for i in range(rows)
+        ]
+        tr.clear()
+        assert len(tr) == 0 and tr.events == [] and tr._chunks == []
+        tr.record("alloc", 0, 1.0)
+        assert tr.events == [TraceEvent("alloc", 0, 0.0, 1.0)]
+
+    def test_rejected_row_leaves_storage_consistent(self):
+        tr = TraceRecorder()
+        with pytest.raises(struct.error):
+            tr.record("kernel", 2**40, 1.0)  # lane does not fit a row
+        tr.record("kernel", 0, 1.0)
+        assert tr.events == [TraceEvent("kernel", 0, 0.0, 1.0)]
+
+    @pytest.mark.parametrize("case", ["empty", "one", "mixed"])
+    def test_streamed_file_equals_json_dumps(self, tmp_path, case):
+        tr = TraceRecorder()
+        if case == "one":
+            tr.record("kernel", 1, 0.25, uid=3, nbytes=64, label="ψ")
+        elif case == "mixed":
+            for e in _edge_events():
+                tr.record_at(e.kind, e.device, e.start_s, e.duration_s, uid=e.uid, nbytes=e.nbytes, label=e.label)
+            traced, _ = traced_run(n_pairs=3)
+            for e in traced.events:
+                tr.record(e.kind, e.device, e.duration_s, uid=e.uid, nbytes=e.nbytes, label=e.label)
+        path = tmp_path / "trace.json"
+        tr.save_chrome_trace(path)
+        assert path.read_bytes() == json.dumps({"traceEvents": tr.to_chrome_trace()}).encode()
+
+    def test_sink_swap_takes_effect(self):
+        tr = TraceRecorder()
+        tr.record("kernel", 0, 1.0)
+        tr.sink = NullSink()
+        tr.record("kernel", 0, 1.0)
+        tr.sink = FullSink()
+        tr.record("kernel", 0, 1.0)
+        assert [e.start_s for e in tr.events] == [0.0, 2.0]
