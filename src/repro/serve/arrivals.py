@@ -16,6 +16,7 @@ so a fixed seed yields a bit-identical arrival trace:
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from pathlib import Path
 
@@ -54,6 +55,7 @@ class PoissonArrivals(ArrivalProcess):
     name = "poisson"
 
     def __init__(self, rate: float):
+        _check_finite("rate", rate)
         if rate <= 0:
             raise WorkloadError(f"arrival rate must be > 0, got {rate}")
         self.rate = float(rate)
@@ -93,6 +95,13 @@ class BurstyArrivals(ArrivalProcess):
         mean_on_s: float = 1.0,
         mean_off_s: float = 1.0,
     ):
+        for name, value in (
+            ("rate_on", rate_on),
+            ("rate_off", rate_off),
+            ("mean_on_s", mean_on_s),
+            ("mean_off_s", mean_off_s),
+        ):
+            _check_finite(name, value)
         if rate_on <= 0:
             raise WorkloadError(f"rate_on must be > 0, got {rate_on}")
         if rate_off < 0:
@@ -146,6 +155,9 @@ class TraceArrivals(ArrivalProcess):
         times = [float(t) for t in times]
         if not times:
             raise WorkloadError("an arrival trace needs at least one timestamp")
+        for i, t in enumerate(times):
+            if not math.isfinite(t):
+                raise WorkloadError(f"arrival times must be finite, got times[{i}]={t}")
         if any(t < 0 for t in times):
             raise WorkloadError("arrival timestamps must be >= 0")
         if any(b < a for a, b in zip(times, times[1:])):
@@ -203,6 +215,13 @@ def arrivals_from_dict(spec: dict) -> ArrivalProcess:
         return makers[kind]()
     except TypeError as exc:
         raise WorkloadError(f"bad parameters for {kind!r} arrivals: {exc}") from None
+
+
+def _check_finite(name: str, value: float) -> None:
+    # NaN slips through every ordered comparison and inf through the
+    # positivity checks; both would corrupt the simulated timeline.
+    if not math.isfinite(value):
+        raise WorkloadError(f"{name} must be finite, got {value}")
 
 
 def _check_count(n: int) -> None:

@@ -168,9 +168,6 @@ class ServeRun:
             if cfg.integrity is not None and cfg.integrity.mode != "off"
             else None
         )
-        #: id(ticket) of tickets whose completion was already audited and
-        #: repaired this epoch (the repaired completion skips re-audit).
-        self.verified: set[int] = set()
         #: Tickets dispatched and executed, completion event still ahead
         #: (the set device loss or scale-down can orphan work out of).
         self.pending: dict[int, Ticket] = {}
@@ -242,17 +239,13 @@ class ServeRun:
             if shard.scaler is not None:
                 self.shrink_to_initial(shard)
 
+        # Arrivals are fed one per stream: each stream reserves its
+        # arrivals' sequence numbers now, so equal timestamps pop in
+        # stream-then-arrival order however late each one is pushed.
         for stream in streams:
-            tenant = stream.spec.name if stream.spec is not None else None
-            p99_target = stream.spec.slo.p99_s if stream.spec is not None else None
-            for t, v in zip(stream.times, stream.vectors):
-                deadline = t + p99_target if p99_target is not None else None
-                self.timeline.push(
-                    VectorArrival(
-                        t,
-                        Ticket(vector=v, arrival_s=t, tenant=tenant, deadline_s=deadline),
-                    )
-                )
+            stream.first_seq = self.timeline.reserve(len(stream.times))
+        for stream in streams:
+            self.feed(stream)
 
     # ------------------------------------------------------------ event loop
     def execute(self) -> ServeResult:
@@ -317,7 +310,23 @@ class ServeRun:
             self.cluster.journal = None
         return self.result(recorder, trace_mode)
 
+    def feed(self, stream: TenantStream) -> None:
+        """Generate ``stream``'s next vector and push its arrival, if any remain."""
+        k = stream.fed
+        if k == len(stream.times):
+            return
+        stream.fed = k + 1
+        t = stream.times[k]
+        ticket = Ticket(vector=next(stream.vectors), arrival_s=t)
+        spec = stream.spec
+        if spec is not None:
+            ticket.tenant = spec.name
+            if spec.slo.p99_s is not None:
+                ticket.deadline_s = t + spec.slo.p99_s
+        self.timeline.push(VectorArrival(t, ticket, stream), seq=stream.first_seq + k)
+
     def on_arrival(self, event: VectorArrival, now: float) -> None:
+        self.feed(event.stream)
         ticket = event.ticket
         gate = self.gate
         injector = self.injector
@@ -395,12 +404,12 @@ class ServeRun:
         if event.epoch != ticket.epoch or ticket.cancelled:
             return  # superseded by recovery, abandoned or hedge-cancelled
         integ = self.integ
-        if integ is not None and id(ticket) not in self.verified:
+        if integ is not None and not ticket.verified:
             action, ready = self.audit_ticket(ticket, now)
             if action == "repair":
                 # The audit recomputation on the clean auditor device *is*
                 # the repaired result; the ticket completes when it lands.
-                self.verified.add(id(ticket))
+                ticket.verified = True
                 self.supersede(ticket, max(ready, now))
                 return
             if action == "flag":
@@ -412,7 +421,6 @@ class ServeRun:
                 self.settle(ticket, now)
                 return
         if integ is not None:
-            self.verified.discard(id(ticket))
             integ.note_reported(ticket.vector, ticket.assignment)
         ticket.complete_s = now
         rec = self.report.add_completion(ticket)
@@ -963,7 +971,7 @@ class ServeRun:
                 self.abandon(ticket, now)
                 continue
             if reaudit:
-                self.verified.discard(id(ticket))
+                ticket.verified = False
             self.supersede(ticket, complete)
             moved += 1
         return moved
@@ -1612,7 +1620,7 @@ class MiccoServer:
         else:
             # Explicit timestamps: validate through the trace process.
             times = TraceArrivals(list(arrivals)).arrival_times(len(vectors))
-        return TenantStream(spec=None, vectors=list(vectors), times=times)
+        return TenantStream(spec=None, vectors=iter(vectors), times=times)
 
     # ----------------------------------------------------------- shard set-up
     def _build_shards(self, streams: list[TenantStream]) -> dict:

@@ -18,7 +18,11 @@ simulated wall-clock time.  Three event kinds drive a serving run
   the device rejoins the pool cold (no ticket attached).
 
 Ties at the same timestamp resolve in push order (a monotonic sequence
-number), so event processing is fully deterministic.
+number), so event processing is fully deterministic.  A caller that
+feeds events lazily can :meth:`Timeline.reserve` a block of sequence
+numbers up front and push each event later with its reserved number:
+it then pops exactly where an eager push at reservation time would
+have.
 """
 
 from __future__ import annotations
@@ -26,9 +30,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.tensor.spec import VectorSpec
+
+if TYPE_CHECKING:
+    from repro.serve.tenancy import TenantStream
 
 
 @dataclass
@@ -96,6 +104,10 @@ class Ticket:
     #: decision kind)``; labeled with the observed latency at completion,
     #: dropped when the ticket sheds, reroutes or loses a hedge race.
     route_sample: tuple | None = None
+    #: Set when an audit repaired the ticket's result, so its superseding
+    #: completion reports without a second audit; cleared when its work
+    #: moves off a quarantined device and must be audited again.
+    verified: bool = False
 
 
 @dataclass
@@ -145,13 +157,21 @@ class Event:
     is_control = False
 
     def __post_init__(self):
-        if self.time_s < 0:
+        # Written so NaN fails too: it compares false with everything.
+        if not self.time_s >= 0:
             raise ConfigurationError(f"event time must be >= 0, got {self.time_s}")
 
 
 @dataclass(frozen=True)
 class VectorArrival(Event):
-    """A vector arrives and requests admission."""
+    """A vector arrives and requests admission.
+
+    ``stream`` is the :class:`~repro.serve.tenancy.TenantStream` the
+    vector came from; the serving loop feeds that stream's next arrival
+    when this one pops.
+    """
+
+    stream: "TenantStream | None" = None
 
 
 @dataclass(frozen=True)
@@ -272,13 +292,31 @@ class Timeline:
         drain."""
         return len(self._heap) > self._control
 
-    def push(self, event: Event) -> None:
-        """Schedule ``event``; must not be in the simulated past."""
-        if event.time_s < self.now:
+    def reserve(self, n: int) -> int:
+        """Take the next ``n`` sequence numbers; returns the first.
+
+        Pass them to :meth:`push` as ``seq`` to break timestamp ties as
+        if the events had been pushed now.
+        """
+        if n < 0:
+            raise ConfigurationError(f"cannot reserve {n} sequence numbers")
+        first = next(self._seq)
+        self._seq = itertools.count(first + n)
+        return first
+
+    def push(self, event: Event, seq: int | None = None) -> None:
+        """Schedule ``event``; must not be in the simulated past.
+
+        ``seq`` is a number from :meth:`reserve`; by default the event
+        takes the next unreserved one.
+        """
+        time_s = event.time_s
+        # NaN fails this comparison, so it cannot corrupt heap order.
+        if not time_s >= self.now:
             raise ConfigurationError(
-                f"cannot schedule event at {event.time_s} before now={self.now}"
+                f"cannot schedule event at {time_s} before now={self.now}"
             )
-        heapq.heappush(self._heap, (event.time_s, next(self._seq), event))
+        heapq.heappush(self._heap, (time_s, next(self._seq) if seq is None else seq, event))
         if event.is_control:
             self._control += 1
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.serve.arrivals import BurstyArrivals, PoissonArrivals, TraceArrivals
+from repro.serve.arrivals import (
+    BurstyArrivals,
+    PoissonArrivals,
+    TraceArrivals,
+    arrivals_from_dict,
+)
 
 
 def assert_valid_times(times, n):
@@ -100,3 +105,52 @@ class TestTrace:
         path.write_text('{"nope": []}')
         with pytest.raises(WorkloadError):
             TraceArrivals.from_json(path)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFinite:
+    """NaN passes every ordered comparison check and inf every positivity
+    check; either would corrupt the serving timeline's heap order."""
+
+    @pytest.mark.parametrize("rate", [NAN, INF])
+    def test_poisson_rate(self, rate):
+        with pytest.raises(WorkloadError, match="rate must be finite"):
+            PoissonArrivals(rate)
+
+    @pytest.mark.parametrize(
+        "field", ["rate_on", "rate_off", "mean_on_s", "mean_off_s"]
+    )
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_bursty_fields(self, field, value):
+        kwargs = {"rate_on": 10.0, "rate_off": 1.0, "mean_on_s": 0.1, "mean_off_s": 0.1}
+        kwargs[field] = value
+        with pytest.raises(WorkloadError, match=f"{field} must be finite"):
+            BurstyArrivals(**kwargs)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_trace_times(self, value):
+        with pytest.raises(WorkloadError, match=r"times\[1\]"):
+            TraceArrivals([0.0, value, 1.0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "poisson", "rate": NAN},
+            {"kind": "bursty", "rate_on": 5.0, "mean_on_s": INF},
+            {"kind": "trace", "times": [0.0, INF]},
+        ],
+    )
+    def test_json_configs(self, spec):
+        with pytest.raises(WorkloadError, match="must be finite"):
+            arrivals_from_dict(spec)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_explicit_serve_timestamps(self, value):
+        from repro.serve import ServeConfig, serve
+        from tests.conftest import make_vector
+
+        vectors = [make_vector(n_pairs=2, vector_id=i) for i in range(4)]
+        with pytest.raises(WorkloadError, match="must be finite"):
+            serve(ServeConfig(), vectors=vectors, arrivals=[0.0, value, 0.001, 0.002])
