@@ -31,14 +31,19 @@ def output_rank(left_rank: int, right_rank: int) -> int:
     raise ConfigurationError(f"cannot contract rank {left_rank} with rank {right_rank}")
 
 
-def output_spec(left: TensorSpec, right: TensorSpec, label: str = "") -> TensorSpec:
-    """Derive the output tensor spec for contracting ``left`` × ``right``."""
+def output_spec(
+    left: TensorSpec, right: TensorSpec, label: str = "", *, uid: int | None = None
+) -> TensorSpec:
+    """Derive the output tensor spec for contracting ``left`` × ``right``.
+
+    The output takes ``uid`` when given, a fresh :func:`next_uid` otherwise.
+    """
     if left.size != right.size or left.batch != right.batch:
         raise ConfigurationError("contraction operands must share size and batch")
     # Operand fields already passed validation, so the unchecked spec
     # builder is safe (hot: one output per generated pair).
     return _spec_unchecked(
-        next_uid(),
+        next_uid() if uid is None else uid,
         left.size,
         left.batch,
         output_rank(left.rank, right.rank),

@@ -10,6 +10,7 @@ tensor size, repeated rate and distribution are the swept knobs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +67,22 @@ class WorkloadParams:
         check_in("rank", self.rank, (2, 3))
         check_positive("dtype_bytes", self.dtype_bytes)
 
+    @property
+    def repeat_slots(self) -> int:
+        """Slots per vector drawn from the history (every vector but the first)."""
+        return int(round(self.repeated_rate * self.vector_size))
+
+    def stream_uids(self) -> int:
+        """Tensor uids a whole stream allocates: fresh inputs plus pair outputs.
+
+        The first vector's slots are all fresh; each later vector adds
+        ``vector_size - repeat_slots`` fresh inputs.  Every pair adds
+        one output.
+        """
+        pairs = self.vector_size // 2
+        later = self.vector_size - self.repeat_slots + pairs
+        return self.vector_size + pairs + (self.num_vectors - 1) * later
+
     def with_(self, **kwargs) -> "WorkloadParams":
         """Copy with overrides — convenient for experiment sweeps."""
         return replace(self, **kwargs)
@@ -82,8 +99,11 @@ class SyntheticWorkload:
     [4, 4, 4]
     """
 
-    def __init__(self, params: WorkloadParams, seed=0):
+    def __init__(self, params: WorkloadParams, seed=0, *, uids: Iterator[int] | None = None):
         self.params = params
+        #: Tensor uid source: the process-wide counter, or ``uids`` (a
+        #: block reserved up front, see :meth:`WorkloadParams.stream_uids`).
+        self._next_uid = next_uid if uids is None else uids.__next__
         self._rng = as_generator(seed)
         self._picker = make_picker(params.distribution, sigma_frac=params.sigma_frac)
         #: History of every input tensor ever emitted (pick pool).
@@ -95,7 +115,7 @@ class SyntheticWorkload:
         # unchecked spec builder is safe here (hot: one per fresh slot).
         p = self.params
         return _spec_unchecked(
-            next_uid(),
+            self._next_uid(),
             p.tensor_size,
             p.batch,
             p.rank,
@@ -107,7 +127,7 @@ class SyntheticWorkload:
         """Generate the next vector in the stream."""
         p = self.params
         n_slots = p.vector_size
-        n_repeat = int(round(p.repeated_rate * n_slots)) if self.pool else 0
+        n_repeat = p.repeat_slots if self.pool else 0
         n_new = n_slots - n_repeat
 
         slots: list[TensorSpec] = []
@@ -123,7 +143,10 @@ class SyntheticWorkload:
 
         order = self._rng.permutation(n_slots).tolist()
         slots = [slots[i] for i in order]
-        pairs = [TensorPair.make(slots[2 * i], slots[2 * i + 1]) for i in range(n_slots // 2)]
+        pairs = [
+            TensorPair.make(slots[2 * i], slots[2 * i + 1], uid=self._next_uid())
+            for i in range(n_slots // 2)
+        ]
 
         vec = VectorSpec(
             pairs=pairs,

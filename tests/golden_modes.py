@@ -57,8 +57,8 @@ def _stream(seed: int, n: int = 24, **kw):
     return SyntheticWorkload(WorkloadParams(**params), seed=seed).vectors()
 
 
-def _roster():
-    spec = WorkloadParams(vector_size=8, tensor_size=64, num_vectors=12, batch=2)
+def _roster(n: int = 12):
+    spec = WorkloadParams(vector_size=8, tensor_size=64, num_vectors=n, batch=2)
     return (
         TenantSpec("heavy", PoissonArrivals(8_000.0), spec, weight=3.0),
         TenantSpec("light", PoissonArrivals(4_000.0), spec, weight=1.0),
@@ -100,7 +100,7 @@ def _batched(seed):
     return serve(cfg, cluster=_cluster(memory_bytes=2 * GIB), seed=seed)
 
 
-def _single_chaos(seed):
+def _two_node_chaos():
     # Two nodes, one control loop: node 1 dies for good, node 0 loses a
     # device, flaps, loses its links and goes silent.  The autoscaler
     # replaces the lost device and shrinks the pool once traffic ends.
@@ -112,8 +112,7 @@ def _single_chaos(seed):
         FaultEvent(FaultKind.NODE_FLAP, 0.016, 0, duration_s=0.003, count=2, period_s=0.008),
         FaultEvent(FaultKind.TRANSIENT, 0.020, 2),
     ))
-    cfg = ServeConfig(
-        queue_capacity=16,
+    knobs = dict(
         max_inflight=2,
         warm_restore=True,
         fault_aware_admission=True,
@@ -122,9 +121,30 @@ def _single_chaos(seed):
             cooldown_s=0.004, window_s=0.01, replace_lost=True,
         ),
     )
+    return plan, knobs
+
+
+def _single_chaos(seed):
+    plan, knobs = _two_node_chaos()
+    cfg = ServeConfig(queue_capacity=16, **knobs)
     return serve(
         cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
         vectors=_stream(5, n=40), arrivals=PoissonArrivals(1_500.0), seed=seed,
+        faults=plan,
+    )
+
+
+def _tenants_chaos(seed):
+    # Batched tenants under the two-node chaos plan, with a cluster small
+    # enough that warm restore's byte budget cuts its ranked list: the
+    # prewarmed tensors depend on the uid tie-break between tenants.
+    plan, knobs = _two_node_chaos()
+    cfg = ServeConfig(
+        queue_capacity=32, tenants=_roster(40),
+        max_batch_vectors=4, schedule_latency_per_pair_s=1e-4, **knobs,
+    )
+    return serve(
+        cfg, cluster=_cluster(8, memory_bytes=8 * MIB, devices_per_node=4), seed=seed,
         faults=plan,
     )
 
@@ -232,6 +252,7 @@ MODES = {
     "tenants": _tenants,
     "batched": _batched,
     "single-chaos": _single_chaos,
+    "tenants-chaos": _tenants_chaos,
     "single-integrity": _single_integrity,
     "sharded": _sharded,
     "sharded-chaos": _sharded_chaos,
@@ -331,6 +352,7 @@ COVERAGE = {
         "scale_downs": 1, "replacements": 1, "restores": 1, "node_losses": 1,
         "link_cuts": 1, "silences": 1, "prewarms": 1,
     },
+    "tenants-chaos": {"multi_member_rounds": 1, "device_losses": 1, "prewarms": 1},
     "single-integrity": {"detected": 1, "quarantines": 1, "engine_trace_events": 1},
     "sharded": {"completed": 1},
     "sharded-chaos": {

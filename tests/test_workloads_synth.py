@@ -1,8 +1,11 @@
 """Unit tests for the synthetic workload generator."""
 
+import itertools
+
 import pytest
 
 from repro.errors import WorkloadError
+from repro.tensor.spec import next_uid, reserve_uids, reset_uid_counter
 from repro.workloads.synth import SyntheticWorkload, WorkloadParams, generate_stream
 
 
@@ -112,3 +115,31 @@ class TestGeneration:
         v = SyntheticWorkload(params, seed=0).next_vector()
         t = v.pairs[0].left
         assert (t.size, t.batch, t.rank) == (48, 4, 3)
+
+
+class TestUidBlocks:
+    @pytest.mark.parametrize("vector_size", [2, 8, 10])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("num_vectors", [1, 7])
+    def test_stream_uids_counts_every_allocation(self, vector_size, rate, num_vectors):
+        params = WorkloadParams(
+            vector_size=vector_size, repeated_rate=rate, num_vectors=num_vectors, tensor_size=16
+        )
+        uids = set()
+        for v in generate_stream(params, seed=3):
+            for p in v.pairs:
+                uids.update((p.left.uid, p.right.uid, p.out.uid))
+        assert len(uids) == params.stream_uids()
+
+    def test_reserved_block_reproduces_the_global_counter(self):
+        params = WorkloadParams(vector_size=8, repeated_rate=0.5, num_vectors=6, tensor_size=16)
+
+        def uids(vectors):
+            return [(p.left.uid, p.right.uid, p.out.uid) for v in vectors for p in v.pairs]
+
+        reset_uid_counter()
+        eager = uids(generate_stream(params, seed=3))
+        reset_uid_counter()
+        block = itertools.count(reserve_uids(params.stream_uids()))
+        assert next_uid() == params.stream_uids()  # the block is taken off the counter
+        assert uids(SyntheticWorkload(params, seed=3, uids=block).vectors()) == eager
