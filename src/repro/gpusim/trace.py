@@ -8,15 +8,21 @@ inspected visually; ``summary_by_device`` gives quick aggregates.
 
 Recording is *packed*: each kept event becomes one 37-byte row (kind
 code, lane, start, duration, uid, nbytes) written in place into a
-fixed-size ``bytearray`` chunk, plus one reference in a side list of
-labels — 45 B per event on a 64-bit build.  Chunks are allocated
-lazily, one at a time, and never move once allocated.  Every read
-(:attr:`TraceRecorder.events`, ``events_of``, ``summary_by_device``,
-``to_records``, ``to_chrome_trace``) is rendered from the rows on call;
-no object view is cached.  ``save_chrome_trace`` streams the file one
-event at a time, so writing a trace costs no more memory than recording
-it.  Times must be finite: a NaN or infinite duration or start is
-rejected before it can reach a lane clock or the JSON file.
+4 096-row ``bytearray`` chunk, plus one reference in the chunk's label
+list.  Only one chunk lives in memory: when it is full and another
+event is kept, its rows and one ``marshal`` blob of its labels are
+appended to an anonymous temporary file and the chunk is reused, so a
+recorder holds one chunk (~148 KiB) and its labels however many events
+it has kept (a recorder of at most 4 096 events never opens a file).
+Every read (:attr:`TraceRecorder.events`, ``events_of``,
+``summary_by_device``, ``to_records``, ``to_chrome_trace``) is rendered
+on call, streaming the spilled chunks back with ``os.pread`` and then
+the live one; no object view is cached.  ``save_chrome_trace`` streams
+the file one event at a time, so writing a trace costs no more memory
+than recording it.  Times must be finite: a NaN or infinite duration or
+start is rejected before it can reach a lane clock or the JSON file,
+and a lane, uid or nbytes that does not fit its row field is rejected
+the same way.
 
 What gets recorded is governed by a :class:`TraceSink`:
 
@@ -31,7 +37,13 @@ Serving surfaces the same choice through :class:`TraceConfig` (the
 from __future__ import annotations
 
 import json
+import marshal
+import numbers
+import operator
+import os
 import struct
+import tempfile
+import weakref
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -127,6 +139,12 @@ class TraceSink(Protocol):
     def keep(self, kind: str, device: int) -> bool: ...
 
 
+def _check_stride(name: str, stride) -> None:
+    """A sampling stride is an int >= 1 (a bool, float or NaN is not)."""
+    if isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ConfigurationError(f"{name} must be an int >= 1, got {stride!r}")
+
+
 class FullSink:
     """Keep every event (the default sink)."""
 
@@ -161,8 +179,7 @@ class SamplingSink:
     name = "sampling"
 
     def __init__(self, stride: int = 16):
-        if stride < 1:
-            raise ConfigurationError(f"sampling stride must be >= 1, got {stride}")
+        _check_stride("stride", stride)
         self.stride = stride
         self._count = 0
 
@@ -210,10 +227,7 @@ class TraceConfig(JsonConfig):
             raise ConfigurationError(
                 f"unknown trace mode {self.mode!r}; expected one of {TRACE_MODES}"
             )
-        if self.sample_stride < 1:
-            raise ConfigurationError(
-                f"sample_stride must be >= 1, got {self.sample_stride}"
-            )
+        _check_stride("sample_stride", self.sample_stride)
 
     def make_sink(self) -> "TraceSink | None":
         """The sink for this mode; ``None`` when no recorder attaches."""
@@ -230,12 +244,25 @@ class TraceConfig(JsonConfig):
 _ROW = struct.Struct("<Biddqq")
 _ROW_SIZE = _ROW.size
 _pack_into = _ROW.pack_into
-#: Rows per storage chunk (~148 KiB).
+#: Rows per storage chunk (~148 KiB); full chunks are spilled to disk.
 _CHUNK_ROWS = 4096
 _CHUNK_BYTES = _CHUNK_ROWS * _ROW_SIZE
 _INF = float("inf")
 #: :meth:`TraceRecorder.to_records` keys: the :class:`TraceEvent` fields.
 _RECORD_KEYS = tuple(f.name for f in fields(TraceEvent))
+
+
+def _row_error(lane, uid, nbytes) -> ValueError:
+    """The error for a row ``struct`` could not pack, naming the field."""
+    for name, value, bits in (("lane", lane, 32), ("uid", uid, 64), ("nbytes", nbytes, 64)):
+        limit = 1 << (bits - 1)
+        try:
+            fits = -limit <= operator.index(value) < limit
+        except TypeError:
+            fits = False
+        if not fits:
+            return ValueError(f"trace event {name} must be an int that fits int{bits}, got {value!r}")
+    return ValueError(f"trace event cannot be packed: lane {lane!r}, uid {uid!r}, nbytes {nbytes!r}")
 
 
 def _chrome_event(kind: str, lane: int, start: float, duration: float, uid: int, nbytes: int, label: str) -> dict:
@@ -258,7 +285,15 @@ class TraceRecorder:
     The engine clocks each device independently (events on one device
     are serialized; devices run in parallel), matching how the
     simulator accumulates time.  A lane must fit a signed 32-bit int,
-    ``uid`` and ``nbytes`` a signed 64-bit int.
+    ``uid`` and ``nbytes`` a signed 64-bit int; an event that does not
+    is rejected with a ``ValueError`` naming the field, and the lane's
+    clock is left as it was.
+
+    Rows are packed into one in-memory chunk.  When it is full and
+    another kept event arrives, its rows and labels are appended to an
+    anonymous temporary file (opened at the first spill) and the chunk
+    is reused, so the recorder holds one chunk however long the run.
+    :meth:`clear` closes the file, and so does collecting the recorder.
 
     Parameters
     ----------
@@ -269,14 +304,18 @@ class TraceRecorder:
 
     def __init__(self, sink: "TraceSink | None" = None):
         self.sink = sink if sink is not None else FullSink()
-        #: Fixed-size row chunks; only the last one has free rows.
-        self._chunks: list[bytearray] = []
-        #: The last chunk and the byte offset of its next free row (a
+        #: The in-memory chunk and the byte offset of its next free row (a
         #: full offset means a chunk is due: none is held until needed).
         self._chunk = bytearray()
         self._off = _CHUNK_BYTES
-        #: One label per kept event, so its length is the row count.
+        #: One label per row of the in-memory chunk.
         self._labels: list[str] = []
+        #: The spill file, the finalizer that closes it, and the file
+        #: offset where each spilled chunk ends (its rows, then one
+        #: ``marshal`` blob of its labels).
+        self._file = None
+        self._close: weakref.finalize | None = None
+        self._ends: list[int] = []
         self._device_clock: dict[int, float] = {}
 
     @property
@@ -290,12 +329,22 @@ class TraceRecorder:
         self._keep = None if type(sink) is FullSink else sink.keep
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._ends) * _CHUNK_ROWS + len(self._labels)
 
-    def _new_chunk(self) -> None:
-        """Start an empty chunk; rows are packed into it in place."""
-        self._chunk = bytearray(_CHUNK_BYTES)
-        self._chunks.append(self._chunk)
+    def _next_chunk(self) -> None:
+        """Make room for a row: spill the full chunk, or allocate the first."""
+        if self._labels:
+            fh = self._file
+            if fh is None:
+                fh = self._file = tempfile.TemporaryFile()
+                self._close = weakref.finalize(self, fh.close)
+            fh.write(self._chunk)
+            fh.write(marshal.dumps(self._labels))
+            fh.flush()
+            self._ends.append(fh.tell())
+            self._labels.clear()
+        else:
+            self._chunk = bytearray(_CHUNK_BYTES)
         self._off = 0
 
     def record(self, kind: str, device: int, duration_s: float, *, uid: int = -1, nbytes: int = 0, label: str = "") -> None:
@@ -311,17 +360,19 @@ class TraceRecorder:
             raise ValueError(f"event duration must be >= 0 and finite, got {duration_s}")
         clock = self._device_clock
         start = clock.get(device, 0.0)
-        clock[device] = start + duration_s
         keep = self._keep
-        if keep is not None and not keep(kind, device):
-            return
-        off = self._off
-        if off == _CHUNK_BYTES:
-            self._new_chunk()
-            off = 0
-        _pack_into(self._chunk, off, code, device, start, duration_s, uid, nbytes)
-        self._off = off + _ROW_SIZE
-        self._labels.append(label)
+        if keep is None or keep(kind, device):
+            off = self._off
+            if off == _CHUNK_BYTES:
+                self._next_chunk()
+                off = 0
+            try:
+                _pack_into(self._chunk, off, code, device, start, duration_s, uid, nbytes)
+            except struct.error:
+                raise _row_error(device, uid, nbytes) from None
+            self._off = off + _ROW_SIZE
+            self._labels.append(label)
+        clock[device] = start + duration_s
 
     def record_at(
         self, kind: str, device: int, start_s: float, duration_s: float, *, uid: int = -1, nbytes: int = 0, label: str = ""
@@ -344,23 +395,29 @@ class TraceRecorder:
                 f"event start must be finite and duration >= 0 and finite, "
                 f"got start {start_s}, duration {duration_s}"
             )
+        keep = self._keep
+        if keep is None or keep(kind, device):
+            off = self._off
+            if off == _CHUNK_BYTES:
+                self._next_chunk()
+                off = 0
+            try:
+                _pack_into(self._chunk, off, code, device, start_s, duration_s, uid, nbytes)
+            except struct.error:
+                raise _row_error(device, uid, nbytes) from None
+            self._off = off + _ROW_SIZE
+            self._labels.append(label)
         clock = self._device_clock
         end = start_s + duration_s
         if end > clock.get(device, 0.0):
             clock[device] = end
-        keep = self._keep
-        if keep is not None and not keep(kind, device):
-            return
-        off = self._off
-        if off == _CHUNK_BYTES:
-            self._new_chunk()
-            off = 0
-        _pack_into(self._chunk, off, code, device, start_s, duration_s, uid, nbytes)
-        self._off = off + _ROW_SIZE
-        self._labels.append(label)
 
     def clear(self) -> None:
-        self._chunks.clear()
+        """Drop every event and lane clock and close the spill file."""
+        if self._close is not None:
+            self._close()
+        self._file = self._close = None
+        self._ends.clear()
         self._chunk = bytearray()
         self._off = _CHUNK_BYTES
         self._labels.clear()
@@ -369,20 +426,33 @@ class TraceRecorder:
     # ----------------------------------------------------------------- reads
     def _unpacked(self):
         """``(kind, lane, start, duration, uid, nbytes, label)`` per kept
-        event, in record order — the :class:`TraceEvent` field order."""
-        chunks = self._chunks
-        views = [*chunks[:-1], memoryview(chunks[-1])[: self._off]] if chunks else []
-        labels = iter(self._labels)
-        for view in views:
-            for code, lane, start, duration, uid, nbytes in _ROW.iter_unpack(view):
+        event, in record order — the :class:`TraceEvent` field order.
+
+        The spilled chunks are read back one at a time with ``os.pread``
+        (the write position never moves), then a copy of the live chunk:
+        events recorded after the read starts are not part of it.
+        """
+        ends = self._ends[:]
+        live = bytes(memoryview(self._chunk)[: self._off])
+        live_labels = self._labels[:]
+        fd = self._file.fileno() if ends else -1
+        begin = 0
+        for end in ends:
+            blob = memoryview(os.pread(fd, end - begin, begin))
+            labels = iter(marshal.loads(blob[_CHUNK_BYTES:]))
+            for code, lane, start, duration, uid, nbytes in _ROW.iter_unpack(blob[:_CHUNK_BYTES]):
                 yield EVENT_KINDS[code], lane, start, duration, uid, nbytes, next(labels)
+            begin = end
+        labels = iter(live_labels)
+        for code, lane, start, duration, uid, nbytes in _ROW.iter_unpack(live):
+            yield EVENT_KINDS[code], lane, start, duration, uid, nbytes, next(labels)
 
     @property
     def events(self) -> list[TraceEvent]:
         """The recorded events as :class:`TraceEvent` objects.
 
         Built from the packed rows on every access — no object view is
-        kept, so a recorder never holds more than its 45 B per event.
+        kept, so a recorder never holds more than its one chunk.
         Read it once into a local rather than in a loop.
         """
         return [TraceEvent(*row) for row in self._unpacked()]

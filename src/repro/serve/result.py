@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from repro.gpusim.metrics import ExecutionMetrics
 from repro.gpusim.trace import TraceRecorder
 from repro.reporting import dump_json
 from repro.serve.slo import LatencyReport
+from repro.utils.rows import RaggedColumn, RowView
 
 #: Optional report sections, in report order: ``(section, event log)``.
 #: A section is reported only when the run produced it (not ``None``);
@@ -24,6 +27,46 @@ SECTIONS = (
     ("integrity", None),
     ("routing", "routing_events"),
 )
+
+
+class RoundsLog(RowView):
+    """Per-round dispatch log kept as packed columns.
+
+    One row per scheduling round: id, shard, pair count and the
+    dispatch / scheduling-done times in ``array`` columns, member
+    vector ids in one flat column.  Reading a row renders the dict
+    ``{"round_id", "shard", "members", "pairs", "dispatch_s",
+    "sched_done_s"}``.
+    """
+
+    def __init__(self):
+        self._round_id = array("q")
+        self._shard = array("i")
+        self._members = RaggedColumn()
+        self._pairs = array("i")
+        self._dispatch = array("d")
+        self._sched_done = array("d")
+
+    def append(self, round_id: int, shard: int, members, pairs: int, dispatch_s: float, sched_done_s: float) -> None:
+        self._round_id.append(round_id)
+        self._shard.append(shard)
+        self._members.append(members)
+        self._pairs.append(pairs)
+        self._dispatch.append(dispatch_s)
+        self._sched_done.append(sched_done_s)
+
+    def __len__(self) -> int:
+        return len(self._round_id)
+
+    def _row(self, i: int) -> dict:
+        return {
+            "round_id": self._round_id[i],
+            "shard": self._shard[i],
+            "members": self._members.row(i),
+            "pairs": self._pairs[i],
+            "dispatch_s": self._dispatch[i],
+            "sched_done_s": self._sched_done[i],
+        }
 
 
 @dataclass
@@ -50,9 +93,9 @@ class ServeResult:
     journal: dict | None = None
     #: Per-round dispatch log: one record per scheduling round
     #: (``round_id``, member vector ids, pair count, dispatch/sched-done
-    #: timestamps).  Singleton rounds are logged too, so the log always
-    #: covers every dispatch.
-    rounds: list[dict] = field(default_factory=list)
+    #: timestamps), a :class:`RoundsLog` for served runs.  Singleton
+    #: rounds are logged too, so the log always covers every dispatch.
+    rounds: Sequence[dict] = field(default_factory=list)
     #: Sharded-control-plane section (routing counters, per-shard
     #: records); ``None`` for one-shard runs (no routing tier).
     sharding: dict | None = None
@@ -123,7 +166,7 @@ class ServeResult:
                 if events is not None:
                     payload[events] = getattr(self, events)
         if self.rounds:
-            payload["rounds"] = self.rounds
+            payload["rounds"] = list(self.rounds)
         if extra:
             payload.update(extra)
         dump_json(path, payload)

@@ -62,7 +62,7 @@ from repro.serve.queueing import (
     WeightedFair,
     make_policy,
 )
-from repro.serve.result import ServeResult
+from repro.serve.result import RoundsLog, ServeResult
 from repro.serve.slo import LatencyReport
 from repro.serve.tenancy import TenantStream, build_streams, tenant_sections
 from repro.serve.timeline import (
@@ -172,7 +172,7 @@ class ServeRun:
         #: (the set device loss or scale-down can orphan work out of).
         self.pending: dict[int, Ticket] = {}
         self.round_ids = itertools.count()
-        self.rounds_log: list[dict] = []
+        self.rounds_log = RoundsLog()
         self.events_processed = 0
 
         self.shards = server._build_shards(streams)
@@ -544,14 +544,10 @@ class ServeRun:
             shard.inflight_tickets[id(t)] = t
         latency = self.cfg.schedule_latency_per_pair_s * rnd.num_pairs
         self.timeline.push(SchedulingDone(now + latency, members[0], round=rnd))
-        self.rounds_log.append({
-            "round_id": rnd.round_id,
-            "shard": shard.node,
-            "members": [t.vector.vector_id for t in members],
-            "pairs": rnd.num_pairs,
-            "dispatch_s": now,
-            "sched_done_s": now + latency,
-        })
+        self.rounds_log.append(
+            rnd.round_id, shard.node, [t.vector.vector_id for t in members],
+            rnd.num_pairs, now, now + latency,
+        )
 
     def refill(self, shard, now: float) -> None:
         """Dispatch queued rounds while the shard has free round slots.

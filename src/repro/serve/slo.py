@@ -11,6 +11,8 @@ lane showing its wait → schedule → execute spans.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from repro.errors import ConfigurationError
 from repro.gpusim.trace import TraceRecorder
 from repro.reporting import dump_json
 from repro.serve.timeline import Ticket
+from repro.utils.rows import RaggedColumn, RowView, column, take
 
 
 @dataclass(frozen=True)
@@ -78,12 +81,65 @@ class DroppedVector:
     tenant: str | None = None
 
 
+#: The flat completion columns of :class:`LatencyReport` (``_devices``
+#: is ragged and taken separately).
+_COLUMNS = (
+    "_vector_id", "_arrival", "_dispatch", "_sched_done", "_complete",
+    "_pairs", "_tenant", "_round_id", "_round_size",
+)
+
+
+class _Completions(RowView):
+    """:attr:`LatencyReport.completed`: its columns rendered as records."""
+
+    def __init__(self, report: "LatencyReport"):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report._vector_id)
+
+    def _row(self, i: int) -> VectorLatency:
+        r = self._report
+        round_id = r._round_id[i]
+        return VectorLatency(
+            r._vector_id[i], r._arrival[i], r._dispatch[i], r._sched_done[i], r._complete[i],
+            r._pairs[i], tuple(r._devices.row(i)), r._tenants[r._tenant[i]],
+            None if round_id < 0 else round_id, r._round_size[i],
+        )
+
+
 class LatencyReport:
-    """Aggregated per-vector latency records of one serving run."""
+    """Aggregated per-vector latency records of one serving run.
+
+    Completions are kept as packed columns, one ``array`` per
+    :class:`VectorLatency` field (float64 timestamps, int64 vector and
+    round ids, int32 counts and tenant code, devices as one flat int32
+    column), about 80 B per vector; :attr:`completed` renders the
+    records on access.  Shed vectors stay a list of
+    :class:`DroppedVector`.
+    """
 
     def __init__(self):
-        self.completed: list[VectorLatency] = []
+        self._vector_id = array("q")
+        self._arrival = array("d")
+        self._dispatch = array("d")
+        self._sched_done = array("d")
+        self._complete = array("d")
+        self._pairs = array("i")
+        self._devices = RaggedColumn("i")
+        #: Index into :attr:`_tenants` (tenant names, ``None`` included).
+        self._tenant = array("i")
+        self._tenants: list[str | None] = []
+        self._tenant_code: dict[str | None, int] = {}
+        #: Round ids are non-negative; ``-1`` stands for ``None``.
+        self._round_id = array("q")
+        self._round_size = array("i")
         self.dropped: list[DroppedVector] = []
+
+    @property
+    def completed(self) -> Sequence[VectorLatency]:
+        """The completed vectors' records, in completion order (read-only)."""
+        return _Completions(self)
 
     # ------------------------------------------------------------- recording
     def add_completion(self, ticket: Ticket) -> VectorLatency:
@@ -99,7 +155,20 @@ class LatencyReport:
             round_id=ticket.round_id,
             round_size=ticket.round_size,
         )
-        self.completed.append(rec)
+        self._vector_id.append(rec.vector_id)
+        self._arrival.append(rec.arrival_s)
+        self._dispatch.append(rec.dispatch_s)
+        self._sched_done.append(rec.sched_done_s)
+        self._complete.append(rec.complete_s)
+        self._pairs.append(rec.pairs)
+        self._devices.append(rec.devices)
+        code = self._tenant_code.get(rec.tenant)
+        if code is None:
+            code = self._tenant_code[rec.tenant] = len(self._tenants)
+            self._tenants.append(rec.tenant)
+        self._tenant.append(code)
+        self._round_id.append(-1 if rec.round_id is None else rec.round_id)
+        self._round_size.append(rec.round_size)
         return rec
 
     def add_drop(self, ticket: Ticket, reason: str = "queue-full") -> DroppedVector:
@@ -116,33 +185,46 @@ class LatencyReport:
     # ---------------------------------------------------------- tenant views
     def tenant_names(self) -> list[str]:
         """Distinct tenant names seen in the records, sorted."""
-        names = {r.tenant for r in self.completed} | {r.tenant for r in self.dropped}
+        names = {self._tenants[code] for code in set(self._tenant)}
+        names |= {r.tenant for r in self.dropped}
         return sorted(n for n in names if n is not None)
+
+    def _subset(self, keep: np.ndarray, dropped: list[DroppedVector]) -> "LatencyReport":
+        """Packed sub-report of the completions where the mask ``keep`` holds."""
+        sub = LatencyReport()
+        for name in _COLUMNS:
+            setattr(sub, name, take(getattr(self, name), keep))
+        sub._devices = self._devices.take(keep)
+        sub._tenants = self._tenants[:]
+        sub._tenant_code = dict(self._tenant_code)
+        sub.dropped = dropped
+        return sub
 
     def for_tenant(self, tenant: str | None) -> "LatencyReport":
         """Sub-report holding only ``tenant``'s records.
 
-        The returned report shares record objects with the parent (it
-        is a filtered view, cheap to build per tenant).
+        A packed copy of the matching columns; drop records are shared
+        with the parent.
         """
-        sub = LatencyReport()
-        sub.completed = [r for r in self.completed if r.tenant == tenant]
-        sub.dropped = [r for r in self.dropped if r.tenant == tenant]
-        return sub
+        code = self._tenant_code.get(tenant, -1)
+        return self._subset(
+            column(self._tenant) == code,
+            [r for r in self.dropped if r.tenant == tenant],
+        )
 
     def completed_after(self, t_s: float) -> "LatencyReport":
         """Sub-report of vectors that *completed* at or after ``t_s``.
 
-        A filtered view sharing record objects with the parent, like
-        :meth:`for_tenant`.  Chaos analyses use it to compare post-loss
-        recovery latency (e.g. warm vs cold restore after a node dies)
-        without the pre-fault steady state diluting the tail.  Drops
-        are filtered on arrival time (a shed vector never completes).
+        Built like :meth:`for_tenant`.  Chaos analyses use it to compare
+        post-loss recovery latency (e.g. warm vs cold restore after a
+        node dies) without the pre-fault steady state diluting the
+        tail.  Drops are filtered on arrival time (a shed vector never
+        completes).
         """
-        sub = LatencyReport()
-        sub.completed = [r for r in self.completed if r.complete_s >= t_s]
-        sub.dropped = [r for r in self.dropped if r.arrival_s >= t_s]
-        return sub
+        return self._subset(
+            column(self._complete) >= t_s,
+            [r for r in self.dropped if r.arrival_s >= t_s],
+        )
 
     def drops_by_reason(self) -> dict[str, int]:
         """Shed counts keyed by reason, keys sorted for stable JSON."""
@@ -155,20 +237,21 @@ class LatencyReport:
     @property
     def offered(self) -> int:
         """Vectors that arrived (completed + shed)."""
-        return len(self.completed) + len(self.dropped)
+        return len(self._complete) + len(self.dropped)
 
     @property
     def drop_rate(self) -> float:
         return len(self.dropped) / self.offered if self.offered else 0.0
 
     def latencies(self) -> np.ndarray:
-        return np.array([r.latency_s for r in self.completed])
+        """End-to-end latencies in completion order (float64)."""
+        return column(self._complete) - column(self._arrival)
 
     def percentile(self, p: float) -> float:
         """End-to-end latency percentile ``p`` (0–100); NaN when empty."""
         if not 0 <= p <= 100:
             raise ConfigurationError(f"percentile must be in [0, 100], got {p}")
-        if not self.completed:
+        if not self._complete:
             return float("nan")
         return float(np.percentile(self.latencies(), p))
 
@@ -186,12 +269,12 @@ class LatencyReport:
 
     @property
     def mean_latency_s(self) -> float:
-        return float(self.latencies().mean()) if self.completed else float("nan")
+        return float(self.latencies().mean()) if self._complete else float("nan")
 
     @property
     def makespan_s(self) -> float:
         """Last completion timestamp (0 when nothing completed)."""
-        return max((r.complete_s for r in self.completed), default=0.0)
+        return max(self._complete, default=0.0)
 
     def throughput_timeline(self, window_s: float) -> list[dict]:
         """Completions bucketed into ``window_s``-wide time windows.
@@ -206,8 +289,8 @@ class LatencyReport:
             return []
         n_windows = int(np.ceil(span / window_s))
         counts = [0] * n_windows
-        for r in self.completed:
-            counts[min(int(r.complete_s // window_s), n_windows - 1)] += 1
+        for complete_s in self._complete:
+            counts[min(int(complete_s // window_s), n_windows - 1)] += 1
         return [
             {
                 "t_start_s": i * window_s,
@@ -229,19 +312,24 @@ class LatencyReport:
         across the round.  Unbatched runs degenerate to one round per
         vector and an amortized cost equal to the plain mean.
         """
-        rounds: dict[int, int] = {}
-        for r in self.completed:
-            if r.round_id is not None:
-                rounds[r.round_id] = max(rounds.get(r.round_id, 0), r.round_size)
-        n = len(rounds)
+        round_ids = column(self._round_id)
+        in_round = round_ids >= 0
+        ids, slot = np.unique(round_ids[in_round], return_inverse=True)
+        # Each round's occupancy: the largest size any member reports.
+        sizes = np.zeros(len(ids), dtype=np.int64)
+        np.maximum.at(sizes, slot, column(self._round_size)[in_round])
+        n = len(ids)
         return {
             "rounds": n,
-            "batched_rounds": sum(1 for size in rounds.values() if size > 1),
-            "mean_round_vectors": (sum(rounds.values()) / n) if n else 0.0,
-            "max_round_vectors": max(rounds.values(), default=0),
+            "batched_rounds": int(np.count_nonzero(sizes > 1)),
+            "mean_round_vectors": (int(sizes.sum()) / n) if n else 0.0,
+            "max_round_vectors": int(sizes.max()) if n else 0,
             "amortized_schedule_s": (
-                float(np.mean([r.schedule_s / r.round_size for r in self.completed]))
-                if self.completed
+                float(np.mean(
+                    (column(self._sched_done) - column(self._dispatch))
+                    / column(self._round_size)
+                ))
+                if self._complete
                 else float("nan")
             ),
         }
@@ -251,7 +339,7 @@ class LatencyReport:
         span = self.makespan_s
         return {
             "offered": self.offered,
-            "completed": len(self.completed),
+            "completed": len(self._complete),
             "dropped": len(self.dropped),
             "dropped_by_reason": self.drops_by_reason(),
             "drop_rate": self.drop_rate,
@@ -260,12 +348,12 @@ class LatencyReport:
             "p99_s": self.p99,
             "mean_latency_s": self.mean_latency_s,
             "mean_queue_wait_s": (
-                float(np.mean([r.queue_wait_s for r in self.completed]))
-                if self.completed
+                float(np.mean(column(self._dispatch) - column(self._arrival)))
+                if self._complete
                 else float("nan")
             ),
             "makespan_s": span,
-            "throughput_vps": len(self.completed) / span if span > 0 else 0.0,
+            "throughput_vps": len(self._complete) / span if span > 0 else 0.0,
             "batching": self.batching_summary(),
         }
 

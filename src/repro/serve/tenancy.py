@@ -215,12 +215,14 @@ def tenant_sections(report: LatencyReport, tenants) -> dict[str, dict]:
     weight, its :meth:`LatencyReport.summary` slice and the result of
     evaluating its :class:`SloTargets`.
     """
-    sections: dict[str, dict] = {}
-    for spec in tenants:
-        sub = report.for_tenant(spec.name)
-        sections[spec.name] = {
-            "weight": spec.weight,
-            "summary": sub.summary(),
-            "slo": spec.slo.attainment(sub),
-        }
-    return sections
+    return {spec.name: _tenant_section(report, spec) for spec in tenants}
+
+
+def _tenant_section(report: LatencyReport, spec: "TenantSpec") -> dict:
+    # One tenant's packed sub-report is alive at a time.
+    sub = report.for_tenant(spec.name)
+    return {
+        "weight": spec.weight,
+        "summary": sub.summary(),
+        "slo": spec.slo.attainment(sub),
+    }

@@ -1,8 +1,8 @@
 """Unit tests for the trace recorder."""
 
+import gc
 import json
 import math
-import struct
 import tracemalloc
 
 import pytest
@@ -217,6 +217,11 @@ class TestSinks:
         with pytest.raises(ConfigurationError):
             SamplingSink(stride=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, math.nan, "4"])
+    def test_sampling_stride_must_be_an_int(self, bad):
+        with pytest.raises(ConfigurationError, match="stride must be an int >= 1"):
+            SamplingSink(stride=bad)
+
     def test_sampling_sink_never_drops_integrity_or_fault_lanes(self):
         """fault/audit/taint/blame events are each individually
         meaningful; a sampled trace must keep every one of them."""
@@ -269,6 +274,93 @@ class TestSinks:
         ]
 
 
+def _spill_events(n: int) -> list[TraceEvent]:
+    """``n`` distinct events with empty, ASCII and non-ASCII labels."""
+    labels = ("", "v7", "ψ→χ ünï", "round 3: v[1, 2]")
+    return [
+        TraceEvent(EVENT_KINDS[i % len(EVENT_KINDS)], i % 5 - 2, 0.5 * i, 0.25, i - 1, 3 * i, labels[i % 4] * (i % 3))
+        for i in range(n)
+    ]
+
+
+def _record_all(tr: TraceRecorder, events) -> None:
+    for e in events:
+        tr.record_at(e.kind, e.device, e.start_s, e.duration_s, uid=e.uid, nbytes=e.nbytes, label=e.label)
+
+
+class TestSpill:
+    @pytest.mark.parametrize("rows", [_CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 1])
+    def test_round_trip(self, tmp_path, rows):
+        expected = _spill_events(rows)
+        tr = TraceRecorder()
+        _record_all(tr, expected)
+        assert len(tr) == rows
+        # One chunk stays in memory: a file opens only past it.
+        assert (tr._file is None) == (rows <= _CHUNK_ROWS)
+        assert tr.events == expected
+        assert tr.events == expected  # reading again reads the same rows
+        assert tr.events_of("kernel") == [e for e in expected if e.kind == "kernel"]
+        path = tmp_path / "trace.json"
+        tr.save_chrome_trace(path)
+        assert path.read_bytes() == json.dumps({"traceEvents": tr.to_chrome_trace()}).encode()
+
+    def test_reads_while_recording_continues(self):
+        expected = _spill_events(3 * _CHUNK_ROWS + 7)
+        tr = TraceRecorder()
+        for cut in (10, _CHUNK_ROWS + 3, 2 * _CHUNK_ROWS, len(expected)):
+            _record_all(tr, expected[len(tr):cut])
+            assert tr.events == expected[:cut]
+        # A read that is under way sees the rows recorded before it began,
+        # even when later rows spill and reuse the in-memory chunk.
+        tr.clear()
+        _record_all(tr, expected[: _CHUNK_ROWS + 5])
+        rows = tr._unpacked()
+        first = [next(rows) for _ in range(3)]
+        _record_all(tr, expected[_CHUNK_ROWS + 5 :])
+        seen = [TraceEvent(*row) for row in (*first, *rows)]
+        assert seen == expected[: _CHUNK_ROWS + 5]
+        assert tr.events == expected
+
+    def test_clear_closes_file_and_recorder_is_reusable(self):
+        tr = TraceRecorder()
+        _record_all(tr, _spill_events(2 * _CHUNK_ROWS))
+        fh = tr._file
+        assert fh is not None and not fh.closed
+        tr.clear()
+        assert fh.closed and tr._file is None and len(tr) == 0 and tr.events == []
+        again = _spill_events(_CHUNK_ROWS + 2)
+        _record_all(tr, again)
+        assert tr.events == again and not tr._file.closed
+
+    def test_collecting_recorder_closes_file(self):
+        tr = TraceRecorder()
+        _record_all(tr, _spill_events(_CHUNK_ROWS + 1))
+        fh = tr._file
+        del tr
+        gc.collect()
+        assert fh.closed
+
+    def test_null_sink_never_opens_a_file(self):
+        tr = TraceRecorder(NullSink())
+        for i in range(3 * _CHUNK_ROWS):
+            tr.record("kernel", i % 4, 1.0)
+        assert len(tr) == 0 and tr._file is None
+
+    def test_recording_200k_events_stays_under_one_mib(self):
+        tr = TraceRecorder()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200_000):
+                tr.record("kernel", i % 8, 0.5, uid=i, nbytes=64 * i, label=f"p{i % 50}")
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tr) == 200_000
+        assert grown < 2**20
+        assert tr.events[-1] == TraceEvent("kernel", 7, 24_999 * 0.5, 0.5, 199_999, 64 * 199_999, "p49")
+
+
 class TestTraceConfig:
     def test_defaults(self):
         cfg = TraceConfig()
@@ -287,6 +379,19 @@ class TestTraceConfig:
             TraceConfig(mode="verbose")
         with pytest.raises(ConfigurationError):
             TraceConfig(sample_stride=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 16.0, True, False, math.nan, -1, None])
+    def test_sample_stride_must_be_an_int(self, bad):
+        with pytest.raises(ConfigurationError, match="sample_stride must be an int >= 1"):
+            TraceConfig(mode="sampling", sample_stride=bad)
+        with pytest.raises(ConfigurationError, match="sample_stride"):
+            TraceConfig.from_dict({"mode": "sampling", "sample_stride": bad})
+
+    def test_sample_stride_from_json_text(self):
+        for text in ('{"sample_stride": 2.5}', '{"sample_stride": true}', '{"sample_stride": NaN}'):
+            with pytest.raises(ConfigurationError, match="sample_stride"):
+                TraceConfig.from_dict(json.loads(text))
+        assert TraceConfig.from_dict(json.loads('{"sample_stride": 3}')).sample_stride == 3
 
     def test_round_trip(self):
         cfg = TraceConfig(mode="sampling", sample_stride=8)
@@ -379,25 +484,42 @@ class TestPackedStorage:
     @pytest.mark.parametrize("rows", [_CHUNK_ROWS, _CHUNK_ROWS + 1])
     def test_chunk_boundaries(self, rows):
         tr = TraceRecorder()
-        assert tr._chunks == []  # storage is allocated on the first row
+        assert len(tr._chunk) == 0  # storage is allocated on the first row
         for i in range(rows):
             tr.record_at("kernel", i % 3, float(i), 0.5, uid=i, nbytes=2 * i, label=str(i))
         assert len(tr) == rows
-        assert len(tr._chunks) == -(-rows // _CHUNK_ROWS)
+        # One full chunk stays in memory; only a row past it spills.
+        assert len(tr._ends) == (rows - 1) // _CHUNK_ROWS
         assert tr.events == [
             TraceEvent("kernel", i % 3, float(i), 0.5, i, 2 * i, str(i)) for i in range(rows)
         ]
         tr.clear()
-        assert len(tr) == 0 and tr.events == [] and tr._chunks == []
+        assert len(tr) == 0 and tr.events == [] and len(tr._chunk) == 0 and tr._file is None
         tr.record("alloc", 0, 1.0)
         assert tr.events == [TraceEvent("alloc", 0, 0.0, 1.0)]
 
     def test_rejected_row_leaves_storage_consistent(self):
         tr = TraceRecorder()
-        with pytest.raises(struct.error):
+        with pytest.raises(ValueError, match="lane"):
             tr.record("kernel", 2**40, 1.0)  # lane does not fit a row
         tr.record("kernel", 0, 1.0)
         assert tr.events == [TraceEvent("kernel", 0, 0.0, 1.0)]
+
+    def test_unpackable_row_leaves_lane_clock(self):
+        tr = TraceRecorder()
+        tr.record("kernel", 0, 1.0)
+        with pytest.raises(ValueError, match="nbytes"):
+            tr.record("kernel", 0, 1.0, nbytes=2**63)
+        with pytest.raises(ValueError, match="uid"):
+            tr.record("kernel", 0, 1.0, uid=-(2**63) - 1)
+        tr.record("kernel", 0, 1.0)
+        assert [e.start_s for e in tr.events] == [0.0, 1.0]
+        with pytest.raises(ValueError, match="lane"):
+            tr.record_at("kernel", 2**31, 0.0, 5.0)
+        with pytest.raises(ValueError, match="nbytes"):
+            tr.record_at("kernel", 0, 7.0, 5.0, nbytes=2.5)
+        assert tr._device_clock == {0: 2.0}
+        assert len(tr) == 2
 
     @pytest.mark.parametrize("case", ["empty", "one", "mixed"])
     def test_streamed_file_equals_json_dumps(self, tmp_path, case):

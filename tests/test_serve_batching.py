@@ -8,6 +8,8 @@ the orphaned members' pairs, and per-ticket drop reasons must survive
 batching unchanged).
 """
 
+import json
+
 import pytest
 
 from repro.core.config import MiccoConfig
@@ -22,6 +24,7 @@ from repro.schedulers.batching import (
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.micco import MiccoScheduler
 from repro.serve import MiccoServer, PoissonArrivals, ServeConfig
+from repro.serve.result import RoundsLog
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
 MIB = 1024**2
@@ -88,6 +91,44 @@ class TestMergeHelpers:
         # The streams share repeated tensors, so the combined unique
         # footprint is strictly below the sum of the parts.
         assert combined < separate
+
+
+class TestRoundsLog:
+    ROWS = [
+        (0, 1, [4], 8, 0.25, 0.5),
+        (1, 0, [5, 6, 9], 24, 0.5, 0.75),
+        (2, 3, [], 0, 1.0, 1.0),
+        (7, 0, [2**40, -1], 3, 1e-300, 2.5),
+    ]
+    KEYS = ("round_id", "shard", "members", "pairs", "dispatch_s", "sched_done_s")
+
+    def make(self):
+        log = RoundsLog()
+        for row in self.ROWS:
+            log.append(*row)
+        return log, [dict(zip(self.KEYS, row)) for row in self.ROWS]
+
+    def test_renders_the_logged_dicts(self):
+        log, dicts = self.make()
+        assert len(log) == 4 and bool(log) and not RoundsLog()
+        assert log == dicts and dicts == log and list(log) == dicts
+        assert [log[i] for i in range(4)] == dicts and log[-1] == dicts[-1]
+        assert log[1:3] == dicts[1:3]
+        assert [list(d) for d in log] == [list(self.KEYS)] * 4  # key order
+        with pytest.raises(IndexError):
+            log[4]
+        assert log != dicts[:3] and log != dicts[::-1]
+
+    def test_two_logs_compare_by_rows(self):
+        a, _ = self.make()
+        b, _ = self.make()
+        assert a == b
+        b.append(8, 0, [1], 1, 3.0, 3.5)
+        assert a != b
+
+    def test_json_is_a_plain_list(self):
+        log, dicts = self.make()
+        assert json.dumps(list(log)) == json.dumps(dicts)
 
 
 class TestBatchedServing:
