@@ -151,8 +151,9 @@ class IntegrityState:
     is a handful of dictionary misses per pair.
 
     Attached to the engine as ``engine.integrity`` for the run (like
-    the fault injector); the serving loop drives audits and quarantine
-    through the same object.
+    the fault injector).  The serving loop calls :meth:`audit` on each
+    completed ticket and :meth:`invalidate_quarantined` on each device
+    :meth:`poll_quarantines` returns, and acts on the tickets itself.
     """
 
     def __init__(self, config: IntegrityConfig, num_devices: int):
@@ -331,9 +332,9 @@ class IntegrityState:
 
         The recompute on the clean auditor device *is* the repair, so
         the taint counts detected and (provisionally) repaired —
-        :meth:`flag_ticket` later reclassifies it if the owning ticket
-        is shed unverified.  Returns the devices whose copies of the
-        uid must be invalidated (journal drop reason ``corrupt``)."""
+        :meth:`audit` later reclassifies it as flagged if the owning
+        ticket is shed unverified.  Returns the devices whose copies of
+        the uid must be invalidated (journal drop reason ``corrupt``)."""
         devs = self._dirty.pop(uid, {})
         entries = set(devs.values())
         self.detected += 1
@@ -344,24 +345,127 @@ class IntegrityState:
             break  # one provenance per output: blame the closest producer
         return sorted(devs)
 
-    def clean_audit(self, device: int) -> None:
-        """An audit of ``device``'s output matched: decay its blame."""
-        self.ewma[device] *= 1.0 - self.config.blame_alpha
+    def audit(
+        self, vector, assignment, now: float, cluster, cost_model, compute_s: float, stats
+    ) -> tuple[str, float]:
+        """Audit one completed-but-unreported vector's pair outputs.
 
-    def charge_audit(self, seconds: float) -> None:
-        self.audited_pairs += 1
-        self.audit_spent_s += seconds
+        ``assignment`` maps each pair to its producer, ``compute_s`` is
+        the run's cumulative compute seconds and ``stats`` (the fault
+        stats, or ``None``) records the mismatch events.  The audit set
+        is every pair whose producer is already suspect (in
+        ``suspect-full`` mode, every pair of a vector that touched a
+        suspect device) plus a deterministic ``audit_fraction`` sample
+        of the rest.  Each audited pair is recomputed on the least-busy
+        alive device that is neither its producer (which would reproduce
+        its own corruption) nor suspect, ties on id, charging the kernel
+        time to that device's ``cluster.busy_until``.  A checksum
+        mismatch invalidates every resident copy of the output (journal
+        drop reason ``corrupt``), blames the producer, and *escalates*:
+        all remaining pairs join the mandatory set.
 
-    def flag_ticket(self, detected_in_ticket: int) -> None:
-        """A ticket degrades to ``integrity-unverified``.
+        The recomputation on the clean device is itself the repair, so
+        a mismatch returns ``("repair", ready_s)`` with ``ready_s`` the
+        horizon where the last audit lands.  Audit seconds beyond
+        ``audit_budget_frac`` of ``compute_s`` are not spent: sampled
+        audits are skipped (counted), while a mandatory one — or a
+        mandatory pair with no clean auditor — degrades the vector to
+        ``("flag", now)``, to be shed as ``integrity-unverified``
+        instead of fueling a recompute storm; its detected taints move
+        from ``repaired`` to ``flagged``, keeping ``detected ==
+        repaired + flagged`` exact.  Clean throughout returns
+        ``("clean", now)``.
+        """
+        cfg = self.config
+        vid = vector.vector_id
+        busy_until = cluster.busy_until
+        budget_s = cfg.audit_budget_frac * compute_s
+        suspect_full = cfg.mode == "suspect-full" and any(
+            self.is_suspect(d) for d in set(assignment)
+        )
+        to_audit: list[tuple[int, bool]] = []
+        for i in range(len(vector.pairs)):
+            if self.is_suspect(assignment[i]) or suspect_full:
+                to_audit.append((i, True))
+            elif self.sampled(vid, i):
+                to_audit.append((i, False))
+        audited: set[int] = set()
+        detected = 0
+        flag = False
+        ready = now
+        k = 0
+        while k < len(to_audit):
+            i, mandatory = to_audit[k]
+            k += 1
+            if i in audited:
+                continue
+            audited.add(i)
+            pair = vector.pairs[i]
+            producer = assignment[i]
+            clean = [
+                (busy_until[dev], dev)
+                for dev in cluster.alive_ids()
+                if dev != producer and not self.is_suspect(dev)
+            ]
+            if not clean:
+                if mandatory:
+                    flag = True
+                continue
+            auditor = min(clean)[1]
+            cost = cost_model.kernel_time(pair, cluster.devices[auditor])
+            if self.audit_spent_s + cost > budget_s:
+                if mandatory:
+                    flag = True
+                else:
+                    self.budget_skipped += 1
+                continue
+            self.audited_pairs += 1
+            self.audit_spent_s += cost
+            busy_until[auditor] = max(busy_until[auditor], now) + cost
+            ready = max(ready, busy_until[auditor])
+            if self.output_entry(pair.out.uid, producer) is None:
+                # The producer's output matched: decay its blame.
+                self.ewma[producer] *= 1.0 - cfg.blame_alpha
+                continue
+            detected += 1
+            for dev in self.audit_detected(pair.out.uid, now):
+                if cluster.is_resident(pair.out.uid, dev):
+                    cluster.drop(pair.out.uid, dev, reason="corrupt")
+            if stats is not None:
+                stats.record_event(
+                    "audit", auditor, now, cost,
+                    label=f"audit mismatch: pair {i} of v{vid} (device {producer})",
+                )
+                stats.record_event(
+                    "taint", producer, now, 0.0,
+                    label=f"invalidated output {pair.out.uid}",
+                )
+            for j in range(len(vector.pairs)):
+                if j not in audited:
+                    to_audit.append((j, True))
+        if flag:
+            self.repaired -= detected
+            self.flagged += detected
+            self.unverified_tickets += 1
+            return "flag", now
+        if detected:
+            return "repair", ready
+        return "clean", now
 
-        Its already-detected taints were repaired in vain (the result
-        is shed), so they move from ``repaired`` to ``flagged`` —
-        keeping the conservation ``detected == repaired + flagged``
-        exact."""
-        self.repaired -= detected_in_ticket
-        self.flagged += detected_in_ticket
-        self.unverified_tickets += 1
+    def invalidate_quarantined(self, device: int, now: float, cluster, stats) -> None:
+        """Drop a newly quarantined device's resident corrupt copies.
+
+        Journal drop reason ``corrupt``, so nothing can fetch them over
+        D2D; ``stats`` (the fault stats, or ``None``) records the
+        ``blame`` event."""
+        for uid in self.dirty_uids_on(device):
+            if cluster.is_resident(uid, device):
+                cluster.drop(uid, device, reason="corrupt")
+        if stats is not None:
+            stats.record_event(
+                "blame", device, now, 0.0,
+                label=f"quarantined (corruption ewma {self.ewma[device]:.3f})",
+            )
 
     def note_reported(self, vector, assignment) -> None:
         """A completion is being reported: count corrupt outputs that

@@ -405,7 +405,12 @@ class ServeRun:
             return  # superseded by recovery, abandoned or hedge-cancelled
         integ = self.integ
         if integ is not None and not ticket.verified:
-            action, ready = self.audit_ticket(ticket, now)
+            injector = self.injector
+            action, ready = integ.audit(
+                ticket.vector, ticket.assignment, now, self.cluster,
+                self.server.config.cost_model, float(self.total.compute_s.sum()),
+                injector.stats if injector is not None else None,
+            )
             if action == "repair":
                 # The audit recomputation on the clean auditor device *is*
                 # the repaired result; the ticket completes when it lands.
@@ -1190,128 +1195,11 @@ class ServeRun:
             self.reroute(t, now)
 
     # ------------------------------------------------------ result integrity
-    def pick_auditor(self, producer: int) -> int | None:
-        """The device that recomputes a pair for an audit.
-
-        Must be a *different* device than the producer (dual execution
-        on the producer would reproduce its own corruption) and not
-        itself under suspicion; among candidates the least-busy wins
-        (ties on id).  ``None`` when no clean second device is alive.
-        """
-        integ = self.integ
-        busy_until = self.busy_until
-        best = None
-        best_key = None
-        for dev in self.cluster.alive_ids():
-            if dev == producer or integ.is_suspect(dev):
-                continue
-            key = (busy_until[dev], dev)
-            if best_key is None or key < best_key:
-                best, best_key = dev, key
-        return best
-
-    def audit_ticket(self, ticket: Ticket, now: float) -> tuple[str, float]:
-        """Audit one completed-but-unreported ticket's pair outputs.
-
-        Builds the audit set — every pair whose producer is already
-        suspect (plus, in ``suspect-full`` mode, every pair of a ticket
-        that touched a suspect device), plus a deterministic
-        ``audit_fraction`` sample of the rest — and recomputes each
-        audited pair on a clean auditor device, charging the kernel
-        time to that device's busy horizon.  A checksum mismatch
-        invalidates every resident copy of the output (journal drop
-        reason ``corrupt``), blames the producer, and *escalates*: all
-        remaining pairs of the ticket join the mandatory set, so one
-        caught taint drags its whole ticket through verification.
-
-        The recomputation on the clean device is itself the repair, so
-        a mismatched ticket returns ``("repair", ready_s)`` with
-        ``ready_s`` the horizon where the last audit lands — the caller
-        re-pushes the completion there.  Audit seconds beyond
-        ``audit_budget_frac`` of the run's cumulative compute are not
-        spent: sampled audits are silently skipped (counted), mandatory
-        ones degrade the ticket to ``("flag", now)`` — shed as
-        ``integrity-unverified`` instead of fueling a recompute storm.
-        Clean throughout returns ``("clean", now)``.
-        """
-        integ = self.integ
-        injector = self.injector
-        cfg = integ.config
-        vector = ticket.vector
-        assignment = ticket.assignment
-        vid = vector.vector_id
-        cm = self.server.config.cost_model
-        cluster = self.cluster
-        busy_until = self.busy_until
-        budget_s = cfg.audit_budget_frac * float(self.total.compute_s.sum())
-        suspect_full = cfg.mode == "suspect-full" and any(
-            integ.is_suspect(d) for d in ticket.devices
-        )
-        to_audit: list[tuple[int, bool]] = []
-        for i in range(len(vector.pairs)):
-            if integ.is_suspect(assignment[i]) or suspect_full:
-                to_audit.append((i, True))
-            elif integ.sampled(vid, i):
-                to_audit.append((i, False))
-        audited: set[int] = set()
-        detected = 0
-        flag = False
-        ready = now
-        k = 0
-        while k < len(to_audit):
-            i, mandatory = to_audit[k]
-            k += 1
-            if i in audited:
-                continue
-            audited.add(i)
-            pair = vector.pairs[i]
-            producer = assignment[i]
-            auditor = self.pick_auditor(producer)
-            if auditor is None:
-                if mandatory:
-                    flag = True
-                continue
-            cost = cm.kernel_time(pair, cluster.devices[auditor])
-            if integ.audit_spent_s + cost > budget_s:
-                if mandatory:
-                    flag = True
-                else:
-                    integ.budget_skipped += 1
-                continue
-            integ.charge_audit(cost)
-            busy_until[auditor] = max(busy_until[auditor], now) + cost
-            ready = max(ready, busy_until[auditor])
-            if integ.output_entry(pair.out.uid, producer) is None:
-                integ.clean_audit(producer)
-                continue
-            detected += 1
-            for dev in integ.audit_detected(pair.out.uid, now):
-                if cluster.is_resident(pair.out.uid, dev):
-                    cluster.drop(pair.out.uid, dev, reason="corrupt")
-            if injector is not None:
-                injector.stats.record_event(
-                    "audit", auditor, now, cost,
-                    label=f"audit mismatch: pair {i} of v{vid} (device {producer})",
-                )
-                injector.stats.record_event(
-                    "taint", producer, now, 0.0,
-                    label=f"invalidated output {pair.out.uid}",
-                )
-            for j in range(len(vector.pairs)):
-                if j not in audited:
-                    to_audit.append((j, True))
-        if flag:
-            integ.flag_ticket(detected)
-            return "flag", now
-        if detected:
-            return "repair", ready
-        return "clean", now
-
     def quarantine_device(self, dev: int, now: float) -> None:
         """Blame crossed the threshold: retire the device from its shard.
 
-        Its resident *corrupt* copies are invalidated first (journal
-        drop reason ``corrupt``) so nothing can fetch them over D2D;
+        Its resident *corrupt* copies are invalidated first
+        (:meth:`~repro.integrity.IntegrityState.invalidate_quarantined`);
         then the device drains like an autoscale scale-down, with the
         moved tickets' audit status reset so the re-executed work is
         audited again.  A health monitor, when present, takes the blame
@@ -1322,16 +1210,9 @@ class ServeRun:
         be verified).
         """
         cluster = self.cluster
-        integ = self.integ
         shard = self.shards[self.node_of[dev]]
-        for uid in integ.dirty_uids_on(dev):
-            if cluster.is_resident(uid, dev):
-                cluster.drop(uid, dev, reason="corrupt")
-        if self.injector is not None:
-            self.injector.stats.record_event(
-                "blame", dev, now, 0.0,
-                label=f"quarantined (corruption ewma {integ.ewma[dev]:.3f})",
-            )
+        stats = self.injector.stats if self.injector is not None else None
+        self.integ.invalidate_quarantined(dev, now, cluster, stats)
         if self.monitor is not None:
             self.monitor.raise_suspicion(shard.node, self.hcfg.quarantine_threshold)
         self.health_event("blame", shard.node, now, f"device {dev} quarantined for corruption")

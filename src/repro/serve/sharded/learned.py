@@ -159,10 +159,6 @@ class LearnedRouting(RoutingPolicy):
         # choose() and the note_placed() that follows share one build.
         self._uids_of = (None, None)
 
-    def reseed(self, seed) -> None:
-        """Rebind the exploration stream (the server derives it per run)."""
-        self._rng = as_generator(seed)
-
     def _vector_uids(self, vector) -> dict[int, int]:
         last, uids = self._uids_of
         if last is not vector:

@@ -15,7 +15,7 @@ The paper reports throughput in GFLOPS; the simulator computes it as
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.tensor.spec import TensorPair, TensorSpec, VectorSpec
+from repro.tensor.spec import TensorPair, VectorSpec
 
 #: Real flops per complex multiply-add.
 COMPLEX_MAC_FLOPS = 8
@@ -50,8 +50,3 @@ def pair_bytes(pair: TensorPair) -> int:
 def vector_flops(vector: VectorSpec) -> int:
     """Total real flops of every contraction in ``vector``."""
     return sum(pair_flops(p) for p in vector.pairs)
-
-
-def tensor_bytes(spec: TensorSpec) -> int:
-    """Alias of :attr:`TensorSpec.nbytes` for symmetry with flop helpers."""
-    return spec.nbytes

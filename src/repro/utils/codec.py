@@ -7,10 +7,12 @@ conversion in ``field(metadata=...)`` (:func:`nested`,
 :func:`nested_tuple`, :func:`converted`); a field added by a later
 schema version carries ``since=N`` (:func:`since`), and a class with a
 ``CONFIG_VERSION`` reads a ``"version"`` key and rejects newer fields.
-Decoding rejects unknown keys, non-object blocks and missing required
-keys with a :class:`~repro.errors.ConfigurationError` naming the block
-path (e.g. ``tenants[0].workload``); a ``null`` or empty value for a
-converted field means its default, and ``None`` is written as ``null``.
+Decoding rejects unknown keys, non-object blocks, missing required
+keys, a ``bool`` field that is not JSON ``true``/``false`` and a number
+field given a boolean, with a :class:`~repro.errors.ConfigurationError`
+naming the block path (e.g. ``tenants[0].workload``); a ``null`` or
+empty value for a converted field means its default, and ``None`` is
+written as ``null``.
 """
 
 from __future__ import annotations
@@ -103,13 +105,28 @@ def decode(cls, data, path: str = ""):
     for name, value in data.items():
         if name == "version":
             continue
-        codec = known[name].metadata.get("codec")
+        f = known[name]
+        codec = f.metadata.get("codec")
+        if codec is None:
+            _check_scalar(label, name, f.type, value)
         if codec is None or codec[1] is None:
             kwargs[name] = value
         elif value:
             child = f"{path}.{name}" if path else name
             kwargs[name] = _checked(child, lambda: codec[1](value, child))
     return _checked(label, lambda: cls(**kwargs))
+
+
+#: Number annotations as written (the config modules postpone evaluation).
+_NUMBERS = frozenset({"int", "float", "int | None", "float | None"})
+
+
+def _check_scalar(label: str, name: str, annotation, value) -> None:
+    """Python reads ``"false"`` as true and ``true`` as 1: reject both."""
+    if annotation == "bool" and not isinstance(value, bool):
+        raise ConfigurationError(f"{label}: {name} must be JSON true or false, got {value!r}")
+    if annotation in _NUMBERS and isinstance(value, bool):
+        raise ConfigurationError(f"{label}: {name} must be a number, got {value!r}")
 
 
 def _checked(label: str, build):

@@ -101,6 +101,47 @@ def state(mode="spot", **kw):
     return IntegrityState(IntegrityConfig(mode=mode, **kw), num_devices=4)
 
 
+class StubCluster:
+    """What an audit touches of a cluster: horizons, liveness, residency."""
+
+    def __init__(self, num_devices=4, alive=None, resident=()):
+        self.busy_until = [0.0] * num_devices
+        self.devices = list(range(num_devices))
+        self.alive = list(range(num_devices)) if alive is None else list(alive)
+        self.resident = set(resident)
+        self.dropped = []
+
+    def alive_ids(self):
+        return list(self.alive)
+
+    def is_resident(self, uid, device):
+        return (uid, device) in self.resident
+
+    def drop(self, uid, device, reason="drain"):
+        self.resident.discard((uid, device))
+        self.dropped.append((uid, device, reason))
+
+
+class StubStats:
+    def __init__(self):
+        self.events = []
+
+    def record_event(self, kind, device, time_s, duration_s, label=""):
+        self.events.append((kind, device, label))
+
+
+#: Every audit recomputation costs one second.
+UNIT_COST = SimpleNamespace(kernel_time=lambda pair, device: 1.0)
+
+
+def audit(s, pairs, assignment, *, vid=3, now=0.0, cluster=None, compute_s=100.0,
+          stats=None):
+    """Run :meth:`IntegrityState.audit` on a stub vector (vid 3 samples no pair)."""
+    vector = SimpleNamespace(vector_id=vid, pairs=pairs)
+    cluster = StubCluster() if cluster is None else cluster
+    return s.audit(vector, assignment, now, cluster, UNIT_COST, compute_s, stats)
+
+
 class TestChecksumLedger:
     def test_clean_copy_hashes_true(self):
         s = state()
@@ -159,9 +200,11 @@ class TestChecksumLedger:
 
     def test_flag_ticket_preserves_conservation(self):
         s = state()
+        s._blame(0, now=0.0)  # suspect producer: its pair is mandatory
         s.note_compute(pair(1, 2, 10), device=0, corrupt=True, now=0.0)
-        s.audit_detected(10, now=1.0)
-        s.flag_ticket(1)
+        # Budget 0.5 * 3 s: the first audit fits, the escalated second does not.
+        action = audit(s, [pair(1, 2, 10), pair(3, 4, 11)], [0, 1], compute_s=3.0)
+        assert action == ("flag", 0.0)
         assert s.detected == s.repaired + s.flagged == 1
         assert s.flagged == 1 and s.unverified_tickets == 1
 
@@ -196,8 +239,12 @@ class TestBlameLifecycle:
         s = state()
         s._blame(2, now=0.0)
         before = s.ewma[2]
-        s.clean_audit(2)
+        cluster = StubCluster()
+        assert audit(s, [pair(1, 2, 10)], [2], now=1.0, cluster=cluster) == ("clean", 1.0)
         assert s.ewma[2] == pytest.approx(before * 0.75)
+        assert s.audited_pairs == 1 and s.audit_spent_s == 1.0
+        # The least-busy clean device other than the producer (ties on id).
+        assert cluster.busy_until == [2.0, 0.0, 0.0, 0.0]
 
     def test_quarantine_devices_flag_gates_retirement(self):
         s = IntegrityState(
@@ -214,6 +261,55 @@ class TestBlameLifecycle:
         s._blame(3, now=0.7)
         assert [t["to"] for t in s.blame_log] == ["suspect", "quarantined"]
         assert all(t["device"] == 3 for t in s.blame_log)
+
+
+class TestAudit:
+    def test_mismatch_repairs_and_escalates_to_every_pair(self):
+        s = state()
+        s._blame(0, now=0.0)
+        s.note_compute(pair(1, 2, 10), device=0, corrupt=True, now=0.0)
+        s.note_d2d(10, src=0, dst=3)
+        cluster = StubCluster(resident={(10, 0), (10, 3)})
+        stats = StubStats()
+        pairs = [pair(1, 2, 10), pair(3, 4, 11), pair(5, 6, 12), pair(7, 8, 13)]
+        action, ready = audit(s, pairs, [0, 1, 1, 2], now=1.0, cluster=cluster, stats=stats)
+        assert action == "repair"
+        assert s.audited_pairs == 4  # pairs 1-3 are unsampled: escalation audits them
+        assert ready == max(cluster.busy_until) == 3.0
+        assert cluster.dropped == [(10, 0, "corrupt"), (10, 3, "corrupt")]
+        assert [e[:2] for e in stats.events] == [("audit", 1), ("taint", 0)]
+        assert s.detected == s.repaired == 1 and s.flagged == 0
+
+    def test_clean_vector_audits_only_mandatory_pairs(self):
+        s = state()
+        s._blame(0, now=0.0)
+        pairs = [pair(1, 2, 10), pair(3, 4, 11), pair(5, 6, 12), pair(7, 8, 13)]
+        assert audit(s, pairs, [0, 1, 1, 2], now=1.0) == ("clean", 1.0)
+        assert s.audited_pairs == 1
+
+    def test_mandatory_pair_without_clean_auditor_flags(self):
+        s = state()
+        for dev in (0, 1, 2):
+            s._blame(dev, now=0.0)
+        # Device 3 is trusted but dead: no alive device can audit device 0.
+        cluster = StubCluster(alive=[0, 1, 2])
+        assert audit(s, [pair(1, 2, 10)], [0], now=2.0, cluster=cluster) == ("flag", 2.0)
+        assert s.audited_pairs == 0 and cluster.busy_until == [0.0] * 4
+        assert s.detected == s.repaired == s.flagged == 0
+        assert s.unverified_tickets == 1
+
+    def test_invalidate_quarantined_drops_resident_corrupt_copies(self):
+        s = state()
+        s.flip(9, 1, now=0.0)
+        s.flip(3, 1, now=0.0)
+        s.flip(5, 0, now=0.0)
+        s._blame(1, now=0.0)
+        s._blame(1, now=0.0)
+        cluster = StubCluster(resident={(3, 1), (5, 0)})
+        stats = StubStats()
+        s.invalidate_quarantined(1, 2.0, cluster, stats)
+        assert cluster.dropped == [(3, 1, "corrupt")]  # uid 9 is not resident
+        assert stats.events == [("blame", 1, "quarantined (corruption ewma 0.438)")]
 
 
 class TestAuditSampling:

@@ -116,3 +116,43 @@ class TestMalformedNestedInput:
         doc = document_with(("tenants", 0, "slo"), lambda s: None)
         assert ServeConfig.from_dict(doc).tenants[0].slo == SloTargets()
 
+
+
+#: A mistyped scalar in every codec block: (key path, bad value, path
+#: the error must name).  Python reads ``"false"`` as truthy and
+#: ``true`` as 1, so each of these used to decode silently.
+MISTYPED_SCALARS = [
+    (("warm_restore",), "false", "serve config: warm_restore"),
+    (("max_inflight",), True, "serve config: max_inflight"),
+    (("tenants", 0, "weight"), True, "tenants[0]: weight"),
+    (("tenants", 1, "slo", "p50_s"), False, "tenants[1].slo: p50_s"),
+    (("autoscaler", "replace_lost"), 1, "autoscaler: replace_lost"),
+    (("autoscaler", "initial_devices"), True, "autoscaler: initial_devices"),
+    (("health", "hedging"), "yes", "health: hedging"),
+    (("trace", "sample_stride"), True, "trace: sample_stride"),
+    (("integrity", "quarantine_devices"), "false", "integrity: quarantine_devices"),
+    (("integrity", "audit_fraction"), True, "integrity: audit_fraction"),
+]
+
+
+class TestScalarTypes:
+    @pytest.mark.parametrize(
+        "keys, value, named", MISTYPED_SCALARS, ids=[n for _, _, n in MISTYPED_SCALARS]
+    )
+    def test_mistyped_scalar_names_the_block(self, keys, value, named):
+        with pytest.raises(ConfigurationError) as info:
+            ServeConfig.from_dict(document_with(keys, lambda _: value))
+        assert named in str(info.value)
+
+    def test_string_false_does_not_enable_a_switch(self):
+        with pytest.raises(ConfigurationError, match="warm_restore"):
+            ServeConfig.from_dict({"warm_restore": "false"})
+        with pytest.raises(ConfigurationError, match="quarantine_devices"):
+            IntegrityConfig.from_dict({"mode": "spot", "quarantine_devices": "false"})
+
+    def test_ints_for_floats_and_null_optionals_still_decode(self):
+        doc = document_with(("integrity", "audit_fraction"), lambda _: 1)
+        doc["autoscaler"]["p99_target_s"] = None
+        cfg = ServeConfig.from_dict(doc)
+        assert cfg.integrity.audit_fraction == 1
+        assert cfg.autoscaler.p99_target_s is None
