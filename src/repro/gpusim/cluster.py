@@ -360,16 +360,29 @@ class ClusterState:
 
         Each pool's own invariants must hold, and the ``_holders``
         reverse index must name exactly the devices whose pools contain
-        each uid.  Raises :class:`AssertionError` on violation.
+        each uid: every resident ``(uid, device)`` is indexed, no index
+        entry is empty, and the index counts as many copies as the pools
+        hold (so it names no copy the pools lack).  The walk copies
+        neither the pools nor the index.  Raises :class:`AssertionError`
+        on violation.
         """
-        for pool in self.pools:
-            pool.check_invariants()
-        from_pools: dict[int, set[int]] = {}
+        holders_map = self._holders
+        resident = 0
         for dev, pool in enumerate(self.pools):
-            for uid in pool.resident_uids():
-                from_pools.setdefault(uid, set()).add(dev)
-        assert from_pools == self._holders, (
-            f"holders index out of sync: pools say {from_pools}, index says {self._holders}"
+            pool.check_invariants()
+            for uid in pool._resident:
+                holders = holders_map.get(uid)
+                assert holders is not None and dev in holders, (
+                    f"holders index out of sync: device {dev} holds uid {uid}, "
+                    f"index says {holders}"
+                )
+            resident += len(pool)
+        indexed = 0
+        for uid, holders in holders_map.items():
+            assert holders, f"holders index out of sync: empty holder set for uid {uid}"
+            indexed += len(holders)
+        assert indexed == resident, (
+            f"holders index out of sync: index counts {indexed} copies, pools hold {resident}"
         )
 
     def add_compute(self, device_id: int, seconds: float) -> None:

@@ -180,7 +180,7 @@ class MemoryPool:
             f"used_bytes {self._used} outside [0, {self.capacity_bytes}]"
         )
         if self._track_insertion:
-            assert set(self._insertion) == set(self._resident), (
+            assert self._insertion.keys() == self._resident.keys(), (
                 "insertion map out of sync with resident set: "
                 f"{sorted(self._insertion)} vs {sorted(self._resident)}"
             )

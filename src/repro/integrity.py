@@ -399,6 +399,9 @@ class IntegrityState:
             k += 1
             if i in audited:
                 continue
+            # After a detection every remaining pair is mandatory: a
+            # sampled entry reached first stands in for its escalated one.
+            mandatory = mandatory or detected > 0
             audited.add(i)
             pair = vector.pairs[i]
             producer = assignment[i]

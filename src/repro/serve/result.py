@@ -77,8 +77,9 @@ class ServeResult:
     metrics: ExecutionMetrics
     #: Admission-queue counter snapshot (admitted/dropped/peak depth).
     queue: dict = field(default_factory=dict)
-    #: Absolute arrival timestamps actually offered (chronological).
-    arrival_s: list[float] = field(default_factory=list)
+    #: Absolute arrival timestamps actually offered (chronological); a
+    #: read-only :class:`~repro.utils.rows.ColumnView` for served runs.
+    arrival_s: Sequence[float] = field(default_factory=list)
     #: Fault section (``FaultStats.summary``); ``None`` without a plan.
     faults: dict | None = None
     #: Replayable fault/retry/recovery event log (empty without a plan).

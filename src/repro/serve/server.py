@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+from array import array
 
 from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError, FaultError
@@ -78,6 +79,7 @@ from repro.serve.timeline import (
     VectorCompletion,
 )
 from repro.tensor.spec import VectorSpec
+from repro.utils.rows import ColumnView, merged_sorted
 from repro.workloads.characteristics import CharacteristicsTracker
 
 
@@ -1253,7 +1255,7 @@ class ServeRun:
             report=report,
             metrics=self.total,
             queue=queue,
-            arrival_s=sorted(t for s in self.streams for t in s.times),
+            arrival_s=ColumnView(merged_sorted([s.times for s in self.streams])),
             faults=fault_summary,
             fault_events=fault_events,
             tenants=tenant_sections(report, specs) if specs else None,
@@ -1497,7 +1499,7 @@ class MiccoServer:
         else:
             # Explicit timestamps: validate through the trace process.
             times = TraceArrivals(list(arrivals)).arrival_times(len(vectors))
-        return TenantStream(spec=None, vectors=iter(vectors), times=times)
+        return TenantStream(spec=None, vectors=iter(vectors), times=array("d", times))
 
     # ----------------------------------------------------------- shard set-up
     def _build_shards(self, streams: list[TenantStream]) -> dict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -149,9 +150,9 @@ class TenantStream:
     """One run's request stream: arrival times up front, vectors on demand.
 
     ``vectors`` is a one-shot iterator yielding one vector per entry of
-    ``times``, in arrival order; it can be consumed once.  ``spec`` is
-    ``None`` for the anonymous single-tenant stream
-    :meth:`~repro.serve.server.MiccoServer.run` builds internally.
+    ``times`` (a float64 ``array``), in arrival order; it can be
+    consumed once.  ``spec`` is ``None`` for the anonymous single-tenant
+    stream :meth:`~repro.serve.server.MiccoServer.run` builds internally.
 
     The serving loop keeps its position here: ``fed`` counts the
     arrivals already pushed onto the timeline, and ``first_seq`` is the
@@ -161,7 +162,7 @@ class TenantStream:
 
     spec: TenantSpec | None
     vectors: Iterator[VectorSpec]
-    times: list[float]
+    times: array
     fed: int = field(default=0, init=False, repr=False)
     first_seq: int = field(default=0, init=False, repr=False)
 
@@ -202,7 +203,7 @@ def build_streams(tenants, seed) -> list[TenantStream]:
         n = spec.num_vectors
         uids = itertools.count(reserve_uids(spec.workload.stream_uids()))
         workload = SyntheticWorkload(spec.workload, seed=rngs[2 * i], uids=uids)
-        times = spec.arrivals.arrival_times(n, seed=rngs[2 * i + 1])
+        times = array("d", spec.arrivals.arrival_times(n, seed=rngs[2 * i + 1]))
         streams.append(TenantStream(spec, _numbered(workload, n, next_id), times))
         next_id += n
     return streams

@@ -135,18 +135,30 @@ def _spec_unchecked(
     ``__post_init__`` checks roughly doubles construction cost.
     Callers MUST guarantee the arguments satisfy the class invariants.
     """
-    self = TensorSpec.__new__(TensorSpec)
-    _set = object.__setattr__
-    _set(self, "uid", uid)
-    _set(self, "size", size)
-    _set(self, "batch", batch)
-    _set(self, "rank", rank)
-    _set(self, "dtype_bytes", dtype_bytes)
-    _set(self, "label", label)
+    self = _new_spec(TensorSpec)
+    _set_uid(self, uid)
+    _set_size(self, size)
+    _set_batch(self, batch)
+    _set_rank(self, rank)
+    _set_dtype_bytes(self, dtype_bytes)
+    _set_label(self, label)
     elements, nbytes = _derived_ints(size, batch, rank, dtype_bytes)
-    _set(self, "elements", elements)
-    _set(self, "nbytes", nbytes)
+    _set_elements(self, elements)
+    _set_nbytes(self, nbytes)
     return self
+
+
+# The slot descriptors' setters write a frozen spec's fields directly,
+# skipping the by-name lookup of ``object.__setattr__``; the generator
+# builds one spec per slot of every vector.
+_new_spec = TensorSpec.__new__
+(
+    _set_uid, _set_size, _set_batch, _set_rank, _set_dtype_bytes, _set_label,
+    _set_elements, _set_nbytes,
+) = (
+    TensorSpec.__dict__[name].__set__
+    for name in ("uid", "size", "batch", "rank", "dtype_bytes", "label", "elements", "nbytes")
+)
 
 
 #: ``(size, batch, rank, dtype_bytes) -> (elements, nbytes)``.  Every

@@ -119,14 +119,18 @@ def decode(cls, data, path: str = ""):
 
 #: Number annotations as written (the config modules postpone evaluation).
 _NUMBERS = frozenset({"int", "float", "int | None", "float | None"})
+_INTS = frozenset({"int", "int | None"})
 
 
 def _check_scalar(label: str, name: str, annotation, value) -> None:
-    """Python reads ``"false"`` as true and ``true`` as 1: reject both."""
+    """Python reads ``"false"`` as true and ``true`` as 1, and a count of 2.5
+    would pass most range checks: reject all three."""
     if annotation == "bool" and not isinstance(value, bool):
         raise ConfigurationError(f"{label}: {name} must be JSON true or false, got {value!r}")
     if annotation in _NUMBERS and isinstance(value, bool):
         raise ConfigurationError(f"{label}: {name} must be a number, got {value!r}")
+    if annotation in _INTS and isinstance(value, float) and not value.is_integer():
+        raise ConfigurationError(f"{label}: {name} must be an integer, got {value!r}")
 
 
 def _checked(label: str, build):

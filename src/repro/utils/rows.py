@@ -51,6 +51,19 @@ class RowView(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
+class ColumnView(RowView):
+    """A read-only view of one ``array`` column: row ``i`` is ``values[i]``."""
+
+    def __init__(self, values: array):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def _row(self, i: int):
+        return self._values[i]
+
+
 class RaggedColumn:
     """Variable-length int rows: one flat column plus int64 row ends.
 
@@ -92,3 +105,12 @@ def column(values: array) -> np.ndarray:
 def take(values: array, keep: np.ndarray) -> array:
     """A new ``array`` of the same type holding ``values[keep]``."""
     return array(values.typecode, column(values)[keep].tobytes())
+
+
+def merged_sorted(columns) -> array:
+    """One float64 ``array`` holding every value of ``columns``, ascending."""
+    out = array("d")
+    for c in columns:
+        out.extend(c)
+    column(out).sort()
+    return out

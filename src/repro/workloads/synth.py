@@ -10,6 +10,7 @@ tensor size, repeated rate and distribution are the swept knobs.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -106,39 +107,52 @@ class SyntheticWorkload:
         self._next_uid = next_uid if uids is None else uids.__next__
         self._rng = as_generator(seed)
         self._picker = make_picker(params.distribution, sigma_frac=params.sigma_frac)
-        #: History of every input tensor ever emitted (pick pool).
-        self.pool: list[TensorSpec] = []
+        #: Uid of every input tensor ever emitted (the pick pool), in
+        #: emission order.  Entry ``i`` is the tensor labelled ``t{i}``;
+        #: every other field comes from ``params``, so a repeat pick
+        #: rebuilds its spec exactly from the uid.
+        self.pool = array("q")
         self._emitted = 0
 
-    def _new_tensor(self) -> TensorSpec:
-        # Params are validated at WorkloadParams construction, so the
-        # unchecked spec builder is safe here (hot: one per fresh slot).
-        p = self.params
-        return _spec_unchecked(
-            self._next_uid(),
-            p.tensor_size,
-            p.batch,
-            p.rank,
-            p.dtype_bytes,
-            f"t{len(self.pool)}",
-        )
-
     def next_vector(self) -> VectorSpec:
-        """Generate the next vector in the stream."""
+        """Generate the next vector in the stream.
+
+        A repeated slot gets a fresh spec object equal to the one its
+        tensor was first emitted with (same uid, fields and label).
+        """
+        return self._next_vector(None)
+
+    def _next_vector(self, built: list[TensorSpec] | None) -> VectorSpec:
+        # ``built``, when given, holds the spec of every pool entry and
+        # is extended with each fresh tensor, so repeat picks reuse
+        # one object per tensor instead of rebuilding it.  Params are
+        # validated at WorkloadParams construction, so the unchecked
+        # spec builder is safe here (hot: one per slot).
         p = self.params
+        pool = self.pool
+        size, batch, rank, dtype_bytes = p.tensor_size, p.batch, p.rank, p.dtype_bytes
         n_slots = p.vector_size
-        n_repeat = p.repeat_slots if self.pool else 0
+        n_repeat = p.repeat_slots if pool else 0
         n_new = n_slots - n_repeat
 
         slots: list[TensorSpec] = []
         if n_repeat:
             # .tolist() converts the drawn indices to Python ints once —
             # list indexing by numpy scalars pays __index__ per lookup.
-            idx = self._picker.pick(len(self.pool), n_repeat, self._rng).tolist()
-            slots.extend(self.pool[i] for i in idx)
+            idx = self._picker.pick(len(pool), n_repeat, self._rng).tolist()
+            if built is None:
+                slots = [
+                    _spec_unchecked(pool[i], size, batch, rank, dtype_bytes, f"t{i}")
+                    for i in idx
+                ]
+            else:
+                slots = [built[i] for i in idx]
         for _ in range(n_new):
-            t = self._new_tensor()
-            self.pool.append(t)
+            uid = self._next_uid()
+            t = _spec_unchecked(uid, size, batch, rank, dtype_bytes, f"t{len(pool)}")
+            pool.append(uid)
+            if built is not None:
+                built.append(t)
             slots.append(t)
 
         order = self._rng.permutation(n_slots).tolist()
@@ -165,14 +179,26 @@ class SyntheticWorkload:
         self._emitted += 1
         return vec
 
+    def _generate(self, n: int) -> Iterator[VectorSpec]:
+        """``n`` vectors sharing one spec object per tensor among them."""
+        p = self.params
+        built = [
+            _spec_unchecked(uid, p.tensor_size, p.batch, p.rank, p.dtype_bytes, f"t{i}")
+            for i, uid in enumerate(self.pool)
+        ]
+        for _ in range(n):
+            yield self._next_vector(built)
+
     def vectors(self, n: int | None = None) -> list[VectorSpec]:
-        """Generate ``n`` vectors (default: ``params.num_vectors``)."""
-        n = self.params.num_vectors if n is None else n
-        return [self.next_vector() for _ in range(n)]
+        """Generate ``n`` vectors (default: ``params.num_vectors``).
+
+        Every slot holding one tensor holds the same spec object, as a
+        materialised stream always did.
+        """
+        return list(self._generate(self.params.num_vectors if n is None else n))
 
     def __iter__(self):
-        for _ in range(self.params.num_vectors - self._emitted):
-            yield self.next_vector()
+        return self._generate(self.params.num_vectors - self._emitted)
 
 
 def generate_stream(params: WorkloadParams, seed=0) -> list[VectorSpec]:

@@ -320,3 +320,60 @@ class TestJournalHooks:
         cl = make_cluster(num_devices=2)
         cl.journal = ResidencyJournal()
         assert cl.clone().journal is None
+
+
+class TestCheckInvariants:
+    @staticmethod
+    def cluster_with_copies():
+        cl = make_cluster(num_devices=3)
+        a, b = make_tensor(), make_tensor()
+        cl.register(a, 0)
+        cl.register(a, 1)
+        cl.register(b, 2)
+        cl.check_invariants()
+        return cl, a, b
+
+    def test_resident_uid_missing_from_index(self):
+        cl, a, _ = self.cluster_with_copies()
+        cl._holders[a.uid].discard(1)
+        with pytest.raises(AssertionError, match=f"device 1 holds uid {a.uid}"):
+            cl.check_invariants()
+
+    def test_index_names_a_device_whose_pool_lacks_the_uid(self):
+        cl, _, b = self.cluster_with_copies()
+        cl._holders[b.uid].add(0)
+        with pytest.raises(AssertionError, match="index counts 4 copies, pools hold 3"):
+            cl.check_invariants()
+
+    def test_empty_holder_set(self):
+        cl, _, _ = self.cluster_with_copies()
+        cl._holders[10**9] = set()
+        with pytest.raises(AssertionError, match="empty holder set"):
+            cl.check_invariants()
+
+    def test_extra_copy_of_a_uid_no_pool_holds(self):
+        cl, _, _ = self.cluster_with_copies()
+        cl._holders[10**9] = {2}
+        with pytest.raises(AssertionError, match="index counts 4 copies"):
+            cl.check_invariants()
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo"])
+    def test_check_copies_neither_pools_nor_index(self, policy):
+        import tracemalloc
+
+        cl = ClusterState(
+            [DeviceSpec(device_id=i, memory_bytes=64 * MIB) for i in range(4)],
+            eviction_policy=policy,
+        )
+        for uid in range(16_000):
+            assert cl.prewarm(uid, 64, uid % 4)
+        cl.check_invariants()  # warm any lazily built state first
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cl.check_invariants()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 64 * 1024

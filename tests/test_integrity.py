@@ -298,6 +298,18 @@ class TestAudit:
         assert s.detected == s.repaired == s.flagged == 0
         assert s.unverified_tickets == 1
 
+    def test_sampled_pair_skipped_after_a_detection_flags(self):
+        s = state()
+        s._blame(0, now=0.0)  # pair 0 is mandatory; vid 1 samples pair 1
+        s.note_compute(pair(1, 2, 10), device=0, corrupt=True, now=0.0)
+        s.note_compute(pair(3, 4, 11), device=1, corrupt=True, now=0.0)
+        # Budget 0.5 * 3 s: pair 0's audit fits and detects; pair 1's does
+        # not, and after a detection it may not be skipped as a sample.
+        action = audit(s, [pair(1, 2, 10), pair(3, 4, 11)], [0, 1], vid=1, compute_s=3.0)
+        assert action == ("flag", 0.0)
+        assert s.budget_skipped == 0 and s.audited_pairs == 1
+        assert s.detected == s.repaired + s.flagged == 1 and s.flagged == 1
+
     def test_invalidate_quarantined_drops_resident_corrupt_copies(self):
         s = state()
         s.flip(9, 1, now=0.0)

@@ -134,6 +134,14 @@ MISTYPED_SCALARS = [
     (("integrity", "audit_fraction"), True, "integrity: audit_fraction"),
 ]
 
+#: A fractional count would pass most range checks (``2.5 >= 1``).
+FRACTIONAL_INTS = [
+    ("max_inflight", 2.5),
+    ("journal_capacity", 3.7),
+    ("max_batch_vectors", 1.5),
+    ("min_samples", 2.5),
+]
+
 
 class TestScalarTypes:
     @pytest.mark.parametrize(
@@ -143,6 +151,11 @@ class TestScalarTypes:
         with pytest.raises(ConfigurationError) as info:
             ServeConfig.from_dict(document_with(keys, lambda _: value))
         assert named in str(info.value)
+
+    @pytest.mark.parametrize("key, value", FRACTIONAL_INTS, ids=[k for k, _ in FRACTIONAL_INTS])
+    def test_fractional_int_names_the_block(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"serve config: {key} must be an integer"):
+            ServeConfig.from_dict(document_with((key,), lambda _: value))
 
     def test_string_false_does_not_enable_a_switch(self):
         with pytest.raises(ConfigurationError, match="warm_restore"):

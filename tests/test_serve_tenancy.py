@@ -294,6 +294,17 @@ class TestInputsOnDemand:
         assert [r for r in seen["vectors"] if r() is not None] == []
         assert [r for r in seen["tickets"] if r() is not None] == []
 
+    def test_arrival_times_stay_packed(self):
+        server = make_server(self.config())
+        streams = build_streams(server.serve_config.tenants, 0)
+        assert [st.times.typecode for st in streams] == ["d", "d"]
+        result = server.run(seed=0)
+        expected = sorted(t for st in streams for t in st.times)
+        assert len(result.arrival_s) == 50 and result.arrival_s == expected
+        assert result.arrival_s[-1] == expected[-1]
+        with pytest.raises(TypeError):
+            result.arrival_s[0] = 0.0  # a read-only view
+
     def test_equal_timestamps_pop_in_stream_order(self, monkeypatch):
         # Identical traces: at each shared timestamp tenant a's arrivals
         # (reserved first) pop before tenant b's, as when every arrival

@@ -82,7 +82,7 @@ class TestGeneration:
         params = WorkloadParams(vector_size=16, repeated_rate=1.0, num_vectors=4)
         wl = SyntheticWorkload(params, seed=1)
         vecs = wl.vectors()
-        pool_uids = {t.uid for t in wl.pool}
+        pool_uids = set(wl.pool)
         assert len(pool_uids) == 16  # only the first vector created tensors
         for v in vecs[1:]:
             assert v.unique_input_uids() <= pool_uids
@@ -143,3 +143,97 @@ class TestUidBlocks:
         block = itertools.count(reserve_uids(params.stream_uids()))
         assert next_uid() == params.stream_uids()  # the block is taken off the counter
         assert uids(SyntheticWorkload(params, seed=3, uids=block).vectors()) == eager
+
+
+def eager_reference(params: WorkloadParams, seed, n: int, uids) -> list:
+    """The generator as it was when the pool held every input ``TensorSpec``.
+
+    Same RNG draws in the same order; repeat picks index the list of
+    specs.  Used as the oracle for the packed uid pool.
+    """
+    from repro.tensor.spec import TensorPair, TensorSpec
+    from repro.utils.rng import as_generator
+    from repro.workloads.distributions import make_picker
+
+    rng = as_generator(seed)
+    picker = make_picker(params.distribution, sigma_frac=params.sigma_frac)
+    pool: list[TensorSpec] = []
+    out = []
+    for _ in range(n):
+        n_repeat = params.repeat_slots if pool else 0
+        slots = []
+        if n_repeat:
+            slots.extend(pool[i] for i in picker.pick(len(pool), n_repeat, rng).tolist())
+        for _ in range(params.vector_size - n_repeat):
+            t = TensorSpec(
+                next(uids), params.tensor_size, params.batch, params.rank,
+                params.dtype_bytes, f"t{len(pool)}",
+            )
+            pool.append(t)
+            slots.append(t)
+        order = rng.permutation(params.vector_size).tolist()
+        slots = [slots[i] for i in order]
+        out.append([
+            TensorPair.make(slots[2 * i], slots[2 * i + 1], uid=next(uids))
+            for i in range(params.vector_size // 2)
+        ])
+    return out
+
+
+def spec_fields(t):
+    return (t.uid, t.size, t.batch, t.rank, t.dtype_bytes, t.label, t.elements, t.nbytes)
+
+
+class TestPackedPool:
+    @pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("on_demand", [True, False])
+    def test_matches_the_eager_reference(self, distribution, on_demand):
+        params = WorkloadParams(
+            vector_size=10, repeated_rate=0.6, distribution=distribution,
+            num_vectors=40, tensor_size=24, batch=3, rank=3, dtype_bytes=16,
+        )
+        wl = SyntheticWorkload(params, seed=5, uids=itertools.count(1000))
+        if on_demand:
+            vectors = [wl.next_vector() for _ in range(params.num_vectors)]
+        else:
+            vectors = wl.vectors()
+        reference = eager_reference(params, 5, params.num_vectors, itertools.count(1000))
+        for vec, ref in zip(vectors, reference, strict=True):
+            for p, q in zip(vec.pairs, ref, strict=True):
+                assert spec_fields(p.left) == spec_fields(q.left)
+                assert spec_fields(p.right) == spec_fields(q.right)
+                assert spec_fields(p.out) == spec_fields(q.out)
+        assert len(wl.pool) == params.stream_uids() - params.num_vectors * params.vector_size // 2
+
+    @pytest.mark.parametrize("materialise", [lambda wl: wl.vectors(), list])
+    def test_materialised_stream_shares_one_object_per_tensor(self, materialise):
+        params = WorkloadParams(vector_size=8, repeated_rate=0.75, num_vectors=30, tensor_size=16)
+        wl = SyntheticWorkload(params, seed=2)
+        wl.next_vector()  # a list built after on-demand draws shares too
+        by_uid = {}
+        for v in materialise(wl):
+            for p in v.pairs:
+                for t in p.inputs:
+                    assert by_uid.setdefault(t.uid, t) is t
+
+    def test_on_demand_stream_keeps_at_most_16_bytes_per_fresh_input(self):
+        import gc
+        import tracemalloc
+
+        params = WorkloadParams(
+            vector_size=8, repeated_rate=0.5, num_vectors=10**6, tensor_size=16, batch=2
+        )
+        wl = SyntheticWorkload(params, seed=4)
+        for _ in range(50):
+            wl.next_vector()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, fresh = tracemalloc.get_traced_memory()[0], len(wl.pool)
+            for _ in range(5000):
+                wl.next_vector()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept / (len(wl.pool) - fresh) <= 16
