@@ -135,8 +135,8 @@ class ClusterState:
     def free_bytes_batch(self, device_ids) -> np.ndarray:
         """Free bytes for every device in ``device_ids``, as one array.
 
-        Batch counterpart of :meth:`free_bytes` for the vectorised
-        scoring path (:meth:`~repro.gpusim.costmodel.CostModel.score_batch`).
+        Batch counterpart of :meth:`free_bytes` for CostGreedy's
+        vectorised cost estimate.
         """
         pools = self.pools
         return np.fromiter(

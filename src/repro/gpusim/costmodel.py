@@ -11,7 +11,9 @@ impacts more than computation".
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import gt
 
 import numpy as np
 
@@ -138,16 +140,20 @@ class CostModel:
     # ------------------------------------------------------- batch scoring
     def score_batch(
         self,
-        device_ids: np.ndarray,
-        incoming_bytes: np.ndarray,
-        free_bytes: np.ndarray,
-        compute_s: np.ndarray,
+        device_ids: Sequence[int],
+        incoming_bytes: Sequence[int],
+        free_bytes: Sequence[int],
+        compute_s: Sequence[float],
         *,
         eviction_sensitive: bool = True,
     ) -> int:
-        """Vectorised Alg. 2 selection over all candidate devices at once.
+        """Alg. 2 selection over a wide candidate set in one pass.
 
-        All four arrays are parallel over the candidate set:
+        :meth:`MiccoScheduler.choose
+        <repro.schedulers.micco.MiccoScheduler.choose>` calls it for
+        candidate sets of at least ``VECTOR_MIN_CANDIDATES`` devices.
+
+        All four sequences are parallel over the candidate set:
         ``device_ids`` the candidate device ids, ``incoming_bytes`` the
         new bytes the pair would bring to each candidate,
         ``free_bytes`` each candidate's free memory, ``compute_s`` its
@@ -156,19 +162,37 @@ class CostModel:
         The decision is exactly the paper's: normally least computation
         (ties → most free memory → lowest id); when placing the pair
         would evict on some candidate and ``eviction_sensitive`` is on,
-        most free memory (ties → least computation → lowest id).  All
-        comparisons are on the same scalar values the object path uses,
-        so the pick is bit-identical — just computed in array ops
-        instead of per-candidate Python tuples.
+        most free memory (ties → least computation → lowest id).  One
+        strict-comparison scan over plain values replaces the per-
+        candidate key tuples of :meth:`MiccoScheduler.select
+        <repro.schedulers.micco.MiccoScheduler.select>`; the id is only
+        compared when both keys tie, so the pick is the same for any
+        candidate order.
         """
-        if device_ids.size == 0:
+        n = len(device_ids)
+        if n == 0:
             raise ConfigurationError("score_batch needs at least one candidate")
-        evict = eviction_sensitive and bool(np.any(incoming_bytes > free_bytes))
+        evict = eviction_sensitive and any(map(gt, incoming_bytes, free_bytes))
+        best = 0
+        bf = free_bytes[0]
+        bc = compute_s[0]
         if evict:
-            keys = (-free_bytes, compute_s, device_ids)
+            for i in range(1, n):
+                f = free_bytes[i]
+                if f < bf:
+                    continue
+                c = compute_s[i]
+                if f > bf or c < bc or (c == bc and device_ids[i] < device_ids[best]):
+                    best, bf, bc = i, f, c
         else:
-            keys = (compute_s, -free_bytes, device_ids)
-        return int(device_ids[lex_argmin(*keys)])
+            for i in range(1, n):
+                c = compute_s[i]
+                if c > bc:
+                    continue
+                f = free_bytes[i]
+                if c < bc or f > bf or (f == bf and device_ids[i] < device_ids[best]):
+                    best, bf, bc = i, f, c
+        return device_ids[best]
 
 
 def lex_argmin(*keys: np.ndarray) -> int:
@@ -176,8 +200,8 @@ def lex_argmin(*keys: np.ndarray) -> int:
 
     ``keys`` are parallel arrays, most significant first — the
     vectorised equivalent of ``min(range(n), key=lambda i: tuple_i)``.
-    Shared by the schedulers' batch placement and the sharded router's
-    digest scoring.
+    Shared by Groute's and CostGreedy's batch placement and the sharded
+    router's digest scoring.
     """
     idx = None
     for key in keys:

@@ -16,8 +16,6 @@ paper uses ``random()``, so experiment runs are reproducible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SchedulingError
 from repro.gpusim.cluster import ClusterState
 from repro.gpusim.costmodel import CostModel
@@ -30,10 +28,10 @@ from repro.tensor.spec import TensorPair, VectorSpec
 #: state, so a parameterless model serves every scheduler instance.
 _DEFAULT_COST_MODEL = CostModel()
 
-#: Candidate-set width at which the numpy batch scorer overtakes the
-#: fused scalar pass.  Below this, per-array-op overhead (~1 µs each)
-#: costs more than it saves; candidate queues on small clusters are
-#: typically 1–8 wide.
+#: Candidate-set width from which Alg. 2 is scored by the cost-model
+#: layer (:meth:`CostModel.score_batch`) instead of inline.  Both compare
+#: the same plain values; candidate queues on small clusters are
+#: typically 1–8 wide, so only wide clusters reach the cost model.
 VECTOR_MIN_CANDIDATES = 12
 
 #: Shared empty holder set for the classification fast path.
@@ -53,29 +51,6 @@ def incoming_bytes(pair: TensorPair, device_id: int, cluster: ClusterState) -> i
         seen.add(spec.uid)
         if not cluster.is_resident(spec.uid, device_id):
             total += spec.nbytes
-    return total
-
-
-def incoming_bytes_batch(pair: TensorPair, device_ids, cluster: ClusterState) -> np.ndarray:
-    """:func:`incoming_bytes` for every device in ``device_ids`` at once.
-
-    One holder-set lookup per distinct input instead of one residency
-    probe per (input, device) combination.
-    """
-    total = np.full(len(device_ids), pair.out.nbytes, dtype=np.int64)
-    left, right = pair.left, pair.right
-    inputs = (left,) if right.uid == left.uid else (left, right)
-    for spec in inputs:
-        holders = cluster.devices_holding(spec.uid)
-        nb = spec.nbytes
-        if not holders:
-            total += nb
-        else:
-            total += np.fromiter(
-                (0 if g in holders else nb for g in device_ids),
-                dtype=np.int64,
-                count=len(device_ids),
-            )
     return total
 
 
@@ -194,8 +169,9 @@ class MiccoScheduler(Scheduler):
         candidate tier is remembered: tier-0 candidates hold *both*
         inputs, so their incoming bytes are the output alone and the
         per-candidate residency probes collapse to a constant.  Narrow
-        candidate sets take one fused scalar pass; from
-        :data:`VECTOR_MIN_CANDIDATES` devices up, the numpy batch scorer.
+        candidate sets are scored inline; from
+        :data:`VECTOR_MIN_CANDIDATES` devices up, by
+        :meth:`CostModel.score_batch` on the same plain values.
         """
         holders_map = cluster._holders
         # A ShardView carries ``_device_set``; its ``devices_holding``
@@ -249,22 +225,31 @@ class MiccoScheduler(Scheduler):
         n = len(candidates)
         if n == 1:
             return candidates[0]
+        pools = cluster.pools
+        free = [pools[g].free_bytes for g in candidates]
+        out_b = pair.out.nbytes
         if n >= VECTOR_MIN_CANDIDATES:
-            cand = np.asarray(candidates, dtype=np.int64)
+            if tier == 0:
+                incoming = [out_b] * n
+            else:
+                l_nb = left_spec.nbytes
+                r_nb = right_spec.nbytes if ru != lu else 0
+                incoming = [
+                    out_b + (0 if g in left else l_nb) + (0 if g in right else r_nb)
+                    for g in candidates
+                ]
+            compute_all = cluster.compute_s.tolist()
             return self.cost_model.score_batch(
-                cand,
-                incoming_bytes_batch(pair, candidates, cluster),
-                cluster.free_bytes_batch(candidates),
-                cluster.compute_s[cand],
+                candidates,
+                incoming,
+                free,
+                [compute_all[g] for g in candidates],
                 eviction_sensitive=self.eviction_sensitive,
             )
 
-        pools = cluster.pools
         compute = cluster.compute_s
-        free = [pools[g].free_bytes for g in candidates]
         evict = False
         if self.eviction_sensitive:
-            out_b = pair.out.nbytes
             if tier == 0:
                 # Both inputs resident on every candidate.
                 for i in range(n):

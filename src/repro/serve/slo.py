@@ -314,11 +314,17 @@ class LatencyReport:
         """
         round_ids = column(self._round_id)
         in_round = round_ids >= 0
-        ids, slot = np.unique(round_ids[in_round], return_inverse=True)
-        # Each round's occupancy: the largest size any member reports.
-        sizes = np.zeros(len(ids), dtype=np.int64)
-        np.maximum.at(sizes, slot, column(self._round_size)[in_round])
-        n = len(ids)
+        ids = round_ids[in_round]
+        sizes = column(self._round_size)[in_round]
+        # Each round's occupancy: the largest size any member reports,
+        # i.e. its last member once sorted by (id, size).  Dispatch sets
+        # every member's size, so they agree on a served run.
+        order = np.lexsort((sizes, ids))
+        ids = ids[order]
+        last = np.ones(len(ids), dtype=bool)
+        last[:-1] = ids[1:] != ids[:-1]
+        sizes = sizes[order[last]]
+        n = len(sizes)
         return {
             "rounds": n,
             "batched_rounds": int(np.count_nonzero(sizes > 1)),

@@ -11,18 +11,23 @@ scalar estimate, and for Groute against a plain lowest-busy scan.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import MiccoConfig
+from repro.errors import ConfigurationError
 from repro.gpusim.cluster import ClusterState
-from repro.gpusim.costmodel import CostModel
+from repro.gpusim.costmodel import CostModel, lex_argmin
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.topology import Topology
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.costgreedy import CostGreedyScheduler
 from repro.schedulers.groute import GrouteScheduler
 from repro.schedulers.micco import VECTOR_MIN_CANDIDATES, MiccoScheduler
+from repro.serve import BurstyArrivals, ServeConfig, TenantSpec, make_server
 from repro.serve.sharded.node import ShardView
 from repro.tensor.spec import TensorPair
+from repro.workloads import WorkloadParams
 from tests.conftest import make_tensor
 
 KIB = 1024
@@ -107,31 +112,150 @@ class TestMiccoChooseMatchesOracle:
 
     @given(
         cluster_states(min_devices=16, max_devices=32, max_slots=0, sizes=(8, 16), max_lost=4),
-        st.booleans(), st.booleans(), st.booleans(),
+        st.sampled_from(["both", "one", "split", "none"]),
+        st.booleans(), st.booleans(), st.booleans(), st.booleans(),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_wide_candidate_sets_take_the_batch_scorer(
-        self, state, pattern_aware, eviction_sensitive, spread
+        self, state, layout, pattern_aware, eviction_sensitive, sharded, tight
     ):
         # No slots assigned yet and a positive balance share, so every
-        # surviving device (at least 12) passes each tier's test.  Either
-        # both inputs sit on every survivor (tier 0 is wide) or neither
-        # is resident anywhere (tier 2 is wide).
+        # surviving device (at least 12) passes each tier's test.  The
+        # layout decides which tier is wide: both inputs on every
+        # survivor (tier 0), one input on every survivor and the other
+        # nowhere (tier 1), the two inputs on disjoint halves of the
+        # survivors (tier 1, incoming bytes differ per candidate), or
+        # neither resident anywhere (tier 2).  ``tight`` fills some
+        # survivors until the pair's output alone would evict there.
         cluster, pair, rng = state
         cluster.balance_num = 2.0
-        if spread:
-            for g in cluster.alive_ids():
+        size = pair.left.size
+        if layout != "both":
+            pair = TensorPair.make(make_tensor(size=size), make_tensor(size=size))
+        alive = cluster.alive_ids()
+        for g in alive:
+            if layout in ("both", "one") or (layout == "split" and g % 2 == 0):
                 cluster.register(pair.left, g)
+            if layout == "both" or (layout == "split" and g % 2 == 1):
                 cluster.register(pair.right, g, protect={pair.left.uid})
-        else:
-            pair = TensorPair.make(make_tensor(size=pair.left.size), make_tensor(size=pair.left.size))
+        if tight:
+            inputs = {pair.left.uid, pair.right.uid}
+            for g in alive:
+                if rng.random() < 0.3:
+                    while cluster.free_bytes(g) >= pair.out.nbytes:
+                        cluster.register(make_tensor(size=8), g, protect=inputs)
+        view = cluster
+        if sharded:
+            # At least 12 survivors, plus any subset of the rest.
+            keep = set(rng.choice(alive, size=VECTOR_MIN_CANDIDATES, replace=False).tolist())
+            keep |= {g for g in range(cluster.num_devices) if rng.random() < 0.5}
+            view = ShardView(cluster, keep)
         bounds = bounds_from(rng)
         flags = dict(pattern_aware=pattern_aware, eviction_sensitive=eviction_sensitive)
-        fused = MiccoScheduler(bounds, **flags)
-        expected, candidates, _ = oracle_pick(pair, cluster, bounds, **flags)
+        spy = ScoreBatchSpy()
+        fused = MiccoScheduler(bounds, cost_model=spy, **flags)
+        expected, candidates, _ = oracle_pick(pair, view, bounds, **flags)
         assert len(candidates) >= VECTOR_MIN_CANDIDATES
 
-        assert fused.choose(pair, cluster) == expected
+        assert fused.choose(pair, view) == expected
+        assert spy.widths == [len(candidates)]
+
+
+class ScoreBatchSpy:
+    """A cost model that records the width of every ``score_batch`` call."""
+
+    def __init__(self):
+        self.widths: list[int] = []
+
+    def score_batch(self, device_ids, *args, **kwargs):
+        self.widths.append(len(device_ids))
+        return CostModel().score_batch(device_ids, *args, **kwargs)
+
+
+@st.composite
+def scored_candidates(draw):
+    """Parallel candidate lists with forced ties on compute and free bytes."""
+    n = draw(st.integers(1, 24))
+    ids = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n, unique=True))
+    ids = sorted(ids) if draw(st.booleans()) else ids
+    compute = draw(st.lists(st.sampled_from([0.0, 1e-3, 2e-3]), min_size=n, max_size=n))
+    free = draw(st.lists(st.sampled_from([0, KIB, 2 * KIB]), min_size=n, max_size=n))
+    incoming = draw(st.lists(st.sampled_from([0, KIB, 2 * KIB, 4 * KIB]), min_size=n, max_size=n))
+    tie = draw(st.sampled_from(["none", "compute", "free", "both"]))
+    if tie in ("compute", "both"):
+        compute = [compute[0]] * n
+    if tie in ("free", "both"):
+        free = [free[0]] * n
+    return ids, incoming, free, compute
+
+
+class TestScoreBatch:
+    @given(scored_candidates(), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_plain_lists_pick_the_tuple_key_minimum(self, lists, eviction_sensitive):
+        ids, incoming, free, compute = lists
+        n = len(ids)
+        evict = eviction_sensitive and any(i > f for i, f in zip(incoming, free))
+        if evict:
+            key = lambda k: (-free[k], compute[k], ids[k])
+        else:
+            key = lambda k: (compute[k], -free[k], ids[k])
+        expected = ids[min(range(n), key=key)]
+
+        got = CostModel().score_batch(
+            ids, incoming, free, compute, eviction_sensitive=eviction_sensitive
+        )
+        assert got == expected
+        # The same pick as the array form the scorer replaced.
+        arrays = np.asarray(ids), np.asarray(free), np.asarray(compute)
+        keys = (-arrays[1], arrays[2], arrays[0]) if evict else (arrays[2], -arrays[1], arrays[0])
+        assert got == ids[lex_argmin(*keys)]
+
+    def test_empty_candidate_set_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one candidate"):
+            CostModel().score_batch([], [], [], [])
+
+
+class TestCostModelLayerPin:
+    """Only wide clusters reach ``CostModel.score_batch``, and only with
+    wide candidate sets (the tier-1 form of the benchmark's call pin)."""
+
+    @staticmethod
+    def widths(monkeypatch, num_devices: int) -> list[int]:
+        widths: list[int] = []
+        score_batch = CostModel.score_batch
+
+        def spy(self, device_ids, *args, **kwargs):
+            widths.append(len(device_ids))
+            return score_batch(self, device_ids, *args, **kwargs)
+
+        monkeypatch.setattr(CostModel, "score_batch", spy)
+        stream = WorkloadParams(num_vectors=30, vector_size=8, tensor_size=64, batch=2)
+        arrivals = BurstyArrivals(1000.0, 200.0, mean_on_s=0.2, mean_off_s=0.2)
+        config = ServeConfig(
+            max_batch_vectors=4,
+            schedule_latency_per_pair_s=1e-4,
+            tenants=(
+                TenantSpec("heavy", arrivals, stream, weight=3.0),
+                TenantSpec("light", arrivals, stream, weight=1.0),
+            ),
+        )
+        topo = Topology(num_devices=num_devices, devices_per_node=4)
+        cluster = MiccoConfig(
+            num_devices=num_devices, memory_bytes=64 * 1024 * KIB,
+            cost_model=CostModel(topology=topo),
+        )
+        result = make_server(config, cluster=cluster).run(seed=11)
+        assert result.summary()["completed"] == 60
+        return widths
+
+    def test_sixteen_devices_score_only_wide_sets(self, monkeypatch):
+        widths = self.widths(monkeypatch, 16)
+        assert widths
+        assert min(widths) >= VECTOR_MIN_CANDIDATES
+
+    def test_eight_devices_never_reach_the_cost_model(self, monkeypatch):
+        assert self.widths(monkeypatch, 8) == []
 
 
 class TestBaselinesMatchScalarForms:

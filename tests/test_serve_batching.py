@@ -15,6 +15,7 @@ import pytest
 from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.gpusim import CostModel, Topology
 from repro.schedulers.batching import (
     batch_footprint_bytes,
     batch_shape_key,
@@ -23,7 +24,7 @@ from repro.schedulers.batching import (
 )
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.micco import MiccoScheduler
-from repro.serve import MiccoServer, PoissonArrivals, ServeConfig
+from repro.serve import MiccoServer, PoissonArrivals, ServeConfig, ShardedServer
 from repro.serve.result import RoundsLog
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
@@ -255,6 +256,40 @@ class TestBatchFaultDemux:
             == len(unbatched.report.completed)
             == 12
         )
+
+
+class TestRoundOccupancy:
+    """``batching_summary`` reads each round's size off its first member."""
+
+    def run_rerouting(self):
+        # Two nodes with a visible dispatch latency; node 1 dies while
+        # rounds are queued and in flight, so its tickets reroute.
+        topo = Topology(num_devices=8, devices_per_node=4)
+        server = ShardedServer(
+            MiccoScheduler(ReuseBounds(0, 4, 0)),
+            MiccoConfig(num_devices=8, memory_bytes=64 * MIB, cost_model=CostModel(topology=topo)),
+            ServeConfig(sharded=True, max_batch_vectors=4, schedule_latency_per_pair_s=2e-3),
+        )
+        plan = FaultPlan((FaultEvent(FaultKind.NODE_LOST, 0.05, 5),))
+        return server.run(make_vectors(32), [i * 2e-3 for i in range(32)], seed=0, faults=plan)
+
+    def test_round_members_record_one_size_under_reroutes(self):
+        res = self.run_rerouting()
+        assert res.sharding["rerouted"] > 0
+        sizes: dict[int, set[int]] = {}
+        for rec in res.report.completed:
+            if rec.round_id is not None:
+                sizes.setdefault(rec.round_id, set()).add(rec.round_size)
+        assert sizes and all(len(s) == 1 for s in sizes.values())
+
+        # The per-round maximum (what the summary took before) agrees.
+        occupancy = [max(s) for _, s in sorted(sizes.items())]
+        batching = res.summary()["batching"]
+        assert batching["batched_rounds"] > 0
+        assert batching["rounds"] == len(occupancy)
+        assert batching["batched_rounds"] == sum(n > 1 for n in occupancy)
+        assert batching["mean_round_vectors"] == sum(occupancy) / len(occupancy)
+        assert batching["max_round_vectors"] == max(occupancy)
 
 
 class TestRescaleAnchoring:
