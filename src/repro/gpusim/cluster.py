@@ -42,21 +42,27 @@ class ClusterState:
         self.devices = list(devices)
         self.eviction_policy = eviction_policy
         self.pools = [MemoryPool(d.memory_bytes, policy=eviction_policy) for d in devices]
+        # The per-device counters below are plain lists, updated one
+        # entry per pair: a list element add costs a fifth of an
+        # ndarray scalar add.  numpy only appears where a whole counter
+        # is reduced (``busy_s``).  Views (``ShardView``) and the
+        # serving loop hold references to these lists, so they are
+        # cleared in place and never rebound.
+        n = len(devices)
         # mapGPUCom: accumulated simulated compute seconds per device.
-        self.compute_s = np.zeros(len(devices))
+        self.compute_s: list[float] = [0.0] * n
         # Accumulated memory-operation seconds per device (for
         # earliest-available-device baselines that watch busy time).
-        self.memop_s = np.zeros(len(devices))
+        self.memop_s: list[float] = [0.0] * n
         # uid -> set of device ids currently holding a copy.
         self._holders: dict[int, set[int]] = {}
         # Per-vector load counters (the paper's availability test).
-        self.assigned_slots = np.zeros(len(devices), dtype=np.int64)
+        self.assigned_slots: list[int] = [0] * n
         self.balance_num: float = 0.0
         # Slot-indexed device horizon: the simulated time until which
-        # each device is busy.  Owned by the serving loop (one shared
-        # preallocated array instead of per-event allocation); the
-        # batch paths leave it at zero.
-        self.busy_until = np.zeros(len(devices))
+        # each device is busy.  Owned by the serving loop; the batch
+        # paths leave it at zero.
+        self.busy_until: list[float] = [0.0] * n
         # Device health: offline devices stay in ``devices`` (ids keep
         # their meaning) but leave this set.  A device goes offline by
         # *failing* (permanent, also enters ``_failed``) or by being
@@ -64,10 +70,8 @@ class ClusterState:
         # via :meth:`activate_device`).
         self._alive: set[int] = set(range(len(devices)))
         self._failed: set[int] = set()
-        # Slot-indexed alive mask + cached ascending id list, kept in
-        # sync with ``_alive`` by the lifecycle methods (``alive_ids``
-        # sits on every scheduler's hot path).
-        self.alive_mask = np.ones(len(devices), dtype=bool)
+        # Cached ascending id list, invalidated by the lifecycle methods
+        # (``alive_ids`` sits on every scheduler's hot path).
         self._alive_cache: list[int] | None = list(range(len(devices)))
         #: Optional :class:`~repro.faults.journal.ResidencyJournal`
         #: observing residency deltas (attached per run by the serving
@@ -98,10 +102,8 @@ class ClusterState:
         return self._alive_cache
 
     def _alive_changed(self) -> None:
-        """Invalidate alive-set caches after a lifecycle transition."""
+        """Invalidate the alive-id cache after a lifecycle transition."""
         self._alive_cache = None
-        for d in range(self.num_devices):
-            self.alive_mask[d] = d in self._alive
 
     def is_failed(self, device_id: int) -> bool:
         """True when the device was permanently lost (never reactivatable)."""
@@ -161,7 +163,7 @@ class ClusterState:
             raise SchedulingError(f"vector must have positive tensor slots, got {num_tensors}")
         if not self._alive:
             raise SchedulingError("cannot begin a vector: every device has been lost")
-        self.assigned_slots[:] = 0
+        self.assigned_slots[:] = [0] * self.num_devices
         self.balance_num = num_tensors / self.num_alive
 
     def record_assignment(self, device_id: int, slots: int = 2) -> None:
@@ -393,19 +395,20 @@ class ClusterState:
 
     @property
     def busy_s(self) -> np.ndarray:
-        """Total accumulated busy time per device."""
-        return self.compute_s + self.memop_s
+        """Total accumulated busy time per device, as a fresh array."""
+        return np.asarray(self.compute_s) + np.asarray(self.memop_s)
 
     def reset(self) -> None:
         """Clear all residency and counters (fresh cluster)."""
         for p in self.pools:
             p.clear()
-        self.compute_s[:] = 0.0
-        self.memop_s[:] = 0.0
+        n = self.num_devices
+        self.compute_s[:] = [0.0] * n
+        self.memop_s[:] = [0.0] * n
         self._holders.clear()
-        self.assigned_slots[:] = 0
+        self.assigned_slots[:] = [0] * n
         self.balance_num = 0.0
-        self.busy_until[:] = 0.0
+        self.busy_until[:] = [0.0] * n
         self._alive = set(range(self.num_devices))
         self._failed = set()
         self._alive_changed()
@@ -415,13 +418,13 @@ class ClusterState:
         import copy
 
         other = ClusterState(self.devices, eviction_policy=self.eviction_policy)
-        other.compute_s = self.compute_s.copy()
-        other.memop_s = self.memop_s.copy()
+        other.compute_s[:] = self.compute_s
+        other.memop_s[:] = self.memop_s
         other.pools = copy.deepcopy(self.pools)
         other._holders = {uid: set(devs) for uid, devs in self._holders.items()}
-        other.assigned_slots = self.assigned_slots.copy()
+        other.assigned_slots[:] = self.assigned_slots
         other.balance_num = self.balance_num
-        other.busy_until = self.busy_until.copy()
+        other.busy_until[:] = self.busy_until
         other._alive = set(self._alive)
         other._failed = set(self._failed)
         other._alive_changed()

@@ -200,8 +200,8 @@ def lex_argmin(*keys: np.ndarray) -> int:
 
     ``keys`` are parallel arrays, most significant first — the
     vectorised equivalent of ``min(range(n), key=lambda i: tuple_i)``.
-    Shared by Groute's and CostGreedy's batch placement and the sharded
-    router's digest scoring.
+    Shared by CostGreedy's batch placement and the sharded router's
+    digest scoring.
     """
     idx = None
     for key in keys:

@@ -16,7 +16,7 @@ Eviction policies (the ablation bench compares them):
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CapacityError
 from repro.utils.validation import check_in, check_positive
@@ -24,8 +24,7 @@ from repro.utils.validation import check_in, check_positive
 EVICTION_POLICIES = ("lru", "fifo", "largest")
 
 
-@dataclass(frozen=True, slots=True)
-class Residency:
+class Residency(NamedTuple):
     """One resident tensor: identity plus footprint."""
 
     uid: int
@@ -138,12 +137,15 @@ class MemoryPool:
                 if short <= 0:
                     break
             insertion = self._insertion
+            # ``tuple.__new__`` skips the NamedTuple constructor's
+            # argument handling (a third of its cost), once per eviction.
+            new = tuple.__new__
             for victim in victims:
                 vb = resident.pop(victim)
                 if insertion:
                     insertion.pop(victim, None)
                 self._used -= vb
-                evicted.append(Residency(uid=victim, nbytes=vb))
+                evicted.append(new(Residency, (victim, vb)))
             if nbytes > capacity - self._used:
                 # Roll back is unnecessary: evictions already happened on the
                 # simulated device; report the capacity failure.

@@ -52,29 +52,33 @@ class ExecutionMetrics:
     Timing is *simulated* seconds per device, split into compute and
     memory-operation buckets.  The headline figure matches the paper's:
     ``GFLOPS = total_flops / makespan``.
+
+    The per-device counters are plain lists (the engine adds to one
+    entry per pair); the derived figures reduce them through numpy, so
+    their float results match an array-backed reduction bit for bit.
     """
 
     num_devices: int
-    compute_s: np.ndarray = field(default=None)  # type: ignore[assignment]
-    memop_s: np.ndarray = field(default=None)  # type: ignore[assignment]
+    compute_s: list[float] = field(default=None)  # type: ignore[assignment]
+    memop_s: list[float] = field(default=None)  # type: ignore[assignment]
     counts: MemoryOpCounts = field(default_factory=MemoryOpCounts)
     total_flops: int = 0
     pairs_executed: int = 0
-    pairs_per_device: np.ndarray = field(default=None)  # type: ignore[assignment]
+    pairs_per_device: list[int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.compute_s is None:
-            self.compute_s = np.zeros(self.num_devices)
+            self.compute_s = [0.0] * self.num_devices
         if self.memop_s is None:
-            self.memop_s = np.zeros(self.num_devices)
+            self.memop_s = [0.0] * self.num_devices
         if self.pairs_per_device is None:
-            self.pairs_per_device = np.zeros(self.num_devices, dtype=np.int64)
+            self.pairs_per_device = [0] * self.num_devices
 
     # --------------------------------------------------------------- derived
     @property
     def device_time_s(self) -> np.ndarray:
         """Total busy time per device (compute + memory ops)."""
-        return self.compute_s + self.memop_s
+        return np.asarray(self.compute_s) + np.asarray(self.memop_s)
 
     @property
     def makespan_s(self) -> float:
@@ -98,18 +102,20 @@ class ExecutionMetrics:
     def memop_fraction(self) -> float:
         """Fraction of total busy time spent on memory operations."""
         busy = float(self.device_time_s.sum())
-        return float(self.memop_s.sum()) / busy if busy > 0 else 0.0
+        return float(np.asarray(self.memop_s).sum()) / busy if busy > 0 else 0.0
 
     def merge(self, other: "ExecutionMetrics") -> None:
         """Accumulate another run executed on the same cluster."""
         if other.num_devices != self.num_devices:
             raise ValueError("cannot merge metrics from different cluster sizes")
-        self.compute_s += other.compute_s
-        self.memop_s += other.memop_s
+        self.compute_s[:] = [a + b for a, b in zip(self.compute_s, other.compute_s)]
+        self.memop_s[:] = [a + b for a, b in zip(self.memop_s, other.memop_s)]
         self.counts.merge(other.counts)
         self.total_flops += other.total_flops
         self.pairs_executed += other.pairs_executed
-        self.pairs_per_device += other.pairs_per_device
+        self.pairs_per_device[:] = [
+            a + b for a, b in zip(self.pairs_per_device, other.pairs_per_device)
+        ]
 
     def summary(self) -> dict:
         """Flat dict for experiment tables / JSON dumps."""

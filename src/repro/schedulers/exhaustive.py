@@ -70,7 +70,7 @@ class ExhaustiveScheduler(Scheduler):
         best_assignment: list[int] | None = None
         best_span = float("inf")
         best_metrics: ExecutionMetrics | None = None
-        base_busy = cluster.busy_s.copy()
+        base_busy = cluster.busy_s
         for assignment in product(range(n_dev), repeat=n_pairs):
             trial = cluster.clone()
             engine = ExecutionEngine(trial, self.cost_model)

@@ -11,7 +11,6 @@ of where the pair's tensors are resident.
 from __future__ import annotations
 
 from repro.gpusim.cluster import ClusterState
-from repro.gpusim.costmodel import lex_argmin
 from repro.schedulers.base import Scheduler
 from repro.tensor.spec import TensorPair
 
@@ -22,8 +21,8 @@ class GrouteScheduler(Scheduler):
     name = "groute"
 
     def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
-        busy = cluster.busy_s
-        # Lowest busy time among surviving devices; alive is ascending,
-        # so the first minimum is the lowest id.
-        alive = cluster.alive_ids()
-        return alive[lex_argmin(busy[alive])]
+        compute = cluster.compute_s
+        memop = cluster.memop_s
+        # Lowest busy time among surviving devices; alive is ascending
+        # and ``min`` keeps the first minimum, so ties go to the lowest id.
+        return min(cluster.alive_ids(), key=lambda g: compute[g] + memop[g])

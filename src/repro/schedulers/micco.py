@@ -21,7 +21,7 @@ from repro.gpusim.cluster import ClusterState
 from repro.gpusim.costmodel import CostModel
 from repro.schedulers.base import Scheduler
 from repro.schedulers.bounds import ReuseBounds
-from repro.schedulers.reuse_patterns import ReusePattern, classify_pair
+from repro.schedulers.reuse_patterns import PATTERNS, ReusePattern, classify_pair
 from repro.tensor.spec import TensorPair, VectorSpec
 
 #: Shared default scoring model — Alg. 2 scoring only reads cluster
@@ -95,8 +95,14 @@ class MiccoScheduler(Scheduler):
         self.eviction_sensitive = eviction_sensitive
         #: Scoring model for the vectorised Alg. 2 selection.
         self.cost_model = cost_model or _DEFAULT_COST_MODEL
-        #: Pattern histogram, for introspection/experiments.
-        self.pattern_counts: dict[ReusePattern, int] = {p: 0 for p in ReusePattern}
+        # Pattern histogram: slot i counts ``PATTERNS[i]``.  An int list
+        # indexed by a pattern code skips ``Enum.__hash__`` per pair.
+        self._pattern_tally = [0] * len(PATTERNS)
+
+    @property
+    def pattern_counts(self) -> dict[ReusePattern, int]:
+        """Pattern histogram, for introspection/experiments (a fresh dict)."""
+        return dict(zip(PATTERNS, self._pattern_tally))
 
     def set_bounds(self, bounds: ReuseBounds) -> None:
         """Install the reuse bounds for subsequent decisions."""
@@ -122,7 +128,7 @@ class MiccoScheduler(Scheduler):
         by cost, ties by id).
         """
         cls = classify_pair(pair, cluster)
-        self.pattern_counts[cls.pattern] += 1
+        self._pattern_tally[PATTERNS.index(cls.pattern)] += 1
         if self.pattern_aware:
             # Step I: devices holding both tensors, under the tier-0 bound.
             candi = [g for g in sorted(cls.common_holders) if self._available(g, 0, cluster)]
@@ -190,17 +196,16 @@ class MiccoScheduler(Scheduler):
             right = holders_map.get(ru) or _EMPTY_SET
             if dset is not None and right:
                 right = right & dset
+        # Pattern codes index ``PATTERNS``: twoRepeatedSame,
+        # twoRepeatedDiff, oneRepeated, twoNew.
         if left and right:
             common = left & right
-            pattern = (
-                ReusePattern.TWO_REPEATED_SAME if common else ReusePattern.TWO_REPEATED_DIFF
-            )
+            self._pattern_tally[0 if common else 1] += 1
         else:
             common = _EMPTY_SET
-            pattern = ReusePattern.ONE_REPEATED if (left or right) else ReusePattern.TWO_NEW
-        self.pattern_counts[pattern] += 1
+            self._pattern_tally[2 if (left or right) else 3] += 1
 
-        slots = cluster.assigned_slots.tolist()
+        slots = cluster.assigned_slots
         balance = cluster.balance_num
         bounds = self.bounds
         candidates = None
@@ -227,6 +232,7 @@ class MiccoScheduler(Scheduler):
             return candidates[0]
         pools = cluster.pools
         free = [pools[g].free_bytes for g in candidates]
+        compute = cluster.compute_s
         out_b = pair.out.nbytes
         if n >= VECTOR_MIN_CANDIDATES:
             if tier == 0:
@@ -238,16 +244,14 @@ class MiccoScheduler(Scheduler):
                     out_b + (0 if g in left else l_nb) + (0 if g in right else r_nb)
                     for g in candidates
                 ]
-            compute_all = cluster.compute_s.tolist()
             return self.cost_model.score_batch(
                 candidates,
                 incoming,
                 free,
-                [compute_all[g] for g in candidates],
+                [compute[g] for g in candidates],
                 eviction_sensitive=self.eviction_sensitive,
             )
 
-        compute = cluster.compute_s
         evict = False
         if self.eviction_sensitive:
             if tier == 0:
@@ -278,4 +282,4 @@ class MiccoScheduler(Scheduler):
         return best
 
     def reset_stats(self) -> None:
-        self.pattern_counts = {p: 0 for p in ReusePattern}
+        self._pattern_tally[:] = [0] * len(PATTERNS)

@@ -33,6 +33,11 @@ class ReusePattern(enum.Enum):
         return 1
 
 
+#: The patterns in declaration order; a pattern's index here is its
+#: integer code (``MiccoScheduler`` counts patterns by code).
+PATTERNS: tuple[ReusePattern, ...] = tuple(ReusePattern)
+
+
 @dataclass(frozen=True)
 class PairClassification:
     """Classification result: pattern plus the holder sets it came from."""

@@ -31,6 +31,8 @@ import copy
 import itertools
 from array import array
 
+import numpy as np
+
 from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError, FaultError
 from repro.faults.injector import FaultInjector
@@ -155,7 +157,7 @@ class ServeRun:
         # Slot-indexed device horizons live on the cluster (shared with
         # introspection/benchmarks); each run starts them fresh.
         self.busy_until = cluster.busy_until
-        self.busy_until.fill(0.0)
+        self.busy_until[:] = [0.0] * cluster.num_devices
         self.wants_bounds = server.predictor is not None and hasattr(
             server.scheduler, "set_bounds"
         )
@@ -387,9 +389,9 @@ class ServeRun:
         # Per-device busy seconds this round added; members share the
         # round's horizon on the devices they use.
         busy_until = self.busy_until
-        delta = vec_metrics.compute_s + vec_metrics.memop_s
+        compute, memop = vec_metrics.compute_s, vec_metrics.memop_s
         for dev in sorted(set(assignment)):
-            busy_until[dev] = max(busy_until[dev], now) + delta[dev]
+            busy_until[dev] = max(busy_until[dev], now) + (compute[dev] + memop[dev])
         self.total.merge(vec_metrics)
         # De-multiplex: each member keeps its own assignment slice and
         # completes when its own devices drain.
@@ -410,7 +412,7 @@ class ServeRun:
             injector = self.injector
             action, ready = integ.audit(
                 ticket.vector, ticket.assignment, now, self.cluster,
-                self.server.config.cost_model, float(self.total.compute_s.sum()),
+                self.server.config.cost_model, float(np.asarray(self.total.compute_s).sum()),
                 injector.stats if injector is not None else None,
             )
             if action == "repair":
@@ -944,9 +946,9 @@ class ServeRun:
                 stats.rescheduled_pairs += 1
         self.total.merge(vec_metrics)
         busy_until = self.busy_until
-        delta = vec_metrics.compute_s + vec_metrics.memop_s
+        compute, memop = vec_metrics.compute_s, vec_metrics.memop_s
         for dev in sorted({ticket.assignment[i] for i in orphan_idx}):
-            busy_until[dev] = max(busy_until[dev], now) + delta[dev]
+            busy_until[dev] = max(busy_until[dev], now) + (compute[dev] + memop[dev])
         ticket.devices = sorted(set(ticket.assignment))
         complete = now
         for dev in ticket.devices:
@@ -1266,7 +1268,7 @@ class ServeRun:
             health=health,
             health_events=self.health_events,
             integrity=(
-                self.integ.summary(float(self.total.compute_s.sum()))
+                self.integ.summary(float(np.asarray(self.total.compute_s).sum()))
                 if self.integ is not None
                 else None
             ),

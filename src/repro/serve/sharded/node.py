@@ -43,8 +43,9 @@ class ShardView:
         if not self.devices:
             raise SchedulingError("a shard view needs at least one device")
         # The placement hot path reads these per pair.  The cluster never
-        # rebinds them (``reset()`` clears them in place), so they are
-        # bound once instead of delegated through ``__getattr__``.
+        # rebinds its counter lists (``reset()`` and ``begin_vector()``
+        # clear them in place), so they are bound once instead of
+        # delegated through ``__getattr__``.
         # ``balance_num`` and ``journal`` are rebound, so they are read
         # through on every access.
         self.pools = cluster.pools
@@ -101,7 +102,7 @@ class ShardView:
         alive = self.num_alive
         if alive == 0:
             raise SchedulingError("cannot begin a vector: the shard has no alive devices")
-        self.assigned_slots[:] = 0
+        self.assigned_slots[:] = [0] * len(self.assigned_slots)
         self._cluster.balance_num = num_tensors / alive
 
 

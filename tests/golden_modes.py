@@ -21,12 +21,16 @@ from collections import Counter
 from pathlib import Path
 
 from repro.core.config import MiccoConfig
+from repro.core.framework import Micco
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.gpusim import CostModel, Topology
 from repro.gpusim.device import GIB
 from repro.gpusim.trace import TraceConfig
 from repro.integrity import IntegrityConfig
+from repro.redstar.datasets import f0d2
+from repro.redstar.pipeline import RedstarPipeline
 from repro.schedulers.bounds import ReuseBounds
+from repro.schedulers.groute import GrouteScheduler
 from repro.schedulers.micco import MiccoScheduler
 from repro.serve import (
     AutoscalerConfig,
@@ -372,3 +376,53 @@ def coverage_gaps(mode: str, summary: dict) -> list[str]:
         for field, need in COVERAGE[mode].items()
         if (summary[field] or 0) < need
     ]
+
+
+# ------------------------------------------------------------ offline path
+#: The offline fixture: the paper's f0d2 correlator through ``Micco.run``.
+OFFLINE_MODE = "offline-f0d2"
+OFFLINE_PATH = GOLDEN_DIR / f"{OFFLINE_MODE}.json"
+
+
+def _offline_systems() -> dict:
+    """The offline runs the fixture pins, by name.
+
+    FIFO eviction reaches ``MemoryPool._victim_order``, which LRU skips.
+    """
+    lru = MiccoConfig(num_devices=8, keep_outputs=True)
+    fifo = MiccoConfig(num_devices=8, keep_outputs=True, eviction_policy="fifo")
+    return {
+        "micco-naive-lru": Micco.naive(lru),
+        "micco-naive-fifo": Micco.naive(fifo),
+        "groute": Micco.baseline(GrouteScheduler(), lru),
+    }
+
+
+def _exact(summary: dict) -> dict:
+    """Floats as ``float.hex`` so the fixture pins every bit."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in summary.items()}
+
+
+def offline_fingerprint() -> dict:
+    """Each offline run's metrics summary, pattern histogram and placement digest.
+
+    The full 16-slice f0d2 stream runs on 8 GPUs with outputs kept
+    resident (the Redstar multi-stage pipeline).  ``assignments_sha256``
+    hashes every vector's pair -> device list in stream order.
+    """
+    reset_uid_counter()
+    vectors = RedstarPipeline(f0d2(time_slices=16)).vectors()
+    runs = {}
+    for name, system in _offline_systems().items():
+        result = system.run(vectors)
+        assignments = json.dumps([v["assignment"] for v in result.per_vector])
+        runs[name] = {
+            "summary": _exact(result.metrics.summary()),
+            "pattern_counts": result.pattern_counts,
+            "assignments_sha256": hashlib.sha256(assignments.encode()).hexdigest(),
+        }
+    return {"mode": OFFLINE_MODE, "runs": runs}
+
+
+def load_offline() -> dict:
+    return json.loads(OFFLINE_PATH.read_text())

@@ -56,7 +56,7 @@ class TestSchedulerMisuse:
         """Even with absurd external counter state, a device is returned."""
         cluster = make_cluster()
         cluster.begin_vector(4)
-        cluster.assigned_slots[:] = 10**9
+        cluster.assigned_slots[:] = [10**9] * cluster.num_devices
         sched = MiccoScheduler(ReuseBounds.zeros())
         g = sched.choose(make_pair(), cluster)
         assert 0 <= g < cluster.num_devices

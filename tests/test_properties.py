@@ -93,7 +93,7 @@ class TestSchedulerProperties:
         c = result.metrics.counts
         assert result.metrics.pairs_executed == total_pairs
         assert c.reuse_hits + c.h2d_transfers + c.d2d_transfers == total_slots
-        assert result.metrics.pairs_per_device.sum() == total_pairs
+        assert sum(result.metrics.pairs_per_device) == total_pairs
 
     @given(vector_streams(), st.integers(0, 3))
     @settings(max_examples=30, deadline=None)

@@ -83,7 +83,7 @@ class TestCandidateQueue:
 
     def test_full_fallback_when_all_over(self):
         sched = MiccoScheduler()
-        self.cl.assigned_slots[:] = 100
+        self.cl.assigned_slots[:] = [100] * self.cl.num_devices
         assert sched.build_candidates(make_pair(), self.cl) == [0, 1, 2, 3]
 
     def test_shard_view_scopes_holders_to_the_shard(self):

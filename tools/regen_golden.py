@@ -6,7 +6,8 @@ Usage::
     PYTHONPATH=src python tools/regen_golden.py           # check only
     PYTHONPATH=src python tools/regen_golden.py --write   # rewrite fixtures
 
-Every (mode, seed) fixture under ``tests/golden/`` is recomputed.  For
+Every (mode, seed) fixture under ``tests/golden/`` is recomputed, and
+so is the offline ``offline-f0d2`` fixture (name it to check it alone).  For
 each mismatch the digests that moved and a field-by-field summary diff
 are printed.  Exits 1 when any fixture differs (or is missing), 0 when
 all match.  Files are written only with ``--write``; the exit status
@@ -39,16 +40,46 @@ def diff(old: dict | None, new: dict) -> list[str]:
     return lines
 
 
+def diff_offline(old: dict | None, new: dict) -> list[str]:
+    """Readable differences between two offline fingerprints, run by run."""
+    if old is None:
+        return ["fixture missing"]
+    lines = []
+    for run in sorted(set(old["runs"]) | set(new["runs"])):
+        before, after = old["runs"].get(run, {}), new["runs"].get(run, {})
+        for key in ("assignments_sha256", "pattern_counts"):
+            if before.get(key) != after.get(key):
+                lines.append(f"{run}.{key}: {before.get(key)} -> {after.get(key)}")
+        b_sum, a_sum = before.get("summary", {}), after.get("summary", {})
+        for field in sorted(set(b_sum) | set(a_sum)):
+            if b_sum.get(field) != a_sum.get(field):
+                lines.append(f"  {run}.{field}: {b_sum.get(field)!r} -> {a_sum.get(field)!r}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--write", action="store_true", help="rewrite the fixture files")
     ap.add_argument("modes", nargs="*", help="restrict to these modes (default: all)")
     args = ap.parse_args(argv)
-    unknown = set(args.modes) - set(golden.MODES)
+    known = [*golden.MODES, golden.OFFLINE_MODE]
+    unknown = set(args.modes) - set(known)
     if unknown:
-        ap.error(f"unknown modes {sorted(unknown)}; choose from {list(golden.MODES)}")
+        ap.error(f"unknown modes {sorted(unknown)}; choose from {known}")
+    modes = args.modes or known
     changed = 0
-    for mode in args.modes or golden.MODES:
+    if golden.OFFLINE_MODE in modes:
+        fresh = golden.offline_fingerprint()
+        path = golden.OFFLINE_PATH
+        lines = diff_offline(golden.load_offline() if path.exists() else None, fresh)
+        print(f"{golden.OFFLINE_MODE}: {'changed' if lines else 'ok'}")
+        for line in lines:
+            print(f"  {line}")
+        if lines:
+            changed += 1
+            if args.write:
+                path.write_text(golden.dump(fresh))
+    for mode in (m for m in modes if m != golden.OFFLINE_MODE):
         for seed in golden.SEEDS:
             fresh = golden.fingerprint(mode, seed)
             path = golden.fixture_path(mode, seed)
