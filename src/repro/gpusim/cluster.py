@@ -134,19 +134,6 @@ class ClusterState:
     def free_bytes(self, device_id: int) -> int:
         return self.pools[device_id].free_bytes
 
-    def free_bytes_batch(self, device_ids) -> np.ndarray:
-        """Free bytes for every device in ``device_ids``, as one array.
-
-        Batch counterpart of :meth:`free_bytes` for CostGreedy's
-        vectorised cost estimate.
-        """
-        pools = self.pools
-        return np.fromiter(
-            (pools[g].free_bytes for g in device_ids),
-            dtype=np.int64,
-            count=len(device_ids),
-        )
-
     def total_resident_tensors(self) -> int:
         return sum(len(p) for p in self.pools)
 

@@ -15,8 +15,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import gt
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.interconnect import Interconnect
@@ -193,21 +191,3 @@ class CostModel:
                 if c < bc or f > bf or (f == bf and device_ids[i] < device_ids[best]):
                     best, bf, bc = i, f, c
         return device_ids[best]
-
-
-def lex_argmin(*keys: np.ndarray) -> int:
-    """Index of the lexicographically smallest tuple across key arrays.
-
-    ``keys`` are parallel arrays, most significant first — the
-    vectorised equivalent of ``min(range(n), key=lambda i: tuple_i)``.
-    Shared by CostGreedy's batch placement and the sharded router's
-    digest scoring.
-    """
-    idx = None
-    for key in keys:
-        k = key if idx is None else key[idx]
-        m = np.flatnonzero(k == k.min())
-        idx = m if idx is None else idx[m]
-        if idx.size == 1:
-            break
-    return int(idx[0])

@@ -243,8 +243,7 @@ class ExecutionEngine:
                 resident[uid] = nb
                 pool._used += nb
                 if pool._track_insertion:
-                    pool._insertion[uid] = pool._clock
-                    pool._clock += 1
+                    pool._insertion[uid] = None
             else:
                 evicted = pool.allocate(uid, nb, protect)
                 if evicted:
@@ -276,8 +275,7 @@ class ExecutionEngine:
             resident[out_uid] = out_nb
             pool._used += out_nb
             if pool._track_insertion:
-                pool._insertion[out_uid] = pool._clock
-                pool._clock += 1
+                pool._insertion[out_uid] = None
         else:
             evicted = pool.allocate(out_uid, out_nb, protect)
             if evicted:

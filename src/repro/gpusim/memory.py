@@ -49,10 +49,12 @@ class MemoryPool:
         self.policy = policy
         self._resident: OrderedDict[int, int] = OrderedDict()  # uid -> nbytes, LRU first
         self._used = 0
-        self._insertion: dict[int, int] = {}  # uid -> insertion counter (fifo)
-        self._clock = 0
-        # LRU never reads insertion stamps (recency order lives in the
-        # OrderedDict itself), so skip maintaining them on that policy's
+        # Resident uids in allocation order, oldest first (FIFO and
+        # "largest"): a key is added on allocation and dropped on free
+        # and evict, so a re-allocated uid goes to the back.
+        self._insertion: dict[int, None] = {}
+        # LRU never reads allocation order (recency order lives in the
+        # OrderedDict itself), so skip maintaining it on that policy's
         # hot path.
         self._track_insertion = policy != "lru"
 
@@ -94,14 +96,17 @@ class MemoryPool:
     def _victim_order(self, protect) -> list[int]:
         """Unprotected uids in FIFO/largest eviction-preference order.
 
-        LRU needs no sort: the OrderedDict already iterates least
-        recently used first (see :meth:`allocate`).
+        The allocation-order map already iterates oldest first, so FIFO
+        needs no sort (as LRU needs none: its OrderedDict iterates least
+        recently used first, see :meth:`allocate`).
         """
-        candidates = [u for u in self._resident if u not in protect]
+        candidates = [u for u in self._insertion if u not in protect]
         if self.policy == "fifo":
-            return sorted(candidates, key=lambda u: self._insertion[u])
-        # "largest": biggest footprint first; ties oldest-first.
-        return sorted(candidates, key=lambda u: (-self._resident[u], self._insertion[u]))
+            return candidates
+        # "largest": biggest footprint first; the stable sort keeps ties
+        # oldest first.
+        resident = self._resident
+        return sorted(candidates, key=lambda u: -resident[u])
 
     def allocate(self, uid: int, nbytes: int, protect: set[int] | frozenset[int] = frozenset()) -> list[Residency]:
         """Allocate ``nbytes`` for ``uid``, evicting victims if needed.
@@ -155,8 +160,7 @@ class MemoryPool:
                 )
         resident[uid] = nbytes
         if self._track_insertion:
-            self._insertion[uid] = self._clock
-            self._clock += 1
+            self._insertion[uid] = None
         self._used += nbytes
         return evicted
 
@@ -169,8 +173,7 @@ class MemoryPool:
 
         * ``used_bytes`` equals the sum of resident footprints,
         * usage never exceeds capacity,
-        * the insertion map covers exactly the resident set,
-        * the insertion clock is monotone (every stamp is in the past).
+        * the insertion map covers exactly the resident set.
 
         Raises :class:`AssertionError` on the first violation.
         """
@@ -186,12 +189,9 @@ class MemoryPool:
                 "insertion map out of sync with resident set: "
                 f"{sorted(self._insertion)} vs {sorted(self._resident)}"
             )
-            assert all(stamp < self._clock for stamp in self._insertion.values()), (
-                f"insertion clock {self._clock} not monotone over {self._insertion}"
-            )
         else:
             assert not self._insertion, (
-                f"LRU pool should not track insertion stamps, found {self._insertion}"
+                f"LRU pool should not track allocation order, found {self._insertion}"
             )
 
     def free(self, uid: int) -> int:

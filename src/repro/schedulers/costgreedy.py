@@ -15,10 +15,8 @@ decision cost; the ablation bench quantifies both sides.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim.cluster import ClusterState
-from repro.gpusim.costmodel import CostModel, lex_argmin
+from repro.gpusim.costmodel import CostModel
 from repro.schedulers.base import Scheduler
 from repro.tensor.spec import TensorPair
 
@@ -62,47 +60,12 @@ class CostGreedyScheduler(Scheduler):
             memop += cm.eviction_time(overflow)
         return added + cm.effective_memop_time(memop, added)
 
-    def estimate_added_time_batch(self, pair: TensorPair, cluster: ClusterState) -> "np.ndarray":
-        """:meth:`estimate_added_time` for every *surviving* device, vectorised.
-
-        Entry ``i`` is the estimate for ``cluster.alive_ids()[i]``.
-        Kernel time and the output allocation are device-independent,
-        so they are computed once; per-device terms (input fetches,
-        predicted eviction overflow) come from the cluster's batch
-        reads and one array pass through the cost model.
-        """
-        cm = self.cost_model
-        alive = cluster.alive_ids()
-        n = len(alive)
-        added = np.fromiter(
-            (cm.kernel_time(pair, cluster.devices[g]) for g in alive),
-            dtype=np.float64, count=n,
-        )
-        incoming = np.full(n, pair.out.nbytes, dtype=np.int64)
-        memop = np.full(n, cm.alloc_time(pair.out.nbytes), dtype=np.float64)
-        left, right = pair.left, pair.right
-        inputs = (left,) if right.uid == left.uid else (left, right)
-        for spec in inputs:
-            holders = cluster.devices_holding(spec.uid)
-            alloc = cm.alloc_time(spec.nbytes)
-            if holders:
-                src = min(holders)
-                for i, g in enumerate(alive):
-                    if g in holders:
-                        continue
-                    memop[i] += alloc + cm.d2d_time(spec.nbytes, src=src, dst=g)
-                    incoming[i] += spec.nbytes
-            else:
-                memop += alloc + cm.h2d_time(spec.nbytes)
-                incoming += spec.nbytes
-        overflow = incoming - cluster.free_bytes_batch(alive)
-        for i in np.flatnonzero(overflow > 0):
-            memop[i] += cm.eviction_time(int(overflow[i]))
-        return added + np.maximum(memop - cm.overlap_fraction * added, 0.0)
-
     def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
-        # Lost devices are never candidates; alive is ascending, so the
-        # first minimum is the lowest id.
-        alive = cluster.alive_ids()
-        totals = cluster.busy_s[alive] + self.estimate_added_time_batch(pair, cluster)
-        return alive[lex_argmin(totals)]
+        compute = cluster.compute_s
+        memop = cluster.memop_s
+        # Lost devices are never candidates; alive is ascending and
+        # ``min`` keeps the first minimum, so ties go to the lowest id.
+        return min(
+            cluster.alive_ids(),
+            key=lambda g: compute[g] + memop[g] + self.estimate_added_time(pair, g, cluster),
+        )

@@ -20,20 +20,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.gpusim.costmodel import lex_argmin
 
 #: Routing policy names accepted by ``ServeConfig.routing`` and
 #: ``micco serve --routing``.
 ROUTING_POLICIES = (
     "least-loaded", "residency-affinity", "threshold-local", "learned"
 )
-
-#: Below this many candidate shards a plain tuple-key ``min`` beats the
-#: numpy path (same crossover logic as the schedulers' candidate scan).
-VECTOR_MIN_SHARDS = 12
 
 
 def vector_input_bytes(vector) -> dict[int, int]:
@@ -48,29 +41,15 @@ def vector_input_bytes(vector) -> dict[int, int]:
 def rank_shards(snapshots: list[ShardSnapshot], overlap: list[int] | None = None) -> int:
     """Winning node id under the shared lexicographic digest ranking.
 
-    The key is ``(suspect, [-overlap,] linkless, backlog, node)`` —
-    healthy before suspect, largest residency overlap first when given,
-    well-linked before degraded, smallest backlog, lowest node id.  With
-    many shards the key columns are scored in one
-    :func:`~repro.gpusim.costmodel.lex_argmin` call over parallel
-    arrays; the small-fleet path is an ordinary tuple ``min``.  Both
-    compare the same integer values, so the pick is identical.
+    The key is ``(suspect, -overlap, linkless, backlog, node)`` —
+    healthy before suspect, largest residency overlap first (a missing
+    ``overlap`` counts as 0 everywhere), well-linked before degraded,
+    smallest backlog, lowest node id.
     """
-    n = len(snapshots)
-    if n >= VECTOR_MIN_SHARDS:
-        keys = [np.fromiter((s.suspect for s in snapshots), dtype=np.int64, count=n)]
-        if overlap is not None:
-            keys.append(-np.asarray(overlap, dtype=np.int64))
-        keys.append(np.fromiter((s.linkless for s in snapshots), dtype=np.int64, count=n))
-        keys.append(np.fromiter((s.backlog for s in snapshots), dtype=np.int64, count=n))
-        keys.append(np.fromiter((s.node for s in snapshots), dtype=np.int64, count=n))
-        return snapshots[lex_argmin(*keys)].node
     if overlap is None:
-        return min(
-            snapshots, key=lambda s: (s.suspect, s.linkless, s.backlog, s.node)
-        ).node
+        overlap = [0] * len(snapshots)
     best = min(
-        range(n),
+        range(len(snapshots)),
         key=lambda i: (
             snapshots[i].suspect,
             -overlap[i],

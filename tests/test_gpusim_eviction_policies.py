@@ -1,8 +1,10 @@
 """Unit tests for the pluggable eviction policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.gpusim.memory import EVICTION_POLICIES, MemoryPool
 from tests.conftest import make_cluster, make_tensor
 
@@ -51,6 +53,96 @@ class TestLargest:
         pool.allocate(2, 40)
         evicted = pool.allocate(3, 30)
         assert [r.uid for r in evicted] == [1]
+
+
+CAPACITY = 100
+
+
+class ListPool:
+    """Plain-list reference for FIFO/largest: ``[(uid, nbytes), ...]``
+    in allocation order, oldest first."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.entries: list[tuple[int, int]] = []
+
+    def allocate(self, uid, nbytes, protect):
+        """Evicted ``(uid, nbytes)`` list, or ``None`` if the tensor
+        cannot fit even after the evictions."""
+        if any(u == uid for u, _ in self.entries):
+            return []
+        short = nbytes - (CAPACITY - sum(b for _, b in self.entries))
+        order = [(u, b) for u, b in self.entries if u not in protect]
+        if self.policy == "largest":
+            # Biggest first; ties keep allocation order (oldest first).
+            order = sorted(order, key=lambda e: -e[1])
+        victims = []
+        for entry in order:
+            if short <= 0:
+                break
+            victims.append(entry)
+            short -= entry[1]
+        self.entries = [e for e in self.entries if e not in victims]
+        if short > 0:
+            return None
+        self.entries.append((uid, nbytes))
+        return victims
+
+    def free(self, uid):
+        self.entries = [e for e in self.entries if e[0] != uid]
+
+
+UIDS = st.integers(0, 7)
+ALLOC = st.tuples(
+    st.just("alloc"), UIDS, st.sampled_from([10, 20, 30, 40, 60]),
+    st.frozensets(UIDS, max_size=3),
+)
+OPS = st.one_of(ALLOC, st.tuples(st.just("free"), UIDS), st.tuples(st.just("touch"), UIDS))
+
+
+@st.composite
+def op_sequences(draw):
+    """Random alloc/free/touch sequences, each with one uid that is
+    allocated, freed and allocated again partway through."""
+    ops = draw(st.lists(OPS, max_size=40))
+    uid = draw(UIDS)
+    at = draw(st.integers(0, len(ops)))
+    realloc = [("alloc", uid, 20, frozenset()), ("free", uid), ("alloc", uid, 30, frozenset())]
+    return ops[:at] + realloc + ops[at:] + draw(st.lists(ALLOC, min_size=1, max_size=5))
+
+
+class TestVictimsMatchListReference:
+    @pytest.mark.parametrize("policy", ["fifo", "largest"])
+    @given(ops=op_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_victims_match(self, policy, ops):
+        pool, ref = MemoryPool(CAPACITY, policy=policy), ListPool(policy)
+        for op in ops:
+            if op[0] == "alloc":
+                _, uid, nbytes, protect = op
+                expected = ref.allocate(uid, nbytes, protect)
+                if expected is None:
+                    with pytest.raises(CapacityError):
+                        pool.allocate(uid, nbytes, protect)
+                else:
+                    assert [tuple(r) for r in pool.allocate(uid, nbytes, protect)] == expected
+            elif op[0] == "free":
+                pool.free(op[1])
+                ref.free(op[1])
+            elif op[1] in pool:
+                pool.touch(op[1])  # recency only: neither policy reads it
+            assert sorted(pool.resident_uids()) == sorted(u for u, _ in ref.entries)
+            pool.check_invariants()
+
+    @pytest.mark.parametrize("policy", ["fifo", "largest"])
+    def test_reallocated_uid_goes_to_the_back(self, policy):
+        pool = MemoryPool(CAPACITY, policy=policy)
+        for uid in (1, 2, 3):
+            pool.allocate(uid, 30)
+        pool.free(1)
+        pool.allocate(1, 30)
+        evicted = pool.allocate(4, 70)
+        assert [r.uid for r in evicted] == [2, 3]
 
 
 class TestPolicyRespectsProtection:

@@ -65,7 +65,6 @@ class TestChoice:
         p = make_pair()
         assert CostGreedyScheduler().choose(p, cl) == 1
         assert GrouteScheduler().choose(p, cl) == 1
-        assert len(CostGreedyScheduler().estimate_added_time_batch(p, cl)) == 2
 
     def test_beats_random_end_to_end(self):
         params = WorkloadParams(vector_size=32, tensor_size=128, batch=8, repeated_rate=0.75, num_vectors=6)

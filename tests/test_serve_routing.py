@@ -1,6 +1,8 @@
 """Routing policies under stale digests, forwarding, SLO accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serve import (
@@ -17,6 +19,7 @@ from repro.serve.sharded.routing import (
     ShardSnapshot,
     ThresholdLocal,
     make_routing_policy,
+    rank_shards,
 )
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.micco import MiccoScheduler
@@ -30,6 +33,49 @@ def snap(node, depth=0, inflight=0, linkless=False, residency=None, pending=0):
         node=node, alive=4, queue_depth=depth, inflight=inflight,
         linkless=linkless, residency=residency or {}, pending=pending,
     )
+
+
+@st.composite
+def shard_fleets(draw):
+    """1-20 snapshots with shuffled node ids, and maybe a parallel overlap."""
+    n = draw(st.integers(1, 20))
+    nodes = draw(st.permutations(range(n)))
+    small = st.integers(0, 3)
+    snapshots = [
+        ShardSnapshot(
+            node=node, alive=4, queue_depth=draw(small), inflight=draw(small),
+            linkless=draw(st.booleans()), suspect=draw(st.booleans()),
+            pending=draw(small),
+        )
+        for node in nodes
+    ]
+    overlap = draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return snapshots, overlap
+
+
+class TestRankShards:
+    @given(shard_fleets())
+    @settings(max_examples=400, deadline=None)
+    def test_pick_is_the_documented_key_minimum(self, fleet):
+        """Narrow the fleet key by key: (suspect, -overlap, linkless, backlog, node)."""
+        snapshots, overlap = fleet
+        weights = overlap or [0] * len(snapshots)
+        left = list(zip(snapshots, weights))
+        for key in (
+            lambda sw: sw[0].suspect,
+            lambda sw: -sw[1],
+            lambda sw: sw[0].linkless,
+            lambda sw: sw[0].backlog,
+            lambda sw: sw[0].node,
+        ):
+            best = min(map(key, left))
+            left = [sw for sw in left if key(sw) == best]
+        assert len(left) == 1
+        assert rank_shards(snapshots, overlap) == left[0][0].node
+
+    def test_missing_overlap_counts_as_zero(self):
+        snapshots = [snap(3, depth=1), snap(1, depth=1), snap(2, depth=0, linkless=True)]
+        assert rank_shards(snapshots) == rank_shards(snapshots, [0, 0, 0]) == 1
 
 
 class TestLeastLoaded:
