@@ -6,7 +6,8 @@ Four ablations, each isolating one mechanism:
   variants, plus the locality-only and random poles (which of the three
   toggling policies earns the speedup?).
 * **eviction** — LRU vs FIFO vs largest-first victim selection under
-  oversubscription.
+  oversubscription, on a stream mixing two tensor sizes (with one size
+  largest-first ties everywhere and degenerates to FIFO).
 * **overlap** — the async-copy/prefetch future-work model: how much of
   the memory-op wall does overlap recover, and does the scheduler gap
   persist once transfers hide behind kernels?
@@ -17,7 +18,7 @@ Four ablations, each isolating one mechanism:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.config import MiccoConfig
 from repro.core.framework import Micco
@@ -105,8 +106,13 @@ def run_eviction_ablation(
     bounds: ReuseBounds = ReuseBounds(0, 4, 0),
     seed: int = 7,
 ) -> AblationResult:
-    """Victim-selection policy under 150 % oversubscription."""
-    vectors = SyntheticWorkload(params, seed=seed).vectors()
+    """Victim-selection policy under 150 % oversubscription.
+
+    The stream interleaves ``params`` vectors with vectors of half its
+    tensor size, so victims differ in size and largest-first has a
+    choice to make.
+    """
+    vectors = mixed_size_stream(params, seed)
     base = pressured_config(vectors, MiccoConfig(num_devices=num_devices), subscription)
     result = AblationResult(f"Ablation — eviction policy at {subscription:.0%} subscription (GFLOPS)")
     for policy in ("lru", "fifo", "largest"):
@@ -114,6 +120,16 @@ def run_eviction_ablation(
         run = Micco(config, scheduler=MiccoScheduler(bounds)).run(vectors)
         result.rows.append(_row(policy, run))
     return result
+
+
+def mixed_size_stream(params: WorkloadParams, seed: int) -> list:
+    """``params`` vectors alternating with vectors of half the tensor
+    size (seeded ``seed + 1``), renumbered in stream order."""
+    large = SyntheticWorkload(params, seed=seed).vectors()
+    small_params = params.with_(tensor_size=params.tensor_size // 2)
+    small = SyntheticWorkload(small_params, seed=seed + 1).vectors()
+    mixed = [v for pair in zip(large, small) for v in pair]
+    return [replace(v, vector_id=i) for i, v in enumerate(mixed)]
 
 
 def run_overlap_ablation(

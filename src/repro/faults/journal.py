@@ -71,8 +71,12 @@ class ResidencyJournal:
         self.now = max(self.now, now)
 
     def note_put(self, uid: int, device: int, nbytes: int) -> None:
-        """A tensor became resident on ``device``."""
-        self._entries.append(("put", self.now, int(uid), int(device), int(nbytes), ""))
+        """A tensor became resident on ``device``.
+
+        Arguments are stored as given: the simulator passes plain ints,
+        and :meth:`from_json` coerces what it reads.
+        """
+        self._entries.append(("put", self.now, uid, device, nbytes, ""))
         self.total_recorded += 1
 
     def note_drop(self, uid: int, device: int, reason: str = "evict") -> None:
@@ -87,11 +91,11 @@ class ResidencyJournal:
         wanted) and ``"lost"`` (the device died under it) leave the
         tensor ranked for warm restore.
         """
-        if reason not in self.DROP_REASONS:
+        if reason not in _DROP_REASONS:
             raise ConfigurationError(
                 f"unknown drop reason {reason!r}; expected one of {self.DROP_REASONS}"
             )
-        self._entries.append(("drop", self.now, int(uid), int(device), 0, reason))
+        self._entries.append(("drop", self.now, uid, device, 0, reason))
         self.total_recorded += 1
 
     def note_restore(self, device: int, tensors: int, cost_s: float) -> None:
@@ -220,9 +224,11 @@ class ResidencyJournal:
             try:
                 journal.advance(float(e["time_s"]))
                 if e["op"] == "put":
-                    journal.note_put(e["uid"], e["device"], e["nbytes"])
+                    journal.note_put(int(e["uid"]), int(e["device"]), int(e["nbytes"]))
                 elif e["op"] == "drop":
-                    journal.note_drop(e["uid"], e["device"], e.get("reason", "evict"))
+                    journal.note_drop(
+                        int(e["uid"]), int(e["device"]), e.get("reason", "evict")
+                    )
                 else:
                     raise ConfigurationError(
                         f"journal entry {i} has unknown op {e['op']!r}"
@@ -236,3 +242,8 @@ class ResidencyJournal:
             journal.total_recorded, int(payload.get("total_recorded", 0))
         )
         return journal
+
+
+#: :attr:`ResidencyJournal.DROP_REASONS` as a set, for the membership
+#: test on every drop.
+_DROP_REASONS = frozenset(ResidencyJournal.DROP_REASONS)

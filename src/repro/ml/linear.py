@@ -33,11 +33,16 @@ class LinearRegression:
             raise ModelError(f"shape mismatch: X {X.shape}, y {Y.shape}")
         if X.shape[0] < 2:
             raise ModelError("need at least 2 samples to fit a line")
+        n, k = X.shape
         mu = X.mean(axis=0)
-        sd = X.std(axis=0)
+        d = X - mu
+        # ``X.std(axis=0)`` runs exactly these ops internally; taking the
+        # deviations once serves both the spread and the scaling below.
+        sd = np.sqrt(np.add.reduce(d * d, axis=0) / n)
         sd[sd == 0] = 1.0
-        Xs = (X - mu) / sd
-        A = np.hstack([Xs, np.ones((X.shape[0], 1))])
+        A = np.empty((n, k + 1))
+        np.divide(d, sd, out=A[:, :k])
+        A[:, k] = 1.0
         W, *_ = np.linalg.lstsq(A, Y, rcond=None)
         w_std = W[:-1]
         b_std = W[-1]

@@ -8,13 +8,14 @@ policy in :mod:`repro.serve.sharded.learned` — instead observe one
 track a drifting target (a shard slowing down mid-run) without paying
 a full refit per observation.
 
-:class:`SlidingWindowRegressor` wraps any batch model behind a bounded
-sample window and an amortized refit schedule: samples land in
-preallocated ring buffers holding the last ``window`` observations, and
-the wrapped model is refit from them every ``refit_interval``
-observations (and once immediately when ``min_samples`` is first
-reached).  Everything is deterministic: no RNG is drawn, and the refit
-cadence is a pure function of the observation sequence.
+:class:`SlidingWindowRegressor` puts a
+:class:`~repro.ml.linear.LinearRegression` behind a bounded sample
+window and an amortized refit schedule: samples land in preallocated
+ring buffers holding the last ``window`` observations, and the model is
+refit from them every ``refit_interval`` observations (and once
+immediately when ``min_samples`` is first reached).  Everything is
+deterministic: no RNG is drawn, and the refit cadence is a pure
+function of the observation sequence.
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ from repro.ml.linear import LinearRegression
 
 
 class SlidingWindowRegressor:
-    """A batch regressor refit incrementally over a bounded window.
+    """A linear regression refit incrementally over a bounded window.
+
+    A fresh :class:`~repro.ml.linear.LinearRegression` is fit per refit,
+    so stale coefficients never leak across windows.
 
     Parameters
     ----------
-    model_factory:
-        Zero-argument callable returning a fresh batch model with
-        ``fit(X, y)`` / ``predict(X)`` (default
-        :class:`~repro.ml.linear.LinearRegression`).  A fresh model is
-        built per refit so stale coefficients never leak across
-        windows.
     window:
         Maximum samples retained; older samples fall off the far end.
     refit_interval:
@@ -47,7 +45,6 @@ class SlidingWindowRegressor:
 
     def __init__(
         self,
-        model_factory=LinearRegression,
         *,
         window: int = 512,
         refit_interval: int = 16,
@@ -65,7 +62,6 @@ class SlidingWindowRegressor:
             raise ModelError(
                 f"min_samples ({min_samples}) cannot exceed window ({window})"
             )
-        self._factory = model_factory
         self.window = int(window)
         # Ring buffers over the last ``window`` samples (``_X`` is sized
         # at the first observation); ``_next`` is the slot written next.
@@ -75,7 +71,11 @@ class SlidingWindowRegressor:
         self.retained = 0  #: samples currently in the window
         self.refit_interval = int(refit_interval)
         self.min_samples = int(min_samples)
-        self._model = None
+        self._model: LinearRegression | None = None
+        # The fitted model's coefficient column as a contiguous vector
+        # and its intercept as a float: what ``predict_one`` reads.
+        self._coef: np.ndarray | None = None
+        self._intercept = 0.0
         self._since_fit = 0
         self.samples = 0  #: total observations ever fed in
         self.refits = 0  #: completed refits
@@ -102,22 +102,41 @@ class SlidingWindowRegressor:
         due = self._model is None or self._since_fit >= self.refit_interval
         if not (warm_enough and due):
             return False
-        self._model = self._factory().fit(*self.window_samples())
+        model = LinearRegression().fit(*self.window_samples())
+        self._model = model
+        self._coef = np.ascontiguousarray(model.coef_[:, 0])
+        self._intercept = float(model.intercept_[0])
         self._since_fit = 0
         self.refits += 1
         return True
 
     def window_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """The retained samples as fresh ``(X, y)`` arrays, oldest first."""
-        if self._X is None:
+        """The retained samples as C-contiguous ``(X, y)``, oldest first.
+
+        A full ring is unrolled into fresh arrays; a partial one is
+        returned as views of the buffers, which the caller must not
+        write to.
+        """
+        X, y = self._X, self._y
+        if X is None:
             return np.empty((0, 0)), np.empty(0)
-        start = self._next if self.retained == self.window else 0
-        order = (np.arange(self.retained) + start) % self.window
-        return self._X[order], self._y[order]
+        if self.retained < self.window:
+            return X[: self.retained], y[: self.retained]
+        start = self._next
+        return (
+            np.concatenate((X[start:], X[:start])),
+            np.concatenate((y[start:], y[:start])),
+        )
 
     def predict_one(self, x) -> float | None:
-        """Predicted target for one feature row, ``None`` while cold."""
-        if self._model is None:
+        """Predicted target for one feature row, ``None`` while cold.
+
+        Bit-identical to ``LinearRegression.predict`` of the row: a
+        ``(1, n) @ (n, 1)`` matmul runs the same BLAS ``ddot`` as this
+        1-D ``np.dot``, and adding the intercept as a Python float is
+        the same double addition.  A Python-level sum would not be: the
+        BLAS kernel reorders and fuses its products.
+        """
+        if self._coef is None:
             return None
-        out = self._model.predict(np.asarray(x, dtype=np.float64))
-        return float(np.asarray(out).item(0))
+        return float(np.dot(x, self._coef)) + self._intercept

@@ -61,11 +61,63 @@ class CostGreedyScheduler(Scheduler):
         return added + cm.effective_memop_time(memop, added)
 
     def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
+        """The alive device with the least busy time plus
+        :meth:`estimate_added_time`, ties to the lowest id.
+
+        The terms that do not depend on the device (the output
+        allocation, each distinct input's holders, source, allocation
+        and host-copy time, the kernel time per peak rate) are taken
+        once per pair; per device the estimate adds them in the same
+        order as :meth:`estimate_added_time`, so every score has the
+        same bits.
+        """
+        cm = self.cost_model
         compute = cluster.compute_s
-        memop = cluster.memop_s
-        # Lost devices are never candidates; alive is ascending and
-        # ``min`` keeps the first minimum, so ties go to the lowest id.
-        return min(
-            cluster.alive_ids(),
-            key=lambda g: compute[g] + memop[g] + self.estimate_added_time(pair, g, cluster),
-        )
+        memop_s = cluster.memop_s
+        devices = cluster.devices
+        out_nbytes = pair.out.nbytes
+        out_alloc = cm.alloc_time(out_nbytes)
+        # (holders, nbytes, alloc seconds, nearest source or None, host
+        # copy seconds or None) per distinct input.
+        fetches = []
+        seen: set[int] = set()
+        for spec in pair.inputs:
+            if spec.uid in seen:
+                continue
+            seen.add(spec.uid)
+            holders = cluster.devices_holding(spec.uid)
+            nbytes = spec.nbytes
+            if holders:
+                fetches.append((holders, nbytes, cm.alloc_time(nbytes), min(holders), None))
+            else:
+                fetches.append((holders, nbytes, cm.alloc_time(nbytes), None, cm.h2d_time(nbytes)))
+        # ``kernel_time`` reads only the device's peak rate.
+        kernel: dict[float, float] = {}
+        best, best_t = None, 0.0
+        # Lost devices are never candidates; alive is ascending and only
+        # a strictly smaller score replaces the pick, so ties go to the
+        # lowest id.
+        for g in cluster.alive_ids():
+            device = devices[g]
+            added = kernel.get(device.peak_gflops)
+            if added is None:
+                added = kernel[device.peak_gflops] = cm.kernel_time(pair, device)
+            incoming = out_nbytes
+            memop = out_alloc
+            for holders, nbytes, alloc, src, h2d in fetches:
+                if g in holders:
+                    continue
+                if src is None:
+                    memop += alloc + h2d
+                else:
+                    memop += alloc + cm.d2d_time(nbytes, src=src, dst=g)
+                incoming += nbytes
+            overflow = incoming - cluster.free_bytes(g)
+            if overflow > 0:
+                memop += cm.eviction_time(overflow)
+            t = compute[g] + memop_s[g] + (added + cm.effective_memop_time(memop, added))
+            if best is None or t < best_t:
+                best, best_t = g, t
+        if best is None:
+            raise ValueError("no alive device to place the pair on")
+        return best

@@ -179,6 +179,16 @@ class ShardHealthState(str, Enum):
     DEAD = "dead"
 
 
+#: States that take no new primary traffic, bound once: the router asks
+#: per candidate shard per decision, and an enum member lookup costs
+#: several times an identity test.
+_UNROUTABLE = (
+    ShardHealthState.QUARANTINED,
+    ShardHealthState.PROBATION,
+    ShardHealthState.DEAD,
+)
+
+
 class HealthMonitor:
     """Phi-accrual-style suspicion tracking over shard heartbeats.
 
@@ -340,11 +350,7 @@ class HealthMonitor:
         prove themselves over ``probation_beats`` ticks before routing
         trusts them again.
         """
-        return self.state[node] in (
-            ShardHealthState.QUARANTINED,
-            ShardHealthState.PROBATION,
-            ShardHealthState.DEAD,
-        )
+        return self.state[node] in _UNROUTABLE
 
     def is_suspect(self, node: int) -> bool:
         """Anything short of HEALTHY is deprioritized by routing."""

@@ -38,6 +38,7 @@ from repro.serve.sharded.routing import (
     RoutingPolicy,
     ShardSnapshot,
     rank_shards,
+    residency_overlap,
     vector_input_bytes,
 )
 from repro.utils.rng import as_generator
@@ -63,17 +64,22 @@ FEATURE_NAMES = (
 _MIB = 1024**2
 
 
-def route_features(vector, snap: ShardSnapshot, uids: dict[int, int] | None = None) -> np.ndarray:
+def route_features(
+    vector,
+    snap: ShardSnapshot,
+    uids: dict[int, int] | None = None,
+    overlap: int | None = None,
+) -> np.ndarray:
     """Feature row for placing ``vector`` on the shard behind ``snap``.
 
-    ``uids`` is :func:`vector_input_bytes` of ``vector``; callers scoring
-    one vector against several shards pass it in to build it once.
+    ``uids`` is :func:`vector_input_bytes` of ``vector`` and ``overlap``
+    its :func:`residency_overlap` with ``snap.residency``; callers that
+    already have them pass them in to build them once.
     """
     if uids is None:
         uids = vector_input_bytes(vector)
-    # An integer sum: exact in any order, so the intersection's order
-    # does not matter.
-    overlap = sum([uids[uid] for uid in uids.keys() & snap.residency.keys()])
+    if overlap is None:
+        overlap = residency_overlap(uids, snap.residency)
     return np.array(
         (
             snap.queue_depth,
@@ -155,16 +161,27 @@ class LearnedRouting(RoutingPolicy):
         self.events: list[dict] = []
         self._warm = False
         self._last_kind = "fallback"
-        # (vector, vector_input_bytes(vector)) of the last vector scored:
-        # choose() and the note_placed() that follows share one build.
-        self._uids_of = (None, None)
+        # The last vector scored, its vector_input_bytes() and its
+        # overlap with each shard's digest residency (node -> (residency,
+        # overlap)): choose() and the note_placed() that follows share
+        # one build of each.
+        self._scored = (None, None, None)
 
-    def _vector_uids(self, vector) -> dict[int, int]:
-        last, uids = self._uids_of
+    def _features(self, vector, snap: ShardSnapshot) -> np.ndarray:
+        """:func:`route_features`, reusing the last vector's input map
+        and its overlap with an unchanged digest."""
+        last, uids, overlaps = self._scored
         if last is not vector:
-            uids = vector_input_bytes(vector)
-            self._uids_of = (vector, uids)
-        return uids
+            uids, overlaps = vector_input_bytes(vector), {}
+            self._scored = (vector, uids, overlaps)
+        residency = snap.residency
+        hit = overlaps.get(snap.node)
+        if hit is not None and hit[0] is residency:
+            overlap = hit[1]
+        else:
+            overlap = residency_overlap(uids, residency)
+            overlaps[snap.node] = (residency, overlap)
+        return route_features(vector, snap, uids, overlap)
 
     def model(self, node: int) -> SlidingWindowRegressor:
         m = self._models.get(node)
@@ -201,9 +218,8 @@ class LearnedRouting(RoutingPolicy):
         self.learned_decisions += 1
         self._last_kind = "learned"
         best_node, best_pred = None, None
-        uids = self._vector_uids(vector)
         for snap, model in zip(snapshots, models):
-            pred = model.predict_one(route_features(vector, snap, uids))
+            pred = model.predict_one(self._features(vector, snap))
             if pred is None:  # pragma: no cover - warm models always predict
                 pred = float("inf")
             if (
@@ -218,8 +234,7 @@ class LearnedRouting(RoutingPolicy):
 
     def note_placed(self, ticket, snap: ShardSnapshot, now: float) -> None:
         """Record the pending sample for a just-placed ticket."""
-        vector = ticket.vector
-        x = route_features(vector, snap, self._vector_uids(vector))
+        x = self._features(ticket.vector, snap)
         pred = self.model(snap.node).predict_one(x)
         ticket.route_sample = (snap.node, now, x, pred, self._last_kind)
 

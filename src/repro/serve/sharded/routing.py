@@ -38,6 +38,14 @@ def vector_input_bytes(vector) -> dict[int, int]:
     return uids
 
 
+def residency_overlap(uids: dict[int, int], residency: dict) -> int:
+    """Bytes of the ``uids`` inputs resident in a digest's ``residency``."""
+    # An integer sum, exact in any order.  ``uids`` is a vector's few
+    # inputs and ``residency`` a node's hundreds of tensors: probing the
+    # digest per input beats building a key-set intersection.
+    return sum([nbytes for uid, nbytes in uids.items() if uid in residency])
+
+
 def rank_shards(snapshots: list[ShardSnapshot], overlap: list[int] | None = None) -> int:
     """Winning node id under the shared lexicographic digest ranking.
 
@@ -164,10 +172,7 @@ class ResidencyAffinity(RoutingPolicy):
 
     def choose(self, vector, snapshots: list[ShardSnapshot]) -> int:
         uids = vector_input_bytes(vector)
-        overlap = [
-            sum(nbytes for uid, nbytes in uids.items() if uid in snap.residency)
-            for snap in snapshots
-        ]
+        overlap = [residency_overlap(uids, snap.residency) for snap in snapshots]
         return rank_shards(snapshots, overlap)
 
 

@@ -120,6 +120,9 @@ class GlobalScheduler:
         self.forwards = 0
         #: Tickets re-homed after their shard died.
         self.reroutes = 0
+        # (now, candidate snapshots) of the last route(): the charge()
+        # that commits its pick reuses the chosen shard's snapshot.
+        self._routed = (None, ())
 
     def sync(self, now: float, linkless_devices=frozenset(), unreachable=frozenset()) -> None:
         """Refresh every *reachable* live shard's digest.
@@ -152,15 +155,19 @@ class GlobalScheduler:
         correction, enriched only for ``wants_features`` policies (static
         policies get the enriched fields' defaults)."""
         monitor = self.monitor
+        # Positional, in field order (node, alive, queue_depth, inflight,
+        # linkless, suspect, residency, pending): passing the eight by
+        # keyword costs more than twice as much, once per candidate shard
+        # per routing decision.
         snap = ShardSnapshot(
-            node=node,
-            alive=digest.alive,
-            queue_depth=digest.queue_depth,
-            inflight=digest.inflight,
-            linkless=digest.linkless,
-            suspect=monitor is not None and monitor.is_suspect(node),
-            residency=digest.residency,
-            pending=self.shards[node].routed_since_sync,
+            node,
+            digest.alive,
+            digest.queue_depth,
+            digest.inflight,
+            digest.linkless,
+            monitor is not None and monitor.is_suspect(node),
+            digest.residency,
+            self.shards[node].routed_since_sync,
         )
         if not self.policy.wants_features:
             return snap
@@ -203,6 +210,7 @@ class GlobalScheduler:
         candidates = routable or avoided
         if not candidates:
             return None
+        self._routed = (now, candidates)
         return self.policy.choose(vector, candidates)
 
     # ------------------------------------------- between-sync charge ledger
@@ -223,9 +231,29 @@ class GlobalScheduler:
         if self.policy.wants_features:
             digest = self.digests.get(node)
             if digest is not None:
-                self.policy.note_placed(
-                    ticket, self._snapshot(node, digest, now), now
-                )
+                self.policy.note_placed(ticket, self._placed_snapshot(node, digest, now), now)
+
+    def _placed_snapshot(self, node: int, digest, now: float) -> ShardSnapshot:
+        """The snapshot :meth:`route` built for ``node`` at ``now``,
+        brought up to date, or a fresh one when there is none.
+
+        Between a ``route`` and the ``charge`` that commits its pick,
+        ``place()`` changes only the router's ``pending`` count (this
+        charge) and the shard's forwarding breaker (``allow`` and
+        ``record_success``); digests, health and blame stay as they
+        were, so only those two fields are refreshed.
+        """
+        routed_at, candidates = self._routed
+        self._routed = (None, ())
+        if routed_at == now:
+            for snap in candidates:
+                if snap.node == node:
+                    snap.pending = self.shards[node].routed_since_sync
+                    breaker = self.breakers.get(node)
+                    if breaker is not None:
+                        snap.breaker = _BREAKER_CODE[breaker.state]
+                    return snap
+        return self._snapshot(node, digest, now)
 
     def discharge(self, ticket: Ticket, now: float) -> None:
         """Reverse a ticket's pending charge (shed/abandon/cancel/reroute).

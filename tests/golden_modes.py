@@ -233,6 +233,25 @@ def _learned(seed):
     )
 
 
+def _learned_wrap(seed):
+    # Long enough that every shard's 512-sample window wraps and refits
+    # dozens of times at the default min_samples/refit_interval, with a
+    # straggler on node 1 for the first stretch so the models have a
+    # real latency difference to learn and then unlearn.
+    plan = FaultPlan((
+        FaultEvent(FaultKind.STRAGGLER, 5e-3, 5, duration_s=0.1, slow_factor=4.0),
+    ))
+    cfg = ServeConfig(
+        sharded=True, routing="learned", sync_interval_s=1e-3,
+        health=HealthConfig(),
+    )
+    return serve(
+        cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
+        vectors=_stream(3, n=1500, vector_size=4), arrivals=PoissonArrivals(6_000.0),
+        seed=seed, faults=plan,
+    )
+
+
 def _sharded_integrity(seed):
     plan = FaultPlan.generate(
         seed, num_devices=8, horizon_s=0.02,
@@ -262,6 +281,7 @@ MODES = {
     "sharded-chaos": _sharded_chaos,
     "gray": _gray,
     "learned": _learned,
+    "learned-wrap": _learned_wrap,
     "sharded-integrity": _sharded_integrity,
 }
 
@@ -313,9 +333,26 @@ def summarize(result) -> dict:
     }
 
 
+def _window_summary(result) -> dict:
+    """How far the least-fed shard's learned-routing window got."""
+    shards = result.routing["per_shard"].values()
+    return {
+        "min_shard_samples": min(s["samples"] for s in shards),
+        "min_shard_refits": min(s["refits"] for s in shards),
+    }
+
+
+#: Extra summary fields for modes whose path the common summary cannot
+#: see (kept out of :func:`summarize` so other fixtures do not change).
+EXTRA_SUMMARY = {"learned-wrap": _window_summary}
+
+
 def fingerprint(mode: str, seed: int) -> dict:
     """Artifact digests plus summary for one (mode, seed) run."""
     result = run(mode, seed)
+    summary = summarize(result)
+    if mode in EXTRA_SUMMARY:
+        summary.update(EXTRA_SUMMARY[mode](result))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         result.to_json(tmp / "report.json")
@@ -330,7 +367,7 @@ def fingerprint(mode: str, seed: int) -> dict:
             "report_sha256": _sha(tmp / "report.json"),
             "trace_sha256": _sha(tmp / "trace.json"),
             "engine_trace_sha256": engine,
-            "summary": summarize(result),
+            "summary": summary,
         }
 
 
@@ -365,6 +402,8 @@ COVERAGE = {
     },
     "gray": {"hedges": 1, "health_quarantines": 1, "restores": 1, "silences": 1},
     "learned": {"learned_decisions": 1},
+    # Every shard's 512-sample window wraps, then refits many times.
+    "learned-wrap": {"learned_decisions": 1, "min_shard_samples": 513, "min_shard_refits": 32},
     "sharded-integrity": {"detected": 1, "quarantines": 1},
 }
 

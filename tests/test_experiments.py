@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import MiccoConfig
 from repro.experiments import EXPERIMENTS, Table
 from repro.experiments import (
+    ablations,
     fig5_spearman,
     fig7_overall,
     fig8_bounds,
@@ -172,3 +173,19 @@ class TestTab6:
         assert row["tensor_size"] == 128
         assert row["num_graphs"] > 0
         assert row["speedup"] > 0
+
+
+class TestEvictionAblation:
+    def test_stream_mixes_two_tensor_sizes(self):
+        params = ablations.DEFAULT_PARAMS.with_(num_vectors=2, batch=2)
+        vectors = ablations.mixed_size_stream(params, seed=7)
+        assert [v.tensor_size for v in vectors] == [384, 192, 384, 192]
+        assert [v.vector_id for v in vectors] == [0, 1, 2, 3]
+
+    def test_largest_first_is_not_fifo(self):
+        # With one tensor size largest-first ties everywhere and falls
+        # back to oldest-first, printing FIFO's row.
+        params = ablations.DEFAULT_PARAMS.with_(num_vectors=8, batch=16)
+        rows = {r["variant"]: r for r in ablations.run_eviction_ablation(params).rows}
+        assert rows["largest"] != {**rows["fifo"], "variant": "largest"}
+        assert rows["largest"]["evictions"] != rows["fifo"]["evictions"]

@@ -152,3 +152,45 @@ class TestPersistence:
         path.write_text(json.dumps({"log": [{"op": "put", "uid": 1}]}))
         with pytest.raises(ConfigurationError, match="entry 0"):
             ResidencyJournal.from_json(path)
+
+    def test_from_json_coerces_numeric_strings(self, tmp_path):
+        # The writers pass ints straight through; the reader is where a
+        # non-int can enter, so it coerces.
+        path = tmp_path / "journal.json"
+        path.write_text(json.dumps({"log": [
+            {"op": "put", "time_s": 0.0, "uid": "3", "device": "1", "nbytes": "64"},
+            {"op": "drop", "time_s": 0.1, "uid": 3.0, "device": 1, "reason": "drain"},
+        ]}))
+        entries = ResidencyJournal.from_json(path).entries()
+        assert [(e["uid"], e["device"], e["nbytes"]) for e in entries] == [(3, 1, 64), (3, 1, 0)]
+        assert all(type(e[k]) is int for e in entries for k in ("uid", "device", "nbytes"))
+
+
+class TestChaosRunJournal:
+    def test_entries_are_plain_ints_and_round_trip(self, monkeypatch, tmp_path):
+        from repro.serve import server as server_mod
+        from tests import golden_modes
+
+        made = []
+
+        class Recorded(ResidencyJournal):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(server_mod, "ResidencyJournal", Recorded)
+        golden_modes.run("single-chaos", 12)  # warm restore under faults
+        (journal,) = made
+        raw = list(journal._entries)
+        ops = {e[0] for e in raw}
+        assert ops == {"put", "drop"} and journal.restores >= 1
+        for _op, t, uid, device, nbytes, reason in raw:
+            assert type(t) is float
+            assert type(uid) is int and type(device) is int and type(nbytes) is int
+            assert type(reason) is str
+        path = tmp_path / "journal.json"
+        journal.to_json(path)
+        back = ResidencyJournal.from_json(path)
+        assert list(back._entries) == raw
+        assert back.entries() == journal.entries()
+        assert back.summary() == journal.summary()

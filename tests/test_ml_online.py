@@ -4,6 +4,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.ml import SlidingWindowRegressor
@@ -136,22 +138,84 @@ class TestRingBuffer:
                 assert m.predict_one(probe) == float(expected.predict(probe).reshape(-1)[0])
         assert refits >= 5 * window // refit_interval - 2
 
-    def test_non_linear_models_predict_through_their_own_predict(self):
-        class Constant:
-            def fit(self, X, y):
-                self.value = float(y.mean())
-                return self
-
-            def predict(self, X):
-                return np.full(1, self.value)
-
-        m = SlidingWindowRegressor(Constant, window=4, min_samples=2, refit_interval=1)
-        for i in range(6):
-            m.observe([float(i)], float(i))
-        assert m.predict_one([0.0]) == pytest.approx((2 + 3 + 4 + 5) / 4)
-
     def test_feature_shape_change_rejected(self):
         m = SlidingWindowRegressor(min_samples=2)
         m.observe([1.0, 2.0], 0.0)
         with pytest.raises(ModelError, match="feature shape"):
             m.observe([1.0], 0.0)
+
+
+@st.composite
+def windows(draw):
+    """A random regression window shaped like the routing ones: 2-600
+    rows, 1-16 columns with magnitudes from 1e-3 to 1e4, some columns
+    constant (zero variance)."""
+    n = draw(st.integers(2, 600))
+    k = draw(st.integers(1, 16))
+    constant = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3.0, 4.0, size=k)
+    X = rng.normal(size=(n, k)) * scale + rng.normal(size=k) * scale
+    for j, const in enumerate(constant):
+        if const:
+            X[:, j] = float(rng.integers(0, 5))
+    y = X @ rng.normal(size=k) + rng.normal(scale=10.0 ** rng.uniform(-3.0, 1.0), size=n)
+    return X, y, rng
+
+
+def reference_fit(X, y):
+    """The textbook fit: ``X.std`` and an ``np.hstack`` design matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(y, dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    mu = X.mean(axis=0)
+    sd = X.std(axis=0)
+    sd[sd == 0] = 1.0
+    Xs = (X - mu) / sd
+    A = np.hstack([Xs, np.ones((X.shape[0], 1))])
+    W, *_ = np.linalg.lstsq(A, Y, rcond=None)
+    coef = (W[:-1].T / sd).T
+    return coef, W[-1] - (mu / sd) @ W[:-1]
+
+
+def hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+class TestExactness:
+    """The fast paths give the same bits as the plain formulas."""
+
+    @given(windows(), st.integers(0, 600))
+    @settings(max_examples=80, deadline=None)
+    def test_predict_one_is_linear_regression_predict(self, window, extra):
+        X, y, rng = window
+        n = len(X)
+        extra = min(extra, n)  # samples past the first fill: the ring wraps
+        m = SlidingWindowRegressor(
+            window=n, min_samples=n, refit_interval=max(extra, 1)
+        )
+        rows = np.concatenate((X, X[:extra] * 1.5)) if extra else X
+        targets = np.concatenate((y, y[:extra] - 1.0)) if extra else y
+        refits = [m.observe(x, t) for x, t in zip(rows, targets)]
+        assert refits[-1] and m.refits == (2 if extra else 1)
+        # The reference fit sees the last n rows, oldest first, as plain
+        # slices: a ring that unrolls them in any other order or set
+        # gives other bits.
+        model = LinearRegression().fit(rows[-n:], targets[-n:])
+        probes = np.concatenate((rows[-8:], rng.normal(size=(8, X.shape[1])) * X.std(axis=0)))
+        for x in probes:
+            expected = float(model.predict(x)[0, 0])
+            assert m.predict_one(x).hex() == expected.hex()
+
+    @given(windows(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_fit_is_the_reference_formula(self, window, outputs):
+        X, y, rng = window
+        Y = y if outputs == 1 else np.column_stack([y] + [
+            y * rng.normal() for _ in range(outputs - 1)
+        ])
+        model = LinearRegression().fit(X, Y)
+        coef, intercept = reference_fit(X, Y)
+        assert hexes(model.coef_) == hexes(coef)
+        assert hexes(model.intercept_) == hexes(intercept)

@@ -6,8 +6,10 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve import LearnedRouting, ServeConfig
+from repro.faults import FaultEvent, FaultKind, FaultPlan
+from repro.serve import HealthConfig, LearnedRouting, PoissonArrivals, ServeConfig
 from repro.serve.sharded.learned import FEATURE_NAMES, route_features
+from repro.serve.sharded.server import GlobalScheduler
 from repro.serve.sharded.routing import ShardSnapshot, make_routing_policy
 from tests.conftest import make_vector
 from tests.test_serve_sharded import run_sharded
@@ -255,3 +257,55 @@ class TestEndToEnd:
         r6 = run_sharded(serve=learned_serve(explore_floor=0.5), n=32, seed=6)[1]
         assert (r5.routing["explored"], r5.routing["learned"]) != (0, 0)
         assert r5.to_trace().events != r6.to_trace().events
+
+
+class TestPlacedFeatures:
+    def test_note_placed_rows_match_a_fresh_snapshot(self, monkeypatch):
+        # charge() reuses the snapshot route() built for the chosen
+        # shard, refreshing only pending and breaker.  Under gray faults
+        # (breakers opening and half-opening, suspicion moving, hedge
+        # clones) every recorded row must equal one built from scratch.
+        route, charge = GlobalScheduler.route, GlobalScheduler.charge
+        routed_breaker = {}
+        seen = {"rows": 0, "breaker_moved": 0}
+
+        def traced_route(router, vector, now, exclude=frozenset()):
+            node = route(router, vector, now, exclude)
+            if node is not None:
+                snap = router._snapshot(node, router.digests[node], now)
+                routed_breaker["code"] = snap.breaker
+            return node
+
+        def checked_charge(router, ticket, node, now):
+            charge(router, ticket, node, now)
+            digest = router.digests.get(node)
+            if digest is None:
+                return
+            fresh = route_features(ticket.vector, router._snapshot(node, digest, now))
+            assert ticket.route_sample[2].tobytes() == fresh.tobytes()
+            seen["rows"] += 1
+            if fresh[FEATURE_NAMES.index("breaker")] != routed_breaker["code"]:
+                seen["breaker_moved"] += 1
+
+        monkeypatch.setattr(GlobalScheduler, "route", traced_route)
+        monkeypatch.setattr(GlobalScheduler, "charge", checked_charge)
+        plan = FaultPlan((
+            FaultEvent(FaultKind.STRAGGLER, 1e-3, 4, duration_s=30e-3, slow_factor=6.0),
+            FaultEvent(FaultKind.NODE_FLAP, 2e-3, 5, duration_s=4e-3, count=3, period_s=5e-3),
+            FaultEvent(FaultKind.HEARTBEAT_LOSS, 6.5e-3, 1, duration_s=6e-3),
+        ))
+        health = HealthConfig(
+            heartbeat_interval_s=1e-3, suspect_threshold=2.0, quarantine_threshold=4.0,
+            probation_beats=3, hedging=True, hedge_deadline_s=1e-3,
+            breaker_threshold=2, breaker_probe_interval_s=1e-3,
+        )
+        cfg = learned_serve(
+            sync_interval_s=1e-3, health=health, queue_capacity=2, max_inflight=1,
+        )
+        _, result = run_sharded(
+            serve=cfg, n=120, arrivals=PoissonArrivals(8_000.0), seed=3, faults=plan,
+        )
+        assert result.routing["learned"] > 0
+        assert result.health["hedges"]["launched"] > 0
+        assert seen["rows"] >= 80
+        assert seen["breaker_moved"] > 0  # a half-open probe closed in place()
