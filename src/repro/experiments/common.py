@@ -17,6 +17,7 @@ from pathlib import Path
 from repro.core.config import MiccoConfig
 from repro.core.framework import Micco
 from repro.core.session import RunResult
+from repro.ml.persistence import FORMAT, load_predictor, save_predictor
 from repro.ml.predictor import ReuseBoundPredictor, train_default_predictor
 from repro.schedulers.groute import GrouteScheduler
 from repro.tensor.spec import VectorSpec
@@ -53,11 +54,11 @@ def get_default_predictor(
     if pred is not None:
         return pred
 
-    disk_key = hashlib.sha256(json.dumps(key).encode()).hexdigest()[:16]
+    # The file layout is part of the key, so a file saved in another
+    # format is never picked up.
+    disk_key = hashlib.sha256(json.dumps([*key, FORMAT]).encode()).hexdigest()[:16]
     disk_path = cache_dir() / f"predictor-{disk_key}.json"
     if use_disk_cache and disk_path.exists():
-        from repro.ml.persistence import load_predictor
-
         pred = load_predictor(disk_path)
         _PREDICTOR_CACHE[key] = pred
         return pred
@@ -67,8 +68,6 @@ def get_default_predictor(
     )
     _PREDICTOR_CACHE[key] = pred
     if use_disk_cache:
-        from repro.ml.persistence import save_predictor
-
         save_predictor(pred, disk_path)
     return pred
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from repro.ml.tree import DecisionTreeRegressor
-from repro.utils.rng import as_generator, spawn_generators
+from repro.ml.shapes import fit_arrays, predict_rows
+from repro.ml.tree import DecisionTreeRegressor, NodeTable
+from repro.utils.rng import spawn_generators
 
 
 class RandomForestRegressor:
@@ -45,21 +46,14 @@ class RandomForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.trees_: list[DecisionTreeRegressor] = []
-        self.n_outputs_: int | None = None
+        self.table_: NodeTable | None = None
+        self.n_features_: int | None = None
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(y, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if X.shape[0] != Y.shape[0]:
-            raise ModelError(f"shape mismatch: X {X.shape}, y {Y.shape}")
+        X, Y = fit_arrays(X, y)
         n = X.shape[0]
-        self.n_outputs_ = Y.shape[1]
-        self.trees_ = []
-        rngs = spawn_generators(self.seed, self.n_estimators)
-        for rng in rngs:
+        tables = []
+        for rng in spawn_generators(self.seed, self.n_estimators):
             rows = rng.integers(0, n, size=n)  # bootstrap sample
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
@@ -67,18 +61,14 @@ class RandomForestRegressor:
                 max_features=self.max_features,
                 rng=rng,
             )
-            tree.fit(X[rows], Y[rows])
-            self.trees_.append(tree)
+            tables.append(tree.fit(X[rows], Y[rows]).table_)
+        self.table_ = NodeTable.concat(tables)
+        self.n_features_ = X.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
-        if not self.trees_:
-            raise ModelError("predict called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        acc = self.trees_[0].predict(X).copy()
-        for tree in self.trees_[1:]:
-            acc += tree.predict(X)
-        acc /= len(self.trees_)
-        return acc
+        X = predict_rows(X, self.n_features_)
+        per_tree = self.table_.value[self.table_.leaves(X)]
+        # A running sum adds the trees one at a time in tree order; a
+        # pairwise sum would give other bits.
+        return np.cumsum(per_tree, axis=1)[:, -1] / len(self.table_.roots)

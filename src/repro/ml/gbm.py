@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.shapes import fit_arrays, predict_rows
+from repro.ml.tree import DecisionTreeRegressor, NodeTable
 from repro.utils.rng import spawn_generators
 
 
@@ -55,21 +56,16 @@ class GradientBoostingRegressor:
         self.subsample = subsample
         self.seed = seed
         self.base_: np.ndarray | None = None
-        self.stages_: list[DecisionTreeRegressor] = []
+        self.table_: NodeTable | None = None
+        self.n_features_: int | None = None
 
     def fit(self, X, y) -> "GradientBoostingRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(y, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if X.shape[0] != Y.shape[0]:
-            raise ModelError(f"shape mismatch: X {X.shape}, y {Y.shape}")
+        X, Y = fit_arrays(X, y)
         n = X.shape[0]
         self.base_ = Y.mean(axis=0)
         pred = np.tile(self.base_, (n, 1))
-        self.stages_ = []
-        rngs = spawn_generators(self.seed, self.n_estimators)
-        for rng in rngs:
+        tables = []
+        for rng in spawn_generators(self.seed, self.n_estimators):
             residual = Y - pred
             if self.subsample < 1.0:
                 rows = rng.choice(n, size=max(2, int(self.subsample * n)), replace=False)
@@ -80,16 +76,15 @@ class GradientBoostingRegressor:
             )
             tree.fit(X[rows], residual[rows])
             pred += self.learning_rate * tree.predict(X)
-            self.stages_.append(tree)
+            tables.append(tree.table_)
+        self.table_ = NodeTable.concat(tables)
+        self.n_features_ = X.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.base_ is None:
-            raise ModelError("predict called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        pred = np.tile(self.base_, (X.shape[0], 1))
-        for tree in self.stages_:
-            pred += self.learning_rate * tree.predict(X)
-        return pred
+        X = predict_rows(X, self.n_features_)
+        steps = self.learning_rate * self.table_.value[self.table_.leaves(X)]
+        # Base row first, then one stage at a time as fit added them; a
+        # pairwise sum would give other bits.
+        base = np.broadcast_to(self.base_, (X.shape[0], 1, len(self.base_)))
+        return np.cumsum(np.concatenate([base, steps], axis=1), axis=1)[:, -1]

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.ml.metrics import r2_score
+from repro.ml.shapes import fit_arrays
 from repro.utils.rng import as_generator
 
 
@@ -39,13 +40,8 @@ def permutation_importance(
     Array of shape ``(n_features,)``; larger = more important.  Values
     can be slightly negative for irrelevant features (noise).
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(y, dtype=np.float64)
-    if Y.ndim == 1:
-        # Models in this package always predict 2-d; align the target.
-        Y = Y[:, None]
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ModelError(f"shape mismatch: X {X.shape}, y {Y.shape}")
+    # Models in this package always predict 2-d; the target is aligned.
+    X, Y = fit_arrays(X, y)
     if n_repeats < 1:
         raise ModelError(f"n_repeats must be >= 1, got {n_repeats}")
     rng = as_generator(seed)

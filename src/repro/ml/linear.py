@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
+from repro.ml.shapes import fit_arrays, predict_rows
 
 
 class LinearRegression:
@@ -25,12 +26,7 @@ class LinearRegression:
         self.intercept_: np.ndarray | None = None
 
     def fit(self, X, y) -> "LinearRegression":
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(y, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-            raise ModelError(f"shape mismatch: X {X.shape}, y {Y.shape}")
+        X, Y = fit_arrays(X, y)
         if X.shape[0] < 2:
             raise ModelError("need at least 2 samples to fit a line")
         n, k = X.shape
@@ -51,9 +47,5 @@ class LinearRegression:
         return self
 
     def predict(self, X) -> np.ndarray:
-        if self.coef_ is None:
-            raise ModelError("predict called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
+        X = predict_rows(X, None if self.coef_ is None else len(self.coef_))
         return X @ self.coef_ + self.intercept_

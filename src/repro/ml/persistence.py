@@ -17,105 +17,98 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.linear import LinearRegression
 from repro.ml.predictor import ReuseBoundPredictor
-from repro.ml.tree import DecisionTreeRegressor, _Node
+from repro.ml.tree import DecisionTreeRegressor, NodeTable
+
+#: Layout of saved predictors.  Format 2 stores each tree model as its
+#: flat node table; format 1 (files without a number) nested one dict
+#: per node.
+FORMAT = 2
+
+#: Serialized kind of each tree model; all three keep one node table.
+TREE_KINDS = {
+    "tree": DecisionTreeRegressor,
+    "forest": RandomForestRegressor,
+    "gbm": GradientBoostingRegressor,
+}
 
 
-# ------------------------------------------------------------------ tree <-> dict
-def _node_to_dict(node: _Node) -> dict:
-    if node.is_leaf:
-        return {"value": [float(v) for v in node.value]}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _checked_table(d: dict, n_features: int) -> NodeTable:
+    """The node table ``d`` holds, or :class:`ModelError` if it cannot be walked.
 
-
-def _node_from_dict(d: dict) -> _Node:
-    if "value" in d:
-        return _Node(value=np.asarray(d["value"], dtype=np.float64))
-    return _Node(
-        feature=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
-    )
-
-
-def tree_to_dict(tree: DecisionTreeRegressor) -> dict:
-    if tree._root is None:
-        raise ModelError("cannot serialize an unfitted tree")
-    return {
-        "kind": "tree",
-        "n_features": tree.n_features_,
-        "n_outputs": tree.n_outputs_,
-        "root": _node_to_dict(tree._root),
-    }
-
-
-def tree_from_dict(d: dict) -> DecisionTreeRegressor:
-    tree = DecisionTreeRegressor()
-    tree.n_features_ = int(d["n_features"])
-    tree.n_outputs_ = int(d["n_outputs"])
-    tree._root = _node_from_dict(d["root"])
-    return tree
+    :meth:`NodeTable.leaves` steps until every row reaches a leaf, so a
+    child id that does not move forward (a cycle) would never return.
+    """
+    table = NodeTable(*(
+        np.asarray(d[name], dtype=np.float64 if name in ("threshold", "value") else np.int64)
+        for name in NodeTable._fields
+    ))
+    n = len(table.feature)
+    if {len(a) for a in table[:5]} != {n} or table.value.ndim != 2:
+        raise ModelError(f"node table arrays differ in length: {[len(a) for a in table[:5]]}")
+    inner = np.flatnonzero(table.feature >= 0)
+    kids = np.stack([table.left[inner], table.right[inner]])
+    bad = inner[((kids <= inner) | (kids >= n)).any(axis=0)]
+    if bad.size:
+        i = int(bad[0])
+        raise ModelError(f"node {i}: children {table.left[i]}, {table.right[i]} not in ({i}, {n})")
+    if table.roots.size == 0 or ((table.roots < 0) | (table.roots >= n)).any():
+        raise ModelError(f"root ids {table.roots.tolist()} out of range for {n} nodes")
+    if ((table.feature < -1) | (table.feature >= n_features)).any():
+        raise ModelError(f"feature ids out of range for {n_features} features")
+    return table
 
 
 # ---------------------------------------------------------------- model <-> dict
 def model_to_dict(model) -> dict:
     """Serialize any of the four regressors to a JSON-safe dict."""
-    if isinstance(model, DecisionTreeRegressor):
-        return tree_to_dict(model)
-    if isinstance(model, RandomForestRegressor):
-        return {
-            "kind": "forest",
-            "n_outputs": model.n_outputs_,
-            "trees": [tree_to_dict(t) for t in model.trees_],
-        }
-    if isinstance(model, GradientBoostingRegressor):
-        return {
-            "kind": "gbm",
-            "learning_rate": model.learning_rate,
-            "base": [float(v) for v in model.base_],
-            "stages": [tree_to_dict(t) for t in model.stages_],
-        }
     if isinstance(model, LinearRegression):
         return {
             "kind": "linear",
             "coef": np.asarray(model.coef_).tolist(),
             "intercept": np.asarray(model.intercept_).tolist(),
         }
-    raise ModelError(f"cannot serialize model of type {type(model).__name__}")
+    kind = next((k for k, cls in TREE_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise ModelError(f"cannot serialize model of type {type(model).__name__}")
+    if model.table_ is None:
+        raise ModelError(f"cannot serialize an unfitted {kind}")
+    d = {
+        "kind": kind,
+        "n_features": model.n_features_,
+        "table": {name: a.tolist() for name, a in model.table_._asdict().items()},
+    }
+    if kind == "gbm":
+        d.update(learning_rate=model.learning_rate, base=model.base_.tolist())
+    return d
 
 
 def model_from_dict(d: dict):
     """Inverse of :func:`model_to_dict`."""
     kind = d.get("kind")
-    if kind == "tree":
-        return tree_from_dict(d)
-    if kind == "forest":
-        model = RandomForestRegressor()
-        model.trees_ = [tree_from_dict(t) for t in d["trees"]]
-        model.n_outputs_ = int(d["n_outputs"])
-        return model
-    if kind == "gbm":
-        model = GradientBoostingRegressor(learning_rate=float(d["learning_rate"]))
-        model.base_ = np.asarray(d["base"], dtype=np.float64)
-        model.stages_ = [tree_from_dict(t) for t in d["stages"]]
-        return model
     if kind == "linear":
         model = LinearRegression()
         model.coef_ = np.asarray(d["coef"], dtype=np.float64)
         model.intercept_ = np.asarray(d["intercept"], dtype=np.float64)
         return model
-    raise ModelError(f"unknown serialized model kind {kind!r}")
+    if kind not in TREE_KINDS:
+        raise ModelError(f"unknown serialized model kind {kind!r}")
+    if "table" not in d:
+        raise ModelError(f"serialized {kind} has no node table")
+    if kind == "gbm":
+        model = GradientBoostingRegressor(learning_rate=float(d["learning_rate"]))
+        model.base_ = np.asarray(d["base"], dtype=np.float64)
+    else:
+        model = TREE_KINDS[kind]()
+    model.n_features_ = int(d["n_features"])
+    model.table_ = _checked_table(d["table"], model.n_features_)
+    return model
 
 
 # -------------------------------------------------------------------- file I/O
 def save_predictor(predictor: ReuseBoundPredictor, path: str | Path) -> None:
     """Write a predictor (model + clip ceiling) to a JSON file."""
     payload = {
+        "format": FORMAT,
         "clip_max": predictor.clip_max,
         "model": model_to_dict(predictor.model),
     }
@@ -125,6 +118,12 @@ def save_predictor(predictor: ReuseBoundPredictor, path: str | Path) -> None:
 def load_predictor(path: str | Path) -> ReuseBoundPredictor:
     """Load a predictor saved by :func:`save_predictor`."""
     payload = json.loads(Path(path).read_text())
+    fmt = payload.get("format", 1)
+    if fmt != FORMAT:
+        raise ModelError(
+            f"{path}: predictor format {fmt!r}, but this version reads format {FORMAT}"
+            " (format 1 nested one dict per tree node); retrain and save it again"
+        )
     return ReuseBoundPredictor(
         model_from_dict(payload["model"]),
         clip_max=payload.get("clip_max"),

@@ -4,30 +4,79 @@ Implementation notes (per the HPC guides: vectorize, avoid per-row
 Python work): split search evaluates every threshold of a feature in
 one vectorized pass using prefix sums of the sorted targets, giving
 O(n_features · n · log n) per node instead of O(n_features · n²).
+
+Every fitted tree model (this tree, the forest, the boosted ensemble)
+stores its trees as one flat :class:`NodeTable`, and
+:meth:`NodeTable.leaves` walks all rows through all trees at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ModelError
+from repro.ml.shapes import fit_arrays, predict_rows
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves carry the mean target vector."""
+class NodeTable(NamedTuple):
+    """Fitted trees as flat arrays, one entry per node, each tree in preorder.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: np.ndarray | None = None
+    ``feature`` is ``-1`` at a leaf, whose ``left``/``right`` are ``-1``
+    too; an internal node's child ids always exceed its own.  ``value``
+    holds the leaf means (zeros at internal nodes) and ``roots`` each
+    tree's root id, in tree order: a single tree is the one-root case.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+
+    @classmethod
+    def concat(cls, tables: list["NodeTable"]) -> "NodeTable":
+        """One table holding the single-tree ``tables``' trees, in order."""
+        sizes = [len(t.feature) for t in tables]
+        starts = np.cumsum([0] + sizes[:-1])
+        shift = np.repeat(starts, sizes)
+        feature, threshold, left, right, value = map(np.concatenate, zip(*(t[:5] for t in tables)))
+        inner = feature >= 0
+        left, right = (np.where(inner, side + shift, -1) for side in (left, right))
+        return cls(feature, threshold, left, right, value, starts)
+
+    def leaves(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id that each row of ``X`` reaches in each tree, ``(rows, trees)``.
+
+        Level-synchronous: every (row, tree) steps down one level per
+        iteration; rows already at a leaf stay put.
+        """
+        node = np.tile(self.roots, (X.shape[0], 1))
+        rows = np.arange(X.shape[0])[:, None]
+        feature = self.feature[node]
+        inner = feature >= 0
+        while inner.any():
+            go_left = X[rows, feature] <= self.threshold[node]
+            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
+            feature = self.feature[node]
+            inner = feature >= 0
+        return node
+
+    def sizes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-tree node count and depth (a lone leaf has depth 0), in tree order."""
+        n = len(self.feature)
+        depth = np.zeros(n, dtype=np.int64)
+        level, d = self.roots, 0
+        while level.size:
+            depth[level] = d
+            inner = level[self.feature[level] >= 0]
+            level, d = np.concatenate([self.left[inner], self.right[inner]]), d + 1
+        tree = np.searchsorted(self.roots, np.arange(n), side="right") - 1
+        depths = np.zeros(len(self.roots), dtype=np.int64)
+        np.maximum.at(depths, tree, depth)
+        return np.diff(self.roots, append=n), depths
 
 
 def _best_split(X: np.ndarray, Y: np.ndarray, feature_ids: np.ndarray, min_leaf: int):
@@ -94,104 +143,54 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng
-        self._root: _Node | None = None
-        self.n_outputs_: int | None = None
+        self.table_: NodeTable | None = None
         self.n_features_: int | None = None
 
-    def _n_split_features(self, n_features: int) -> int:
+    def _split_features(self, n_features: int) -> np.ndarray:
+        """Feature ids one split may use: all, or a fresh ``rng`` subset."""
         mf = self.max_features
         if mf is None:
-            return n_features
-        if isinstance(mf, float):
-            return max(1, int(round(mf * n_features)))
-        return max(1, min(int(mf), n_features))
+            k = n_features
+        elif isinstance(mf, float):
+            k = max(1, int(round(mf * n_features)))
+        else:
+            k = max(1, min(int(mf), n_features))
+        if k == n_features:
+            return np.arange(n_features)
+        if self.rng is None:
+            raise ModelError("max_features subsampling requires an rng")
+        return self.rng.choice(n_features, size=k, replace=False)
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        Y = np.asarray(y, dtype=np.float64)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-            raise ModelError(f"shape mismatch: X {X.shape}, y {Y.shape}")
-        if X.shape[0] == 0:
-            raise ModelError("cannot fit on an empty dataset")
+        X, Y = fit_arrays(X, y)
         self.n_features_ = X.shape[1]
-        self.n_outputs_ = Y.shape[1]
-        self._root = self._grow(X, Y, depth=0)
+        nodes: list[list] = []
+        self._grow(X, Y, 0, nodes)
+        self.table_ = NodeTable(*map(np.array, zip(*nodes)), roots=np.zeros(1, dtype=np.int64))
         return self
 
-    def _grow(self, X: np.ndarray, Y: np.ndarray, depth: int) -> _Node:
-        n = X.shape[0]
+    def _grow(self, X: np.ndarray, Y: np.ndarray, depth: int, nodes: list) -> int:
+        """Append the subtree fit to ``(X, Y)`` to ``nodes`` in preorder; return its id."""
+        node_id = len(nodes)
+        split = None
         if (
-            depth >= self.max_depth
-            or n < 2 * self.min_samples_leaf
-            or np.allclose(Y, Y[0])
+            depth < self.max_depth
+            and X.shape[0] >= 2 * self.min_samples_leaf
+            and not np.allclose(Y, Y[0])
         ):
-            return _Node(value=Y.mean(axis=0))
-        k = self._n_split_features(X.shape[1])
-        if k < X.shape[1]:
-            if self.rng is None:
-                raise ModelError("max_features subsampling requires an rng")
-            feats = self.rng.choice(X.shape[1], size=k, replace=False)
-        else:
-            feats = np.arange(X.shape[1])
-        split = _best_split(X, Y, feats, self.min_samples_leaf)
+            feats = self._split_features(X.shape[1])
+            split = _best_split(X, Y, feats, self.min_samples_leaf)
         if split is None:
-            return _Node(value=Y.mean(axis=0))
+            nodes.append([-1, 0.0, -1, -1, Y.mean(axis=0)])
+            return node_id
         f, thr, _gain = split
+        node = [f, thr, -1, -1, np.zeros(Y.shape[1])]
+        nodes.append(node)
         mask = X[:, f] <= thr
-        return _Node(
-            feature=f,
-            threshold=thr,
-            left=self._grow(X[mask], Y[mask], depth + 1),
-            right=self._grow(X[~mask], Y[~mask], depth + 1),
-        )
+        node[2] = self._grow(X[mask], Y[mask], depth + 1, nodes)
+        node[3] = self._grow(X[~mask], Y[~mask], depth + 1, nodes)
+        return node_id
 
     def predict(self, X) -> np.ndarray:
-        if self._root is None:
-            raise ModelError("predict called before fit")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.n_features_:
-            raise ModelError(f"expected {self.n_features_} features, got {X.shape[1]}")
-        out = np.empty((X.shape[0], self.n_outputs_))
-        # Route all rows through the tree level by level (vectorized
-        # masks instead of per-row descent).
-        idx = np.arange(X.shape[0])
-        stack = [(self._root, idx)]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            if node.is_leaf:
-                out[rows] = node.value
-                continue
-            mask = X[rows, node.feature] <= node.threshold
-            stack.append((node.left, rows[mask]))
-            stack.append((node.right, rows[~mask]))
-        return out
-
-    def depth(self) -> int:
-        """Actual depth of the fitted tree."""
-        if self._root is None:
-            raise ModelError("depth() called before fit")
-
-        def d(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(d(node.left), d(node.right))
-
-        return d(self._root)
-
-    def node_count(self) -> int:
-        """Total nodes (internal + leaves) of the fitted tree."""
-        if self._root is None:
-            raise ModelError("node_count() called before fit")
-
-        def c(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + c(node.left) + c(node.right)
-
-        return c(self._root)
+        X = predict_rows(X, self.n_features_)
+        return self.table_.value[self.table_.leaves(X)[:, 0]]

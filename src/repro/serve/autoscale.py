@@ -207,15 +207,3 @@ class Autoscaler:
         )
         if starts_cooldown:
             self._last_action_s = now
-
-    # --------------------------------------------------------------- report
-    def summary(self) -> dict:
-        """Autoscale section of the serving report."""
-        return {
-            "min_devices": self.config.min_devices,
-            "max_devices": self.config.max_devices,
-            "p99_target_s": self.config.p99_target_s,
-            "scale_ups": sum(1 for a in self.actions if a["action"] == "up"),
-            "scale_downs": sum(1 for a in self.actions if a["action"] == "down"),
-            "actions": list(self.actions),
-        }

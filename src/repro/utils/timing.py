@@ -24,7 +24,6 @@ class Stopwatch:
     """
 
     buckets: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
 
     def measure(self, bucket: str):
         """Context manager adding the elapsed time to ``bucket``."""
@@ -32,17 +31,12 @@ class Stopwatch:
 
     def add(self, bucket: str, seconds: float) -> None:
         self.buckets[bucket] = self.buckets.get(bucket, 0.0) + seconds
-        self.counts[bucket] = self.counts.get(bucket, 0) + 1
 
     def total(self, bucket: str) -> float:
         return self.buckets.get(bucket, 0.0)
 
-    def count(self, bucket: str) -> int:
-        return self.counts.get(bucket, 0)
-
     def reset(self) -> None:
         self.buckets.clear()
-        self.counts.clear()
 
 
 class _Measurement:

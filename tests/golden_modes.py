@@ -20,6 +20,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.config import MiccoConfig
 from repro.core.framework import Micco
 from repro.faults import FaultEvent, FaultKind, FaultPlan
@@ -27,6 +29,10 @@ from repro.gpusim import CostModel, Topology
 from repro.gpusim.device import GIB
 from repro.gpusim.trace import TraceConfig
 from repro.integrity import IntegrityConfig
+from repro.ml.forest import RandomForestRegressor
+from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.predictor import ReuseBoundPredictor
+from repro.ml.tree import DecisionTreeRegressor
 from repro.redstar.datasets import f0d2
 from repro.redstar.pipeline import RedstarPipeline
 from repro.schedulers.bounds import ReuseBounds
@@ -270,6 +276,60 @@ def _sharded_integrity(seed):
     )
 
 
+def _bound_forest() -> RandomForestRegressor:
+    """A small seeded forest fit on a fixed features -> bounds table.
+
+    The table is synthetic (no tuner run): the first bound grows with the
+    repeated rate, the second with the judged distribution and the third
+    with the vector size, so a stream's changing reuse moves the triple.
+    """
+    rng = np.random.default_rng(29)
+    n = 160
+    X = np.column_stack([
+        rng.choice([8.0, 16.0, 32.0], size=n),
+        rng.choice([32.0, 64.0, 128.0], size=n),
+        rng.choice([0.0, 1.0], size=n),
+        rng.uniform(0.0, 1.0, size=n),
+    ])
+    Y = np.column_stack([np.floor(5.0 * X[:, 3]), 2.0 * X[:, 2], X[:, 0] / 8.0])
+    return RandomForestRegressor(n_estimators=8, max_depth=6, seed=7).fit(X, Y)
+
+
+class _RecordingPredictor(ReuseBoundPredictor):
+    """A :class:`ReuseBoundPredictor` that remembers each triple it returns."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.triples: set[tuple] = set()
+
+    def predict_bounds(self, chars):
+        bounds = super().predict_bounds(chars)
+        self.triples.add(bounds.as_tuple())
+        return bounds
+
+
+def _optimal_run(cfg, cluster, seed):
+    # MICCO-optimal: the forest picks every vector's bounds.
+    predictor = _RecordingPredictor(_bound_forest())
+    result = serve(
+        cfg, cluster=cluster, scheduler=_scheduler(), predictor=predictor,
+        vectors=_stream(3, n=32), arrivals=PoissonArrivals(4_000.0), seed=seed,
+    )
+    result.predicted_bounds = sorted(predictor.triples)
+    return result
+
+
+def _optimal(seed):
+    return _optimal_run(ServeConfig(queue_capacity=16), _cluster(), seed)
+
+
+def _sharded_optimal(seed):
+    # Predicted bounds are used as predicted, not rescaled to a shard's
+    # four devices.
+    cfg = ServeConfig(sharded=True, routing="residency-affinity")
+    return _optimal_run(cfg, _cluster(8, devices_per_node=4), seed)
+
+
 MODES = {
     "single": _single,
     "tenants": _tenants,
@@ -283,6 +343,8 @@ MODES = {
     "learned": _learned,
     "learned-wrap": _learned_wrap,
     "sharded-integrity": _sharded_integrity,
+    "optimal": _optimal,
+    "sharded-optimal": _sharded_optimal,
 }
 
 
@@ -344,7 +406,16 @@ def _window_summary(result) -> dict:
 
 #: Extra summary fields for modes whose path the common summary cannot
 #: see (kept out of :func:`summarize` so other fixtures do not change).
-EXTRA_SUMMARY = {"learned-wrap": _window_summary}
+def _bounds_summary(result) -> dict:
+    """How many distinct bound triples the predictor handed out."""
+    return {"distinct_bounds": len(result.predicted_bounds)}
+
+
+EXTRA_SUMMARY = {
+    "learned-wrap": _window_summary,
+    "optimal": _bounds_summary,
+    "sharded-optimal": _bounds_summary,
+}
 
 
 def fingerprint(mode: str, seed: int) -> dict:
@@ -405,6 +476,8 @@ COVERAGE = {
     # Every shard's 512-sample window wraps, then refits many times.
     "learned-wrap": {"learned_decisions": 1, "min_shard_samples": 513, "min_shard_refits": 32},
     "sharded-integrity": {"detected": 1, "quarantines": 1},
+    "optimal": {"completed": 1, "distinct_bounds": 2},
+    "sharded-optimal": {"completed": 1, "distinct_bounds": 2},
 }
 
 
@@ -465,3 +538,59 @@ def offline_fingerprint() -> dict:
 
 def load_offline() -> dict:
     return json.loads(OFFLINE_PATH.read_text())
+
+
+# ------------------------------------------------------------- model path
+#: The model fixture: fixed-seed tree, forest and GBM predictions.
+ML_MODE = "ml-models"
+ML_PATH = GOLDEN_DIR / f"{ML_MODE}.json"
+
+
+def ml_models() -> tuple[np.ndarray, dict]:
+    """Probe rows plus the fitted tree models the model fixture pins, by name.
+
+    ``forest-1out`` is single-output, where a reordered sum over trees
+    would show; ``tree`` subsamples features, so it pins the RNG draws.
+    """
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.0, 4.0, size=(240, 4))
+    Y = np.column_stack([
+        np.sin(X[:, 0]) * X[:, 1],
+        (X[:, 2] > 2.0) * X[:, 3],
+        np.floor(X[:, 0] * X[:, 3]) % 3.0,
+    ]) + 0.05 * rng.standard_normal((240, 3))
+    probe = rng.uniform(-0.5, 4.5, size=(32, 4))
+    models = {
+        "tree": DecisionTreeRegressor(
+            max_depth=8, min_samples_leaf=1, max_features=2, rng=np.random.default_rng(5)
+        ).fit(X, Y),
+        "forest": RandomForestRegressor(n_estimators=25, max_depth=10, seed=3).fit(X, Y),
+        "forest-1out": RandomForestRegressor(n_estimators=25, max_depth=10, seed=4).fit(
+            X, Y[:, 0]
+        ),
+        "gbm": GradientBoostingRegressor(n_estimators=30, subsample=0.7, seed=5).fit(X, Y),
+    }
+    return probe, models
+
+
+def hex_rows(values) -> list[list[str]]:
+    """A 2-d prediction as ``float.hex`` strings, so a fixture pins every bit."""
+    return [[v.hex() for v in row] for row in np.asarray(values).tolist()]
+
+
+def ml_fingerprint() -> dict:
+    """Per-tree node count and depth plus probe predictions of each model."""
+    probe, models = ml_models()
+    out = {}
+    for name, model in models.items():
+        counts, depths = model.table_.sizes()
+        out[name] = {
+            "node_count": counts.tolist(),
+            "depth": depths.tolist(),
+            "predictions": hex_rows(model.predict(probe)),
+        }
+    return {"mode": ML_MODE, "models": out}
+
+
+def load_ml() -> dict:
+    return json.loads(ML_PATH.read_text())

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.forest import RandomForestRegressor
+from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.tree import DecisionTreeRegressor, NodeTable
 
 
 class TestFit:
@@ -36,12 +39,14 @@ class TestFit:
         y = rng.uniform(0, 1, size=20)
         tree = DecisionTreeRegressor(max_depth=10, min_samples_leaf=10)
         tree.fit(X, y)
-        assert tree.depth() <= 1
+        _, depths = tree.table_.sizes()
+        assert depths[0] <= 1
 
     def test_constant_target_single_leaf(self):
         X = np.arange(10, dtype=float)[:, None]
         tree = DecisionTreeRegressor().fit(X, np.ones(10))
-        assert tree.node_count() == 1
+        counts, depths = tree.table_.sizes()
+        assert counts.tolist() == [1] and depths.tolist() == [0]
 
     def test_empty_data_rejected(self):
         with pytest.raises(ModelError):
@@ -96,6 +101,55 @@ class TestSplitQuality:
         """Split chooses the feature that actually explains the target."""
         X = rng.uniform(size=(200, 2))
         y = (X[:, 1] > 0.3).astype(float)  # only feature 1 matters
-        tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
-        assert tree._root.feature == 1
-        assert tree._root.threshold == pytest.approx(0.3, abs=0.05)
+        table = DecisionTreeRegressor(max_depth=1).fit(X, y).table_
+        root = table.roots[0]
+        assert table.feature[root] == 1
+        assert table.threshold[root] == pytest.approx(0.3, abs=0.05)
+
+
+def walk(table: NodeTable, x: np.ndarray, root: int) -> int:
+    """The oracle: one row down one tree, node by node."""
+    node = root
+    while table.feature[node] >= 0:
+        go_left = x[table.feature[node]] <= table.threshold[node]
+        node = table.left[node] if go_left else table.right[node]
+    return int(node)
+
+
+class TestNodeTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        n_features=st.integers(1, 4),
+        max_depth=st.integers(0, 6),
+        n_trees=st.integers(1, 4),
+    )
+    def test_leaves_match_the_node_walk(self, seed, n, n_features, max_depth, n_trees):
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so ties and threshold hits are common.
+        X = rng.integers(0, 5, size=(n, n_features)).astype(float)
+        y = rng.uniform(size=(n, 2))
+        table = RandomForestRegressor(
+            n_estimators=n_trees, max_depth=max_depth, min_samples_leaf=1,
+            max_features=0.5, seed=seed,
+        ).fit(X, y).table_
+        probe = np.vstack([X, rng.integers(-1, 6, size=(8, n_features)).astype(float)])
+        want = [[walk(table, x, r) for r in table.roots] for x in probe]
+        assert table.leaves(probe).tolist() == want
+        assert (table.feature[table.leaves(probe)] == -1).all()
+
+    def test_children_follow_parents(self, rng):
+        X = rng.uniform(size=(80, 3))
+        table = GradientBoostingRegressor(n_estimators=5, seed=0).fit(X, X[:, 0]).table_
+        inner = np.flatnonzero(table.feature >= 0)
+        assert (table.left[inner] > inner).all() and (table.right[inner] > inner).all()
+        leaf = table.feature == -1
+        assert (table.left[leaf] == -1).all() and (table.right[leaf] == -1).all()
+
+    def test_sizes_count_every_tree(self, rng):
+        X = rng.uniform(size=(50, 2))
+        table = RandomForestRegressor(n_estimators=3, max_depth=2, seed=1).fit(X, X[:, 1]).table_
+        counts, depths = table.sizes()
+        assert counts.sum() == len(table.feature) and len(counts) == 3
+        assert depths.tolist() == [2, 2, 2]

@@ -87,15 +87,6 @@ class TestAutoscalerDecisions:
         assert a.windowed_p99(0.5) == pytest.approx(5.0)
         assert a.windowed_p99(2.0) != a.windowed_p99(2.0)  # NaN after pruning
 
-    def test_summary_counts_actions(self):
-        a = Autoscaler(AutoscalerConfig())
-        a.log(0.0, "up", 1, 1)
-        a.log(0.1, "online", 1, 2, starts_cooldown=False)
-        a.log(1.0, "down", 1, 1)
-        s = a.summary()
-        assert s["scale_ups"] == 1 and s["scale_downs"] == 1
-        assert len(s["actions"]) == 3
-
 
 def burst_config(**kw):
     defaults = dict(

@@ -7,7 +7,8 @@ Usage::
     PYTHONPATH=src python tools/regen_golden.py --write   # rewrite fixtures
 
 Every (mode, seed) fixture under ``tests/golden/`` is recomputed, and
-so is the offline ``offline-f0d2`` fixture (name it to check it alone).  For
+so are the offline ``offline-f0d2`` and the ``ml-models`` fixtures (name
+one to check it alone).  For
 each mismatch the digests that moved and a field-by-field summary diff
 are printed.  Exits 1 when any fixture differs (or is missing), 0 when
 all match.  Files are written only with ``--write``; the exit status
@@ -62,7 +63,7 @@ def main(argv=None) -> int:
     ap.add_argument("--write", action="store_true", help="rewrite the fixture files")
     ap.add_argument("modes", nargs="*", help="restrict to these modes (default: all)")
     args = ap.parse_args(argv)
-    known = [*golden.MODES, golden.OFFLINE_MODE]
+    known = [*golden.MODES, golden.OFFLINE_MODE, golden.ML_MODE]
     unknown = set(args.modes) - set(known)
     if unknown:
         ap.error(f"unknown modes {sorted(unknown)}; choose from {known}")
@@ -79,7 +80,22 @@ def main(argv=None) -> int:
             changed += 1
             if args.write:
                 path.write_text(golden.dump(fresh))
-    for mode in (m for m in modes if m != golden.OFFLINE_MODE):
+    if golden.ML_MODE in modes:
+        fresh = golden.ml_fingerprint()
+        stored = golden.load_ml() if golden.ML_PATH.exists() else {"models": {}}
+        moved = sorted(
+            name
+            for name in set(stored["models"]) | set(fresh["models"])
+            if stored["models"].get(name) != fresh["models"].get(name)
+        )
+        print(f"{golden.ML_MODE}: {'changed' if moved else 'ok'}")
+        for name in moved:
+            print(f"  {name}: node counts, depths or predictions moved")
+        if moved:
+            changed += 1
+            if args.write:
+                golden.ML_PATH.write_text(golden.dump(fresh))
+    for mode in (m for m in modes if m not in (golden.OFFLINE_MODE, golden.ML_MODE)):
         for seed in golden.SEEDS:
             fresh = golden.fingerprint(mode, seed)
             path = golden.fixture_path(mode, seed)
