@@ -18,7 +18,8 @@ or shrink the alive device pool:
 Every decision is a pure function of simulated time and observed
 completions, so autoscaled runs replay bit-for-bit from a seed.  The
 policy object keeps an ``actions`` log (scale-up/online/scale-down
-records) that lands in the serving report.
+records) that lands in the serving report.  Each shard's autoscaler
+also applies its decisions and owns the shard's pool membership.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.serve.timeline import DeviceOnline
 from repro.utils.codec import JsonConfig
 
 
@@ -40,8 +42,8 @@ class AutoscalerConfig(JsonConfig):
     Parameters
     ----------
     min_devices, max_devices:
-        Alive-pool bounds.  ``max_devices`` is additionally clamped to
-        the cluster's physical device count at run time.
+        Alive-pool bounds.  Each shard's :class:`Autoscaler` clamps
+        them (and ``initial_devices``) to the shard's device count.
     initial_devices:
         Pool size at t=0 (default: ``min_devices``).
     p99_target_s:
@@ -122,19 +124,37 @@ class AutoscalerConfig(JsonConfig):
 
 
 class Autoscaler:
-    """Runtime decision state for one serving run.
+    """Pool size and membership of one shard for one serving run.
 
-    Build a fresh instance per run (it accumulates the latency window,
-    the cooldown clock and the action log).  The server drives it:
-    :meth:`observe_completion` on every finished vector, :meth:`decide`
-    at each event-loop step, :meth:`log` after applying a decision.
+    Built fresh per run for shard ``node`` over ``devices`` (default
+    ``range(config.max_devices)``), the only devices it retires or
+    brings online; ``min/max/initial_devices`` are clamped to them here,
+    once.  The run calls :meth:`shrink_to_initial` at start,
+    :meth:`step` at each event-loop step, :meth:`observe_completion`,
+    :meth:`online` and :meth:`replace_lost` at their hooks, adds
+    quarantined devices to :attr:`barred`, and lends it the work that
+    needs run state: ``drain`` and ``rejoin``.
     """
 
-    def __init__(self, config: AutoscalerConfig):
-        self.config = config
+    def __init__(self, config: AutoscalerConfig, devices=None, node: int = 0):
+        if devices is None:
+            devices = range(config.max_devices)
+        self.devices = tuple(devices)
+        self.node = int(node)
+        n = len(self.devices)
+        lo = max(1, min(config.min_devices, n))
+        hi = max(lo, min(config.max_devices, n))
+        initial = config.initial_devices if config.initial_devices is not None else lo
+        self.config = config.with_(
+            min_devices=lo, max_devices=hi, initial_devices=max(lo, min(initial, hi))
+        )
         #: (complete_s, latency_s) pairs inside the sliding window.
         self._window: deque[tuple[float, float]] = deque()
         self._last_action_s = -math.inf
+        #: Devices warming up (scale-up or loss replacement).
+        self.pending: set[int] = set()
+        #: Devices that never rejoin the pool (integrity quarantine).
+        self.barred: set[int] = set()
         #: Applied pool actions, in order: dicts with ``time_s``,
         #: ``action`` ("up" | "online" | "down"), ``device``,
         #: ``alive_after`` and ``reason``.
@@ -207,3 +227,133 @@ class Autoscaler:
         )
         if starts_cooldown:
             self._last_action_s = now
+
+    # ---------------------------------------------------------- pool actions
+    def tag(self, text: str, sep: str = " ") -> str:
+        """Prefix an action reason with the shard."""
+        return f"shard {self.node}{sep}{text}"
+
+    def shrink_to_initial(self, shard) -> None:
+        """Retire the shard's highest alive devices down to the initial pool."""
+        view = shard.view
+        while view.num_alive > self.config.initial_devices:
+            view.retire_device(view.alive_ids()[-1])
+            shard.rescale_bounds()
+
+    def step(self, now: float, shard, timeline, drain) -> None:
+        """Decide for the shard's current state and apply the decision.
+
+        A scale-down retires the highest alive device and hands it to
+        ``drain(shard, device, now)``, which moves its in-flight pairs
+        onto the survivors and returns how many vectors moved.
+        """
+        if shard.dead:
+            return
+        c = self.config
+        view = shard.view
+        depth = len(shard.queue)
+        decision = self.decide(
+            now, queue_depth=depth, num_alive=view.num_alive + len(self.pending)
+        )
+        if decision == "up":
+            self.request_device(
+                now, shard, timeline, self.tag(f"queue depth {depth}, warm-up {c.warmup_s:g}s")
+            )
+        elif decision == "down":
+            # Never shrink below the floor or while a warm-up is pending
+            # (mixed signals: the queue says grow, the window says shrink).
+            if self.pending or view.num_alive <= c.min_devices:
+                return
+            dev = view.alive_ids()[-1]
+            view.retire_device(dev)
+            shard.rescale_bounds()
+            moved = drain(shard, dev, now)
+            self.log(
+                now, "down", dev, view.num_alive,
+                reason=self.tag(f"drained {moved} in-flight vectors"),
+            )
+
+    def spare(self, view) -> int | None:
+        """The lowest retired device that may rejoin (not failed, pending or barred)."""
+        for d in self.devices:
+            if not (
+                view.is_alive(d) or view.is_failed(d) or d in self.pending or d in self.barred
+            ):
+                return d
+        return None
+
+    def request_device(
+        self, now: float, shard, timeline, reason: str, *, cooldown: bool = True
+    ) -> bool:
+        """Start warming up the shard's first spare device.
+
+        False (nothing started) when no spare is left or the pool plus
+        pending warm-ups already reaches ``max_devices``.
+        """
+        view = shard.view
+        dev = self.spare(view)
+        if dev is None or view.num_alive + len(self.pending) >= self.config.max_devices:
+            return False
+        self.pending.add(dev)
+        timeline.push(DeviceOnline(now + self.config.warmup_s, device=dev))
+        self.log(now, "up", dev, view.num_alive, reason=reason, starts_cooldown=cooldown)
+        return True
+
+    def replace_lost(self, now: float, shard, timeline, count: int) -> None:
+        """With ``replace_lost``, request one warm-up per just-lost device.
+
+        Reactive, so it bypasses the cooldown clock (a rack dying is not
+        a load signal); replacements still pay ``warmup_s`` and stop at
+        ``max_devices`` or when the spares run out.
+        """
+        c = self.config
+        if not c.replace_lost:
+            return
+        reason = self.tag(f"replace lost device, warm-up {c.warmup_s:g}s", sep=": ")
+        for _ in range(count):
+            if not self.request_device(now, shard, timeline, reason, cooldown=False):
+                return
+
+    def online(self, now: float, dev: int, shard, rejoin) -> None:
+        """A warm-up ended: ``dev`` joins the pool unless it died, was barred or is back.
+
+        ``rejoin(shard, dev, now)`` does the run's part and returns the
+        number of tensors pre-warmed.
+        """
+        if shard.dead:
+            return
+        self.pending.discard(dev)
+        view = shard.view
+        if view.is_failed(dev) or view.is_alive(dev) or dev in self.barred:
+            return
+        view.activate_device(dev)
+        restored = rejoin(shard, dev, now)
+        reason = "warm-up complete"
+        if restored:
+            reason += f", {restored} tensors pre-warmed"
+        self.log(now, "online", dev, view.num_alive, reason=reason, starts_cooldown=False)
+
+
+def autoscale_section(scalers: list[Autoscaler]) -> dict | None:
+    """The report's autoscale section over every shard's autoscaler."""
+    if not scalers:
+        return None
+
+    def count(actions, kind):
+        return sum(1 for a in actions if a["action"] == kind)
+
+    actions = sorted(
+        (a for s in scalers for a in s.actions), key=lambda a: (a["time_s"], a["device"])
+    )
+    return {
+        "scale_ups": count(actions, "up"),
+        "scale_downs": count(actions, "down"),
+        "actions": actions,
+        "per_shard": {
+            str(s.node): {
+                "scale_ups": count(s.actions, "up"),
+                "scale_downs": count(s.actions, "down"),
+            }
+            for s in scalers
+        },
+    }

@@ -48,7 +48,7 @@ from repro.schedulers.base import Scheduler
 from repro.schedulers.batching import batch_shape_key, merge_vectors, split_assignment
 from repro.schedulers.micco import MiccoScheduler
 from repro.serve.arrivals import ArrivalProcess, TraceArrivals
-from repro.serve.autoscale import Autoscaler
+from repro.serve.autoscale import autoscale_section
 from repro.serve.config import ServeConfig
 from repro.serve.health import (
     AdaptiveHedgeDeadline,
@@ -240,8 +240,9 @@ class ServeRun:
         for shard in self.ordered:
             if server.predictor is None and server.built_bounds is not None:
                 shard.bounds_anchor = (shard.scheduler.bounds, shard.view.num_alive)
-            if shard.scaler is not None:
-                self.shrink_to_initial(shard)
+        self.scaled = [s for s in self.ordered if s.scaler is not None]
+        for shard in self.scaled:
+            shard.scaler.shrink_to_initial(shard)
 
         # Arrivals are fed one per stream: each stream reserves its
         # arrivals' sequence numbers now, so equal timestamps pop in
@@ -285,7 +286,7 @@ class ServeRun:
             DigestSync: self.on_digest_sync,
             HealthTick: self.on_health_tick,
         }
-        scaled = [s for s in self.ordered if s.scaler is not None]
+        scaled = self.scaled
         topology = self.server.config.cost_model.topology
         try:
             while timeline:
@@ -305,7 +306,7 @@ class ServeRun:
                     for dev in integ.poll_quarantines():
                         self.quarantine_device(dev, now)
                 for shard in scaled:
-                    self.autoscale_step(shard, now)
+                    shard.scaler.step(now, shard, timeline, self.drain_device)
                 handlers[type(event)](event, now)
         finally:
             engine.injector = None
@@ -445,31 +446,9 @@ class ServeRun:
             self.resolve_hedge(pair, ticket, now)
 
     def on_device_online(self, event: DeviceOnline, now: float) -> None:
-        """A warm-up completed: the device joins its shard's pool.
-
-        Cold by default; with :attr:`ServeConfig.warm_restore` the
-        residency journal is replayed onto it first (see
-        :meth:`~repro.faults.journal.ResidencyJournal.warm_restore`) and
-        the pre-warm transfer time is charged to the device's busy
-        horizon — paid up front, off the next vectors' critical path.
-        """
-        dev = event.device
-        shard = self.shards[self.node_of[dev]]
-        if shard.dead:
-            return
-        shard.pending_online.discard(dev)
-        if self.cluster.is_failed(dev) or self.cluster.is_alive(dev):
-            return  # lost while warming up, or a stale event
-        self.cluster.activate_device(dev)
-        restored = self.rejoin(shard, dev, now)
-        if shard.scaler is not None:
-            reason = "warm-up complete"
-            if restored:
-                reason += f", {restored} tensors pre-warmed"
-            shard.scaler.log(
-                now, "online", dev, shard.view.num_alive,
-                reason=reason, starts_cooldown=False,
-            )
+        """A warm-up completed: the shard's autoscaler brings the device in."""
+        shard = self.shards[self.node_of[event.device]]
+        shard.scaler.online(now, event.device, shard, self.rejoin)
 
     def on_device_restore(self, event: DeviceRestore, now: float) -> None:
         """A flapped device comes back: rejoin the pool, cold (or warm).
@@ -981,103 +960,13 @@ class ServeRun:
             moved += 1
         return moved
 
-    # ------------------------------------------------------------ autoscaling
-    def tag(self, shard, text: str, sep: str = " ") -> str:
-        """Prefix an autoscale reason with its shard."""
-        return f"shard {shard.node}{sep}{text}"
-
-    def shrink_to_initial(self, shard) -> None:
-        """Retire shard devices down to the autoscaler's initial pool size."""
-        c = shard.scaler.config
-        view = shard.view
-        target = max(
-            c.min_devices,
-            min(
-                c.initial_devices if c.initial_devices is not None else c.min_devices,
-                c.max_devices,
-                view.num_alive,
-            ),
-        )
-        while view.num_alive > target:
-            self.cluster.retire_device(view.alive_ids()[-1])
-            shard.rescale_bounds()
-
-    def autoscale_step(self, shard, now: float) -> None:
-        """Evaluate the shard's autoscaler and apply its decision, if any."""
-        if shard.dead:
-            return
-        scaler = shard.scaler
-        c = scaler.config
-        view = shard.view
-        depth = len(shard.queue)
-        decision = scaler.decide(
-            now, queue_depth=depth, num_alive=view.num_alive + len(shard.pending_online)
-        )
-        if decision == "up":
-            self.request_device(
-                shard, now, self.tag(shard, f"queue depth {depth}, warm-up {c.warmup_s:g}s")
-            )
-        elif decision == "down":
-            # Never shrink below the floor or while a warm-up is pending
-            # (mixed signals: the queue says grow, the window says shrink).
-            if shard.pending_online or view.num_alive <= c.min_devices:
-                return
-            dev = view.alive_ids()[-1]
-            self.cluster.retire_device(dev)
-            shard.rescale_bounds()
-            # Drain: in-flight pairs on the retiring device finish on the
-            # survivors through the orphan-rescheduling path.
-            moved = self.drain_device(shard, dev, now)
-            scaler.log(
-                now, "down", dev, view.num_alive,
-                reason=self.tag(shard, f"drained {moved} in-flight vectors"),
-            )
-
-    def request_device(self, shard, now: float, reason: str, *, cooldown: bool = True) -> bool:
-        """Start warming up the shard's first spare device.
-
-        False (nothing started) when no retired device is left or the
-        pool plus pending warm-ups already reaches ``max_devices``.
-        """
-        c = shard.scaler.config
-        cluster = self.cluster
-        spares = [
-            d
-            for d in shard.devices
-            if not cluster.is_alive(d)
-            and not cluster.is_failed(d)
-            and d not in shard.pending_online
-        ]
-        cap = min(c.max_devices, len(shard.devices))
-        if not spares or shard.view.num_alive + len(shard.pending_online) >= cap:
-            return False
-        dev = spares[0]
-        shard.pending_online.add(dev)
-        self.timeline.push(DeviceOnline(now + c.warmup_s, device=dev))
-        shard.scaler.log(
-            now, "up", dev, shard.view.num_alive, reason=reason, starts_cooldown=cooldown
-        )
-        return True
-
-    def replace_lost(self, shard, now: float, count: int) -> None:
-        """Request one replacement warm-up per just-lost device.
-
-        Reactive, so it bypasses the cooldown clock (a rack dying is not
-        a load signal); replacements still pay ``warmup_s`` and stop at
-        ``max_devices`` or when the spare pool runs out.
-        """
-        warmup = shard.scaler.config.warmup_s
-        reason = self.tag(shard, f"replace lost device, warm-up {warmup:g}s", sep=": ")
-        for _ in range(count):
-            if not self.request_device(shard, now, reason, cooldown=False):
-                return
-
     def rejoin(self, shard, dev: int, now: float) -> int:
         """Common tail of a device (re)joining its shard's pool.
 
-        The device starts idle at ``now``; with a residency journal it
-        is warm-restored first and the pre-warm cost charged to its
-        horizon.  Returns the number of tensors pre-warmed.
+        The device starts idle at ``now``, cold; with a residency journal
+        it is warm-restored first and the pre-warm cost charged to its
+        horizon, off the next vectors' critical path.  Returns the
+        number of tensors pre-warmed.
         """
         self.busy_until[dev] = now
         restored = 0
@@ -1114,9 +1003,9 @@ class ServeRun:
         a flap leaves it standing — unannounced, a gray fault — until
         the :class:`DeviceRestore` per device pushed here brings it back
         ``duration_s`` later.  The pass-through router of a one-shard
-        run has no other shard, so there re-homed work is shed.  With
-        :attr:`AutoscalerConfig.replace_lost`, one replacement warm-up
-        is requested per permanently lost device.
+        run has no other shard, so there re-homed work is shed.  A
+        shard's autoscaler may then request replacements for the devices
+        it lost for good (:meth:`~repro.serve.autoscale.Autoscaler.replace_lost`).
         """
         cfg = self.cfg
         stats = self.injector.stats
@@ -1166,13 +1055,8 @@ class ServeRun:
                 self.supersede(ticket, complete)
                 latest = max(latest, complete)
                 rescheduled += 1
-            if (
-                not flap
-                and not down
-                and shard.scaler is not None
-                and shard.scaler.config.replace_lost
-            ):
-                self.replace_lost(shard, now, len(dead))
+            if not flap and not down and shard.scaler is not None:
+                shard.scaler.replace_lost(now, shard, self.timeline, len(dead))
         if not cfg.recover_faults:
             stats.record_recovery(kind, 0.0)
         else:
@@ -1194,7 +1078,6 @@ class ServeRun:
         shard.dead = True
         shard.inflight = 0
         shard.inflight_tickets.clear()
-        shard.pending_online.clear()
         for t in shard.drain_queue():
             self.reroute(t, now)
 
@@ -1206,17 +1089,20 @@ class ServeRun:
         (:meth:`~repro.integrity.IntegrityState.invalidate_quarantined`);
         then the device drains like an autoscale scale-down, with the
         moved tickets' audit status reset so the re-executed work is
-        audited again.  A health monitor, when present, takes the blame
-        as a suspicion floor: corruption is exactly the gray failure
-        heartbeats cannot see.  The last alive device of
-        the cluster or of a shard is never retired (a degraded answer
-        beats no answer; mandatory audits of its output flag what cannot
-        be verified).
+        audited again.  The shard's autoscaler bars the device, so no
+        scale-up or replacement brings it back.  A health monitor, when
+        present, takes the blame as a suspicion floor: corruption is
+        exactly the gray failure heartbeats cannot see.  The last alive
+        device of the cluster or of a shard is never retired (a degraded
+        answer beats no answer; mandatory audits of its output flag what
+        cannot be verified).
         """
         cluster = self.cluster
         shard = self.shards[self.node_of[dev]]
         stats = self.injector.stats if self.injector is not None else None
         self.integ.invalidate_quarantined(dev, now, cluster, stats)
+        if shard.scaler is not None:
+            shard.scaler.barred.add(dev)
         if self.monitor is not None:
             self.monitor.raise_suspicion(shard.node, self.hcfg.quarantine_threshold)
         self.health_event("blame", shard.node, now, f"device {dev} quarantined for corruption")
@@ -1241,7 +1127,14 @@ class ServeRun:
             fault_summary = self.injector.stats.summary()
             fault_events = list(self.injector.stats.events)
         specs = [s.spec for s in self.streams if s.spec is not None]
-        queue, autoscale = self.shard_sections()
+        ordered = self.ordered
+        queue = {
+            "capacity": self.cfg.queue_capacity,
+            "policy": ordered[0].queue.policy.name,
+            "admitted": sum(s.queue.admitted for s in ordered),
+            "dropped": sum(s.queue.dropped for s in ordered),
+            "peak_depth": max(s.queue.peak_depth for s in ordered),
+        }
         health, sharding, routing, routing_events = None, None, None, []
         if self.monitor is not None:
             health = self.health_section()
@@ -1261,7 +1154,7 @@ class ServeRun:
             faults=fault_summary,
             fault_events=fault_events,
             tenants=tenant_sections(report, specs) if specs else None,
-            autoscale=autoscale,
+            autoscale=autoscale_section([s.scaler for s in self.scaled]),
             journal=self.journal.summary() if self.journal is not None else None,
             rounds=self.rounds_log,
             sharding=sharding,
@@ -1278,41 +1171,6 @@ class ServeRun:
             engine_trace=recorder,
             trace_mode=trace_mode,
         )
-
-    def shard_sections(self) -> tuple[dict, dict | None]:
-        """Queue counters and autoscale sections summed over shards."""
-        ordered = self.ordered
-        queue = {
-            "capacity": self.cfg.queue_capacity,
-            "policy": ordered[0].queue.policy.name,
-            "admitted": sum(s.queue.admitted for s in ordered),
-            "dropped": sum(s.queue.dropped for s in ordered),
-            "peak_depth": max(s.queue.peak_depth for s in ordered),
-        }
-        autoscale = None
-        scaled = [s for s in ordered if s.scaler is not None]
-        if scaled:
-
-            def count(actions, kind):
-                return sum(1 for a in actions if a["action"] == kind)
-
-            actions = sorted(
-                (a for s in scaled for a in s.scaler.actions),
-                key=lambda a: (a["time_s"], a["device"]),
-            )
-            autoscale = {
-                "scale_ups": count(actions, "up"),
-                "scale_downs": count(actions, "down"),
-                "actions": actions,
-                "per_shard": {
-                    str(s.node): {
-                        "scale_ups": count(s.scaler.actions, "up"),
-                        "scale_downs": count(s.scaler.actions, "down"),
-                    }
-                    for s in scaled
-                },
-            }
-        return queue, autoscale
 
     def sharding_section(self) -> dict:
         """Routing counters and per-shard records of a routed run."""
@@ -1518,7 +1376,7 @@ class MiccoServer:
                 scheduler=self.scheduler,
                 queue=AdmissionQueue(cfg.queue_capacity, self._resolve_policy(streams)),
                 tracker=CharacteristicsTracker(),
-                scaler=Autoscaler(cfg.autoscaler) if cfg.autoscaler is not None else None,
+                autoscaler=cfg.autoscaler,
             )
         }
 

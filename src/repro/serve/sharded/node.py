@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from repro.errors import SchedulingError
 from repro.gpusim.cluster import ClusterState
+from repro.serve.autoscale import Autoscaler, AutoscalerConfig
 from repro.serve.queueing import AdmissionQueue
 
 
@@ -146,27 +147,25 @@ class NodeRuntime:
         This shard's bounded admission queue.
     tracker:
         Per-shard workload-characteristics tracker (bounds prediction).
-    scaler:
-        Optional per-shard autoscaler (the global config clamped to the
-        shard's device count).
+    autoscaler:
+        Optional autoscaler config; :attr:`scaler` clamps it to the shard.
     """
 
     def __init__(self, node, devices, view, scheduler, queue: AdmissionQueue,
-                 tracker, scaler=None):
+                 tracker, autoscaler: AutoscalerConfig | None = None):
         self.node = int(node)
         self.devices = tuple(sorted(int(d) for d in devices))
         self.view: ShardView | ClusterState = view
         self.scheduler = scheduler
         self.queue = queue
         self.tracker = tracker
-        self.scaler = scaler
+        #: The shard's pool size and membership (None: a fixed pool).
+        self.scaler = None if autoscaler is None else Autoscaler(autoscaler, self.devices, node)
         #: Scheduling rounds dispatched and not yet fully settled.
         self.inflight = 0
         #: True once the node's failure domain died; a dead shard takes
         #: no more traffic and its queued work re-routes globally.
         self.dead = False
-        #: Devices of this shard warming up (autoscale / replacement).
-        self.pending_online: set[int] = set()
         #: Tickets the router sent here since the last digest sync.
         #: Charged at placement (direct dispatch, queue admission,
         #: forward landings and hedge clones alike) and *discharged*

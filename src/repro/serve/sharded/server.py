@@ -46,7 +46,6 @@ from repro.schedulers.base import Scheduler
 # repro.serve.server: bench/layers.py traces batching and workload
 # generation by patching them in both modules.
 from repro.schedulers.batching import merge_vectors, split_assignment  # noqa: F401
-from repro.serve.autoscale import Autoscaler
 from repro.serve.health import CircuitBreaker, HealthMonitor
 from repro.serve.queueing import AdmissionQueue
 from repro.serve.config import ServeConfig
@@ -354,22 +353,6 @@ class ShardedServer(MiccoServer):
         shards: dict[int, NodeRuntime] = {}
         for node in range(self.topology.num_nodes):
             devices = self.topology.devices_of_node(node)
-            scaler = None
-            if cfg.autoscaler is not None:
-                c = cfg.autoscaler
-                n = len(devices)
-                # The global autoscaler config, clamped to this shard's
-                # physical device count (per-shard scaling decisions).
-                min_d = max(1, min(c.min_devices, n))
-                max_d = max(min_d, min(c.max_devices, n))
-                initial = (
-                    None
-                    if c.initial_devices is None
-                    else max(min_d, min(c.initial_devices, max_d))
-                )
-                scaler = Autoscaler(
-                    c.with_(min_devices=min_d, max_devices=max_d, initial_devices=initial)
-                )
             shards[node] = NodeRuntime(
                 node=node,
                 devices=devices,
@@ -377,7 +360,7 @@ class ShardedServer(MiccoServer):
                 scheduler=copy.deepcopy(self.scheduler),
                 queue=AdmissionQueue(cfg.queue_capacity, self._resolve_policy(streams)),
                 tracker=CharacteristicsTracker(),
-                scaler=scaler,
+                autoscaler=cfg.autoscaler,
             )
         return shards
 

@@ -44,6 +44,7 @@ from repro.serve import (
     PoissonArrivals,
     ServeConfig,
     TenantSpec,
+    make_server,
     serve,
 )
 from repro.tensor.spec import reset_uid_counter
@@ -110,7 +111,7 @@ def _batched(seed):
     return serve(cfg, cluster=_cluster(memory_bytes=2 * GIB), seed=seed)
 
 
-def _two_node_chaos():
+def _two_node_chaos(max_devices: int = 8):
     # Two nodes, one control loop: node 1 dies for good, node 0 loses a
     # device, flaps, loses its links and goes silent.  The autoscaler
     # replaces the lost device and shrinks the pool once traffic ends.
@@ -127,15 +128,15 @@ def _two_node_chaos():
         warm_restore=True,
         fault_aware_admission=True,
         autoscaler=AutoscalerConfig(
-            min_devices=2, max_devices=8, initial_devices=6, warmup_s=0.002,
+            min_devices=2, max_devices=max_devices, initial_devices=6, warmup_s=0.002,
             cooldown_s=0.004, window_s=0.01, replace_lost=True,
         ),
     )
     return plan, knobs
 
 
-def _single_chaos(seed):
-    plan, knobs = _two_node_chaos()
+def _single_chaos(seed, max_devices: int = 8):
+    plan, knobs = _two_node_chaos(max_devices)
     cfg = ServeConfig(queue_capacity=16, **knobs)
     return serve(
         cfg, cluster=_cluster(8, devices_per_node=4), scheduler=_scheduler(),
@@ -176,6 +177,28 @@ def _single_integrity(seed):
         vectors=_stream(7, n=48), arrivals=PoissonArrivals(2_000.0), seed=seed,
         faults=plan,
     )
+
+
+def _autoscale_integrity(seed):
+    # Blame quarantine under an autoscaler that grows the pool whenever
+    # two vectors queue: no scale-up may bring a quarantined device back.
+    plan = FaultPlan.generate(
+        seed, num_devices=4, horizon_s=0.02,
+        n_transient=0, n_transfer=0, n_straggler=0, n_device_lost=0,
+        n_data_corruption=2, n_tensor_bitflip=2, corruption_prob=0.9,
+        corruption_window_frac=0.8,
+    )
+    cfg = ServeConfig(
+        integrity=IntegrityConfig(mode="spot", audit_fraction=0.5, blame_threshold=0.2),
+        autoscaler=AutoscalerConfig(
+            min_devices=1, max_devices=4, initial_devices=4, up_queue_depth=2,
+            warmup_s=1e-3, cooldown_s=1e-3,
+        ),
+    )
+    server = make_server(cfg, cluster=_cluster(), scheduler=_scheduler())
+    result = server.run(_stream(7, n=96), PoissonArrivals(6_000.0), seed=seed, faults=plan)
+    result.alive_at_end = list(server.cluster.alive_ids())
+    return result
 
 
 def _sharded(seed):
@@ -337,6 +360,7 @@ MODES = {
     "single-chaos": _single_chaos,
     "tenants-chaos": _tenants_chaos,
     "single-integrity": _single_integrity,
+    "autoscale-integrity": _autoscale_integrity,
     "sharded": _sharded,
     "sharded-chaos": _sharded_chaos,
     "gray": _gray,
@@ -466,6 +490,7 @@ COVERAGE = {
     },
     "tenants-chaos": {"multi_member_rounds": 1, "device_losses": 1, "prewarms": 1},
     "single-integrity": {"detected": 1, "quarantines": 1, "engine_trace_events": 1},
+    "autoscale-integrity": {"quarantines": 1, "scale_ups": 1},
     "sharded": {"completed": 1},
     "sharded-chaos": {
         "scale_downs": 1, "replacements": 1, "restores": 1, "node_losses": 1,

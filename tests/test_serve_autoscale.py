@@ -13,7 +13,9 @@ from repro.serve import (
     ServeConfig,
     TenantSpec,
 )
+from repro.tensor.spec import reset_uid_counter
 from repro.workloads import SyntheticWorkload, WorkloadParams
+from tests import golden_modes as golden
 
 
 class TestAutoscalerConfig:
@@ -40,6 +42,15 @@ class TestAutoscalerConfig:
 
     def test_with_override(self):
         assert AutoscalerConfig().with_(max_devices=2).max_devices == 2
+
+    def test_clamped_to_the_shard_devices_once(self):
+        cfg = AutoscalerConfig(min_devices=2, max_devices=8, initial_devices=6)
+        c = Autoscaler(cfg, devices=range(4, 8), node=1).config
+        assert (c.min_devices, c.max_devices, c.initial_devices) == (2, 4, 4)
+        c = Autoscaler(cfg.with_(min_devices=6), devices=range(4)).config
+        assert (c.min_devices, c.max_devices, c.initial_devices) == (4, 4, 4)
+        # A pool at least as large as max_devices leaves the config alone.
+        assert Autoscaler(cfg, devices=range(8)).config == cfg
 
 
 class TestAutoscalerDecisions:
@@ -214,3 +225,36 @@ class TestAutoscaledServing:
         assert result.summary()["completed"] == 6
         assert result.faults["device_losses"] == 0
         assert server.cluster.is_failed(3)
+
+
+class TestPoolMembership:
+    @pytest.mark.parametrize("seed", golden.SEEDS)
+    def test_quarantined_device_never_rejoins(self, seed):
+        result = golden.run("autoscale-integrity", seed)
+        quarantined_at = {
+            t["device"]: t["time_s"]
+            for t in result.integrity["blame"]["transitions"]
+            if t["to"] == "quarantined"
+        }
+        assert quarantined_at
+        assert result.autoscale["scale_ups"] >= 1
+        rejoins = [
+            a
+            for a in result.autoscale["actions"]
+            if a["action"] in ("up", "online")
+            and a["device"] in quarantined_at
+            and a["time_s"] >= quarantined_at[a["device"]]
+        ]
+        assert rejoins == []
+        assert set(quarantined_at).isdisjoint(result.alive_at_end)
+
+    def test_one_shard_clamp_changes_nothing(self, tmp_path):
+        # The single-chaos setup on 8 devices: a max_devices far past
+        # the cluster is clamped to it and serves byte for byte alike.
+        def report(max_devices):
+            reset_uid_counter()
+            path = tmp_path / f"max{max_devices}.json"
+            golden.MODES["single-chaos"](12, max_devices=max_devices).to_json(path)
+            return path.read_bytes()
+
+        assert report(8) == report(64)

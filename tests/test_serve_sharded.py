@@ -358,11 +358,18 @@ class TestShardedTenancyAndScaling:
                 cooldown_s=1e-3,
             ),
         )
-        _, result = run_sharded(serve=serve, n=24, arrivals=[i * 1e-3 for i in range(24)])
-        assert result.autoscale is not None
-        assert set(result.autoscale["per_shard"]) == {"0", "1"}
-        # Scale-ups only ever activate the shard's own devices.
-        assert result.autoscale["scale_ups"] >= 0
+        _, result = run_sharded(serve=serve, n=48, arrivals=[i * 1e-4 for i in range(48)])
+        scale = result.autoscale
+        assert scale is not None
+        # Each 4-device shard grows from 1 to its own 4 devices, not to 8.
+        assert set(scale["per_shard"]) == {"0", "1"}
+        assert all(x["scale_ups"] == 3 for x in scale["per_shard"].values())
+        assert all(a["alive_after"] <= 4 for a in scale["actions"])
+        # Scaling only ever touches the shard's own devices.
+        for a in scale["actions"]:
+            if a["action"] in ("up", "down"):
+                node = int(a["reason"].split()[1])
+                assert a["device"] // 4 == node, a
         s = result.summary()
         assert s["completed"] + s["dropped"] == s["offered"]
 
