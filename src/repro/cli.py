@@ -407,6 +407,7 @@ def _run_serve(argv: list[str], *, chaos: bool = False) -> int:
         TraceArrivals,
         serve,
     )
+    from repro.serve.autoscale import clamp_to_shard
     from repro.workloads import SyntheticWorkload, WorkloadParams
 
     schedulers = {
@@ -579,10 +580,20 @@ def _run_serve(argv: list[str], *, chaos: bool = False) -> int:
                 f"drop rate {t['drop_rate']:.1%} ({t['completed']}/{t['offered']})   {verdict}"
             )
     if result.autoscale is not None:
-        a, c = result.autoscale, serve_cfg.autoscaler
+        # Each shard's autoscaler clamps the configured bounds to its devices.
+        a = result.autoscale
+        if result.sharding is None:
+            shards = [(None, args.num_devices)]
+        else:
+            shards = [(s["node"], len(s["devices"])) for s in result.sharding["shards"]]
+        within = []
+        for node, n in shards:
+            c = clamp_to_shard(serve_cfg.autoscaler, n)
+            where = "" if node is None else f" on shard {node}"
+            within.append(f"[{c.min_devices}, {c.max_devices}] devices{where}")
         print(
             f"  autoscale  {a['scale_ups']} scale-up(s), {a['scale_downs']} scale-down(s) "
-            f"within [{c.min_devices}, {c.max_devices}] devices"
+            f"within {', '.join(within)}"
         )
     if result.faults is not None:
         f = result.faults

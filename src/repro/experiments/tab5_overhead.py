@@ -9,6 +9,11 @@ reproducible claim is that the scheduler is a negligible fraction of
 execution.  The default batch (512) sizes per-pair work to the paper's
 multi-second totals; decisions are batch-independent, so the overhead
 numerator is unchanged.
+
+Each distribution first runs one untimed warm-up vector, so one-off
+costs of a fresh process (first forest descent, lazy imports) stay out
+of the row; the reported decision time is the median over
+:data:`TIMED_RUNS` runs.  The simulated total is the same in every run.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from repro.core.framework import Micco
 from repro.experiments.common import get_default_predictor, pressured_config
 from repro.experiments.report import Table
 from repro.workloads.synth import SyntheticWorkload, WorkloadParams
+
+#: Timed runs per distribution; the row reports the median one.
+TIMED_RUNS = 3
 
 
 @dataclass
@@ -72,7 +80,9 @@ def run(
         )
         vectors = SyntheticWorkload(params, seed=seed).vectors()
         config = pressured_config(vectors, base, subscription)
-        run_result = Micco.optimal(predictor, config).run(vectors)
+        Micco.optimal(predictor, config).run(vectors[:1])  # untimed warm-up
+        runs = [Micco.optimal(predictor, config).run(vectors) for _ in range(TIMED_RUNS)]
+        run_result = sorted(runs, key=lambda r: r.total_overhead_s)[TIMED_RUNS // 2]
         total_s = run_result.makespan_s
         overhead_s = run_result.total_overhead_s
         result.rows.append(

@@ -107,42 +107,33 @@ class ContractionGraph:
         return tuple(pairs)
 
 
-def contract_graph(graph: ContractionGraph, intern: InternTable, depths: dict[int, int] | None = None) -> list[ContractionStep]:
-    """Reduce ``graph`` to two nodes; return the contraction steps.
+def reduction_order(names: list[str], edges: list[tuple[str, str]]) -> list[tuple[int, int]]:
+    """The merges that reduce a graph to two nodes, as term indices.
 
-    Strategy: repeatedly merge the node pair connected by the most
-    parallel edges (ties broken lexicographically) — heavy pairs first
+    Terms ``0 .. len(names) - 1`` are the nodes in ``names`` order; the
+    ``k``-th merge creates term ``len(names) + k``.  Strategy: repeatedly
+    merge the node pair connected by the most parallel edges (ties
+    broken lexicographically on the name pair) — heavy pairs first
     shrinks intermediate fan-out, mirroring Redstar's "optimal
-    evaluation strategy" preprocessing.  ``depths`` maps tensor uid →
-    dependency depth and is shared across graphs so interned
-    intermediates keep one consistent depth.
+    evaluation strategy" preprocessing.  The merged node is named
+    ``"(a+b)"``.  Only names are read, so the order depends on nothing
+    but the names and the edge multiset.
     """
-    if depths is None:
-        depths = {}
-    nodes = dict(graph.nodes)
-    # Multiplicity map over unordered node-id pairs.
+    term = {name: k for k, name in enumerate(names)}
+    next_term = len(names)
+    # Multiplicity map over unordered node-name pairs.
     mult: dict[tuple[str, str], int] = {}
-    for a, b in graph.edges:
+    for a, b in edges:
         key = (a, b) if a <= b else (b, a)
         mult[key] = mult.get(key, 0) + 1
 
-    steps: list[ContractionStep] = []
-    while len(nodes) > 2 and mult:
+    merges: list[tuple[int, int]] = []
+    while len(term) > 2 and mult:
         (a, b), _ = max(mult.items(), key=lambda kv: (kv[1], kv[0]))
-        left, right = nodes[a], nodes[b]
-        if left.uid > right.uid:
-            left, right = right, left
-        out = intern.output_for(left, right)
-        depth = max(depths.get(left.uid, 0), depths.get(right.uid, 0)) + 1
-        prior = depths.get(out.uid)
-        depths[out.uid] = depth if prior is None else max(prior, depth)
-        steps.append(ContractionStep(left=left, right=right, out=out, depth=depths[out.uid]))
-
-        # Merge b into a: a now carries the output tensor.
+        merges.append((term.pop(a), term.pop(b)))
         merged = f"({a}+{b})"
-        nodes.pop(a)
-        nodes.pop(b)
-        nodes[merged] = out
+        term[merged] = next_term
+        next_term += 1
         new_mult: dict[tuple[str, str], int] = {}
         for (x, y), m in mult.items():
             if {x, y} == {a, b}:
@@ -154,4 +145,44 @@ def contract_graph(graph: ContractionGraph, intern: InternTable, depths: dict[in
             key = (nx, ny) if nx <= ny else (ny, nx)
             new_mult[key] = new_mult.get(key, 0) + m
         mult = new_mult
+    return merges
+
+
+def replay_reduction(
+    merges: list[tuple[int, int]],
+    tensors: list[TensorSpec],
+    intern: InternTable,
+    depths: dict[int, int] | None = None,
+) -> list[ContractionStep]:
+    """Apply :func:`reduction_order` merges to ``tensors``; return the steps.
+
+    ``tensors[k]`` is term ``k``'s tensor; each merge appends its
+    interned output as the next term.  ``depths`` maps tensor uid →
+    dependency depth and is shared across graphs so interned
+    intermediates keep one consistent depth.
+    """
+    if depths is None:
+        depths = {}
+    terms = list(tensors)
+    steps: list[ContractionStep] = []
+    for i, j in merges:
+        left, right = terms[i], terms[j]
+        if left.uid > right.uid:
+            left, right = right, left
+        out = intern.output_for(left, right)
+        depth = max(depths.get(left.uid, 0), depths.get(right.uid, 0)) + 1
+        prior = depths.get(out.uid)
+        depths[out.uid] = depth if prior is None else max(prior, depth)
+        steps.append(ContractionStep(left=left, right=right, out=out, depth=depths[out.uid]))
+        terms.append(out)
     return steps
+
+
+def contract_graph(graph: ContractionGraph, intern: InternTable, depths: dict[int, int] | None = None) -> list[ContractionStep]:
+    """Reduce ``graph`` to two nodes; return the contraction steps.
+
+    The merge order is :func:`reduction_order` over the graph's node
+    names and edges, replayed on its tensors by :func:`replay_reduction`.
+    """
+    merges = reduction_order(list(graph.nodes), graph.edges)
+    return replay_reduction(merges, list(graph.nodes.values()), intern, depths)

@@ -25,10 +25,6 @@ class StagePlan:
     stages: list[list[ContractionStep]] = field(default_factory=list)
 
     @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
-    @property
     def total_steps(self) -> int:
         return sum(len(s) for s in self.stages)
 

@@ -2,10 +2,15 @@
 
 For each sink time slice the pipeline instantiates the sink hadron
 tensors (the source side is built once and shared across slices),
-enumerates the Wick diagrams of every (source op, sink op, momentum
-combination) cell, contracts every graph with a shared intern table,
-deduplicates interned intermediates, stage-partitions the surviving
-steps and chunks them into scheduler vectors.
+contracts every Wick diagram of every (source op, sink op, momentum
+combination) cell with a shared intern table, deduplicates interned
+intermediates, stage-partitions the surviving steps and chunks them
+into scheduler vectors.
+
+Each cell's diagrams and their merge orders are built once, by the
+first slice that reaches the cell, and replayed on every later slice's
+sink tensors; only cells whose diagrams are sampled with a
+slice-dependent seed are rebuilt per slice.
 """
 
 from __future__ import annotations
@@ -13,12 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from repro.graphs.contraction_graph import ContractionGraph, InternTable, contract_graph
+from repro.graphs.contraction_graph import (
+    ContractionGraph,
+    InternTable,
+    reduction_order,
+    replay_reduction,
+)
 from repro.graphs.hadron import HadronNode
 from repro.graphs.stages import build_stage_plan, stages_to_vectors
 from repro.tensor.spec import TensorSpec, VectorSpec, next_uid
 from repro.redstar.correlator import CorrelatorSpec, Operator, conjugate
-from repro.redstar.wick import diagrams_for
+from repro.redstar.wick import diagrams_for, pairings_are_seed_free
 
 
 @dataclass
@@ -56,6 +66,8 @@ class RedstarPipeline:
         self._hadron_registry: dict[tuple, HadronNode] = {}
         self._intern = InternTable()
         self._depths: dict[int, int] = {}
+        #: cell index → one merge plan per diagram, for seed-free cells.
+        self._plans: dict[int, list[list[tuple[int, int]]]] = {}
         self.stats = PipelineStats()
 
     # ------------------------------------------------------------ hadron pool
@@ -102,6 +114,9 @@ class RedstarPipeline:
         return cells
 
     # --------------------------------------------------------------- diagrams
+    def _seed(self, t: int, c_idx: int) -> int:
+        return (self.seed, t, c_idx).__hash__() & 0x7FFFFFFF
+
     def diagrams(self, t: int) -> list[ContractionGraph]:
         """All Wick diagrams of time slice ``t``."""
         graphs: list[ContractionGraph] = []
@@ -110,20 +125,44 @@ class RedstarPipeline:
                 diagrams_for(
                     nodes,
                     max_diagrams=self.spec.max_diagrams,
-                    seed=(self.seed, t, c_idx).__hash__() & 0x7FFFFFFF,
+                    seed=self._seed(t, c_idx),
                     graph_id_base=len(graphs),
                 )
             )
         return graphs
 
+    def _cell_plans(self, t: int, c_idx: int, nodes: list[HadronNode]) -> list[list[tuple[int, int]]]:
+        """One merge plan per diagram of cell ``c_idx``, over ``nodes``' indices.
+
+        A plan built on one slice is exact on every slice.  Within a
+        cell, any two hadron names differ before their ``@t{t}`` suffix
+        (in side, operator, hadron index or momentum), so every name
+        comparison :func:`reduction_order` makes — on hadron names and
+        on the ``"(a+b)"`` names built from them — is decided there,
+        and comes out the same whatever the sink slice.  The pairings
+        are the same too unless they are sampled with a seed that
+        includes ``t``; those cells are rebuilt on every slice.
+        """
+        plans = self._plans.get(c_idx)
+        if plans is None:
+            graphs = diagrams_for(nodes, max_diagrams=self.spec.max_diagrams, seed=self._seed(t, c_idx))
+            names = [h.name for h in nodes]
+            plans = [reduction_order(names, g.edges) for g in graphs]
+            contents = [(h.name, h.quarks) for h in nodes]
+            if pairings_are_seed_free(contents, self.spec.max_diagrams):
+                self._plans[c_idx] = plans
+        return plans
+
     # ----------------------------------------------------------------- stream
     def vectors_for_slice(self, t: int, already_computed: set[int] | None = None) -> list[VectorSpec]:
         """Scheduler vectors of time slice ``t`` (stage order)."""
-        graphs = self.diagrams(t)
-        self.stats.num_graphs += len(graphs)
         steps = []
-        for g in graphs:
-            steps.extend(contract_graph(g, self._intern, self._depths))
+        for c_idx, nodes in enumerate(self._cell_hadrons(t)):
+            tensors = [h.tensor for h in nodes]
+            plans = self._cell_plans(t, c_idx, nodes)
+            self.stats.num_graphs += len(plans)
+            for merges in plans:
+                steps.extend(replay_reduction(merges, tensors, self._intern, self._depths))
         if already_computed is not None:
             fresh = [s for s in steps if s.out.uid not in already_computed]
         else:

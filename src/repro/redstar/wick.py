@@ -26,6 +26,32 @@ def _slot(flavor: str) -> tuple[str, bool]:
     return flavor, False
 
 
+def _flavor_sites(hadrons) -> tuple[dict[str, list[int]], dict[str, list[int]]] | None:
+    """Hadron index of every quark and antiquark slot, per flavor base;
+    ``None`` when the flavors cannot balance."""
+    quarks: dict[str, list[int]] = {}
+    antis: dict[str, list[int]] = {}
+    for i, (_name, content) in enumerate(hadrons):
+        for flavor in content:
+            base, is_anti = _slot(flavor)
+            (antis if is_anti else quarks).setdefault(base, []).append(i)
+    if set(quarks) != set(antis) or any(len(quarks[f]) != len(antis[f]) for f in quarks):
+        return None
+    return quarks, antis
+
+
+def _sampled(quarks: dict[str, list[int]], max_diagrams: int) -> bool:
+    """Whether the permutation space is too large to enumerate in full."""
+    return math.prod(math.factorial(len(s)) for s in quarks.values()) > 4 * max_diagrams
+
+
+def pairings_are_seed_free(hadrons, max_diagrams: int = 64) -> bool:
+    """Whether :func:`enumerate_pairings` returns the same pairings for
+    every seed — true unless it samples an oversized space."""
+    sites = _flavor_sites(hadrons)
+    return sites is None or not _sampled(sites[0], max_diagrams)
+
+
 def enumerate_pairings(
     hadrons: list[tuple[str, tuple[str, ...]]],
     max_diagrams: int = 64,
@@ -40,31 +66,19 @@ def enumerate_pairings(
     max_diagrams:
         Cap on returned pairings; when the permutation space is larger,
         a seeded random subset of permutations is sampled instead of the
-        full product.
+        full product (the only case that reads ``seed``).
 
     Returns
     -------
     list of edge lists; an edge ``(i, j)`` is one quark line between
     hadron ``i`` and hadron ``j``.  Empty if flavors cannot balance.
     """
-    quarks: dict[str, list[int]] = {}
-    antis: dict[str, list[int]] = {}
-    for i, (_name, content) in enumerate(hadrons):
-        for flavor in content:
-            base, is_anti = _slot(flavor)
-            (antis if is_anti else quarks).setdefault(base, []).append(i)
-    if set(quarks) != set(antis):
+    sites = _flavor_sites(hadrons)
+    if sites is None:
         return []
+    quarks, antis = sites
     flavors = sorted(quarks)
-    for f in flavors:
-        if len(quarks[f]) != len(antis[f]):
-            return []
 
-    space = 1
-    for f in flavors:
-        space *= math.factorial(len(quarks[f]))
-
-    rng = as_generator(seed)
     seen: set[tuple] = set()
     out: list[list[tuple[int, int]]] = []
 
@@ -90,7 +104,7 @@ def enumerate_pairings(
         seen.add(key)
         out.append(edges)
 
-    if space <= 4 * max_diagrams:
+    if not _sampled(quarks, max_diagrams):
         # Full enumeration over the product of per-flavor permutations.
         def rec(idx: int, acc: dict):
             if len(out) >= max_diagrams:
@@ -108,6 +122,7 @@ def enumerate_pairings(
         rec(0, {})
     else:
         # Seeded random sampling of the huge permutation space.
+        rng = as_generator(seed)
         attempts = 0
         while len(out) < max_diagrams and attempts < 50 * max_diagrams:
             attempts += 1

@@ -123,17 +123,27 @@ class AutoscalerConfig(JsonConfig):
             )
 
 
+def clamp_to_shard(config: AutoscalerConfig, num_devices: int) -> AutoscalerConfig:
+    """``config`` with ``min/max/initial_devices`` clamped to a shard of
+    ``num_devices`` devices (at least one device, ``min <= max``)."""
+    lo = max(1, min(config.min_devices, num_devices))
+    hi = max(lo, min(config.max_devices, num_devices))
+    initial = config.initial_devices if config.initial_devices is not None else lo
+    return config.with_(min_devices=lo, max_devices=hi, initial_devices=max(lo, min(initial, hi)))
+
+
 class Autoscaler:
     """Pool size and membership of one shard for one serving run.
 
     Built fresh per run for shard ``node`` over ``devices`` (default
     ``range(config.max_devices)``), the only devices it retires or
     brings online; ``min/max/initial_devices`` are clamped to them here,
-    once.  The run calls :meth:`shrink_to_initial` at start,
-    :meth:`step` at each event-loop step, :meth:`observe_completion`,
-    :meth:`online` and :meth:`replace_lost` at their hooks, adds
-    quarantined devices to :attr:`barred`, and lends it the work that
-    needs run state: ``drain`` and ``rejoin``.
+    once, by :func:`clamp_to_shard`.  The run calls
+    :meth:`shrink_to_initial` at start, :meth:`step` at each event-loop
+    step, :meth:`observe_completion`, :meth:`online` and
+    :meth:`replace_lost` at their hooks, adds quarantined devices to
+    :attr:`barred`, and lends it the work that needs run state:
+    ``drain`` and ``rejoin``.
     """
 
     def __init__(self, config: AutoscalerConfig, devices=None, node: int = 0):
@@ -141,13 +151,7 @@ class Autoscaler:
             devices = range(config.max_devices)
         self.devices = tuple(devices)
         self.node = int(node)
-        n = len(self.devices)
-        lo = max(1, min(config.min_devices, n))
-        hi = max(lo, min(config.max_devices, n))
-        initial = config.initial_devices if config.initial_devices is not None else lo
-        self.config = config.with_(
-            min_devices=lo, max_devices=hi, initial_devices=max(lo, min(initial, hi))
-        )
+        self.config = clamp_to_shard(config, len(self.devices))
         #: (complete_s, latency_s) pairs inside the sliding window.
         self._window: deque[tuple[float, float]] = deque()
         self._last_action_s = -math.inf
@@ -184,12 +188,13 @@ class Autoscaler:
 
         ``num_alive`` must count devices already warming up, so one
         burst does not trigger a scale-up per event while the first
-        replacement is still paying its warm-up delay.
+        replacement is still paying its warm-up delay.  The windowed
+        p99 is computed only when ``p99_target_s`` is set.
         """
         c = self.config
         if now - self._last_action_s < c.cooldown_s:
             return None
-        p99 = self.windowed_p99(now)
+        p99 = self.windowed_p99(now) if c.p99_target_s is not None else math.nan
         overloaded = queue_depth >= c.up_queue_depth or (
             c.p99_target_s is not None and not math.isnan(p99) and p99 > c.p99_target_s
         )

@@ -15,6 +15,7 @@ on which tests ran earlier in the process.
 from __future__ import annotations
 
 import hashlib
+import dataclasses
 import json
 import tempfile
 from collections import Counter
@@ -33,7 +34,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.predictor import ReuseBoundPredictor
 from repro.ml.tree import DecisionTreeRegressor
-from repro.redstar.datasets import f0d2
+from repro.redstar.datasets import a1_rhopi, f0d2, f0d4, nucleon_nn
 from repro.redstar.pipeline import RedstarPipeline
 from repro.schedulers.bounds import ReuseBounds
 from repro.schedulers.groute import GrouteScheduler
@@ -619,3 +620,49 @@ def ml_fingerprint() -> dict:
 
 def load_ml() -> dict:
     return json.loads(ML_PATH.read_text())
+
+
+# ------------------------------------------------------------ stream path
+#: The stream fixture: every Redstar dataset's full vector stream.
+STREAMS_MODE = "redstar-streams"
+STREAMS_PATH = GOLDEN_DIR / f"{STREAMS_MODE}.json"
+STREAM_DATASETS = {"a1_rhopi": a1_rhopi, "f0d2": f0d2, "f0d4": f0d4, "nucleon_nn": nucleon_nn}
+
+
+def stream_sha256(vectors, depths: dict[int, int]) -> str:
+    """Digest of each vector's id and meta and each pair's uids, labels,
+    ranks and output depth."""
+    rows = [
+        [
+            v.vector_id,
+            sorted(v.meta.items()),
+            [
+                [(t.uid, t.label, t.rank) for t in (p.left, p.right, p.out)] + [depths[p.out.uid]]
+                for p in v.pairs
+            ],
+        ]
+        for v in vectors
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def stream_fingerprint() -> dict:
+    """Each dataset's stream digest plus its :class:`PipelineStats`.
+
+    Every dataset runs at its default time-slice count on a fresh uid
+    counter, so the digest pins uids and intern labels as well.
+    """
+    out = {}
+    for name, factory in STREAM_DATASETS.items():
+        reset_uid_counter()
+        pipe = RedstarPipeline(factory())
+        vectors = pipe.vectors()
+        out[name] = {
+            "stream_sha256": stream_sha256(vectors, pipe._depths),
+            "stats": dataclasses.asdict(pipe.stats),
+        }
+    return {"mode": STREAMS_MODE, "datasets": out}
+
+
+def load_streams() -> dict:
+    return json.loads(STREAMS_PATH.read_text())

@@ -322,6 +322,20 @@ class TestServeConfigFile:
         assert rc == 0
         assert "within [1, 4] devices" in capsys.readouterr().out
 
+    def test_autoscale_line_prints_the_clamped_bounds(self, capsys, tmp_path):
+        config = tmp_path / "wide.json"
+        config.write_text('{"autoscaler": {"max_devices": 64}}')
+        base = ["serve", "--config", str(config), "--num-vectors", "10", "--num-devices", "8"]
+        assert main([*base, "--json", str(tmp_path / "a.json")]) == 0
+        out = capsys.readouterr().out
+        assert "within [1, 8] devices\n" in out and "[1, 64]" not in out
+        sharded = ["--sharded", "--devices-per-node", "4", "--json", str(tmp_path / "b.json")]
+        assert main([*base, *sharded]) == 0
+        assert (
+            "within [1, 4] devices on shard 0, [1, 4] devices on shard 1\n"
+            in capsys.readouterr().out
+        )
+
     def test_example_tenants_config_parses(self):
         from pathlib import Path
 

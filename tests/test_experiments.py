@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import MiccoConfig
+from repro.core.framework import Micco
 from repro.experiments import EXPERIMENTS, Table
 from repro.experiments import (
     ablations,
@@ -160,6 +161,34 @@ class TestTab5:
         row = res.rows[0]
         assert row["schedule_ms"] > 0
         assert 0 <= row["overhead_fraction"] < 1
+
+
+    def test_warm_up_then_median_of_timed_runs(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.experiments.tab5_overhead.get_default_predictor",
+            lambda *a, **k: StubPredictor(),
+        )
+        runs = []
+        real_run = Micco.run
+
+        def spy(self, vectors, **kw):
+            result = real_run(self, vectors, **kw)
+            runs.append((len(vectors), result))
+            return result
+
+        monkeypatch.setattr(Micco, "run", spy)
+        res = tab5_overhead.run(
+            distributions=("uniform",), vector_size=8, tensor_size=16,
+            num_devices=2, num_vectors=3, batch=2, subscription=None, seed=0,
+        )
+        assert [n for n, _ in runs] == [1, 3, 3, 3]
+        timed = [r for _, r in runs[1:]]
+        assert len({r.makespan_s for r in timed}) == 1
+        median = sorted(timed, key=lambda r: r.total_overhead_s)[1]
+        row = res.rows[0]
+        assert row["schedule_ms"] == 1e3 * median.schedule_overhead_s
+        assert row["inference_ms"] == 1e3 * median.inference_overhead_s
+        assert row["total_ms"] == 1e3 * timed[0].makespan_s
 
 
 class TestTab6:

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs.contraction_graph import ContractionGraph, InternTable, contract_graph
+from repro.graphs.contraction_graph import (
+    ContractionGraph,
+    InternTable,
+    contract_graph,
+    reduction_order,
+    replay_reduction,
+)
 from repro.graphs.hadron import HadronNode, baryon, meson
 from repro.tensor.spec import TensorSpec, next_uid
 from tests.conftest import make_tensor
@@ -144,3 +150,24 @@ class TestContractGraph:
         )
         steps = contract_graph(g, InternTable())
         assert len(steps) == 2  # each component merges once -> 2 nodes total
+
+    def test_merges_index_terms_and_merged_nodes_follow(self):
+        g = simple_graph(n_nodes=5)
+        merges = reduction_order(list(g.nodes), g.edges)
+        # Ring of 5: the first merge takes the heaviest, lexicographically
+        # largest pair; later merges may name its output, term 5.
+        assert merges[0] == (3, 4)
+        assert len(merges) == 3
+        assert all(i < 5 + k and j < 5 + k for k, (i, j) in enumerate(merges))
+
+    def test_one_order_replays_on_other_tensors(self):
+        """The order reads names only, so it holds for any tensors."""
+        g = simple_graph(n_nodes=6)
+        merges = reduction_order(list(g.nodes), g.edges)
+        other = ContractionGraph(
+            nodes={name: make_tensor() for name in g.nodes}, edges=g.edges
+        )
+        table, depths = InternTable(), {}
+        replayed = replay_reduction(merges, list(other.nodes.values()), table, depths)
+        assert replayed == contract_graph(other, table, dict(depths))
+

@@ -1,5 +1,6 @@
 """Unit and integration tests for the p99-driven pool autoscaler."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import MiccoConfig
@@ -91,6 +92,30 @@ class TestAutoscalerDecisions:
         a = Autoscaler(AutoscalerConfig(cooldown_s=1.0, max_devices=4))
         a.log(0.0, "online", 1, 2, starts_cooldown=False)
         assert a.decide(0.1, queue_depth=8, num_alive=1) == "up"
+
+    def test_no_target_decides_without_a_percentile(self, monkeypatch):
+        calls = []
+        percentile = np.percentile
+        monkeypatch.setattr(np, "percentile", lambda *a, **k: calls.append(a) or percentile(*a, **k))
+        cfg = AutoscalerConfig(up_queue_depth=3, max_devices=4, cooldown_s=0.0)
+        a = Autoscaler(cfg)
+        # (now, queue depth, alive, decision): the queue-depth rule alone,
+        # however slow the completions in the window are.
+        script = [
+            (0.1, 3, 1, "up"),
+            (0.2, 1, 2, None),
+            (0.3, 0, 2, "down"),
+            (0.4, 5, 4, None),
+            (0.5, 0, 1, None),
+        ]
+        for now, depth, alive, expected in script:
+            a.observe_completion(now, 5.0)
+            assert a.decide(now, queue_depth=depth, num_alive=alive) == expected
+        assert calls == []
+        a = Autoscaler(cfg.with_(p99_target_s=1.0))
+        a.observe_completion(0.1, 5.0)
+        assert a.decide(0.1, queue_depth=0, num_alive=1) == "up"
+        assert len(calls) == 1
 
     def test_window_prunes_old_latencies(self):
         a = Autoscaler(AutoscalerConfig(window_s=1.0, p99_target_s=0.1))

@@ -7,8 +7,8 @@ Usage::
     PYTHONPATH=src python tools/regen_golden.py --write   # rewrite fixtures
 
 Every (mode, seed) fixture under ``tests/golden/`` is recomputed, and
-so are the offline ``offline-f0d2`` and the ``ml-models`` fixtures (name
-one to check it alone).  For
+so are the offline ``offline-f0d2``, the ``ml-models`` and the
+``redstar-streams`` fixtures (name one to check it alone).  For
 each mismatch the digests that moved and a field-by-field summary diff
 are printed.  Exits 1 when any fixture differs (or is missing), 0 when
 all match.  Files are written only with ``--write``; the exit status
@@ -18,6 +18,7 @@ still reports whether anything differed before the rewrite.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def main(argv=None) -> int:
     ap.add_argument("--write", action="store_true", help="rewrite the fixture files")
     ap.add_argument("modes", nargs="*", help="restrict to these modes (default: all)")
     args = ap.parse_args(argv)
-    known = [*golden.MODES, golden.OFFLINE_MODE, golden.ML_MODE]
+    known = [*golden.MODES, golden.OFFLINE_MODE, golden.ML_MODE, golden.STREAMS_MODE]
     unknown = set(args.modes) - set(known)
     if unknown:
         ap.error(f"unknown modes {sorted(unknown)}; choose from {known}")
@@ -80,22 +81,31 @@ def main(argv=None) -> int:
             changed += 1
             if args.write:
                 path.write_text(golden.dump(fresh))
-    if golden.ML_MODE in modes:
-        fresh = golden.ml_fingerprint()
-        stored = golden.load_ml() if golden.ML_PATH.exists() else {"models": {}}
+    named = (
+        (golden.ML_MODE, golden.ml_fingerprint, golden.ML_PATH, "models",
+         "node counts, depths or predictions moved"),
+        (golden.STREAMS_MODE, golden.stream_fingerprint, golden.STREAMS_PATH, "datasets",
+         "stream digest or pipeline stats moved"),
+    )
+    for mode, fingerprint, path, section, what in named:
+        if mode not in modes:
+            continue
+        fresh = fingerprint()
+        stored = json.loads(path.read_text()) if path.exists() else {section: {}}
         moved = sorted(
             name
-            for name in set(stored["models"]) | set(fresh["models"])
-            if stored["models"].get(name) != fresh["models"].get(name)
+            for name in set(stored[section]) | set(fresh[section])
+            if stored[section].get(name) != fresh[section].get(name)
         )
-        print(f"{golden.ML_MODE}: {'changed' if moved else 'ok'}")
+        print(f"{mode}: {'changed' if moved else 'ok'}")
         for name in moved:
-            print(f"  {name}: node counts, depths or predictions moved")
+            print(f"  {name}: {what}")
         if moved:
             changed += 1
             if args.write:
-                golden.ML_PATH.write_text(golden.dump(fresh))
-    for mode in (m for m in modes if m not in (golden.OFFLINE_MODE, golden.ML_MODE)):
+                path.write_text(golden.dump(fresh))
+    special = (golden.OFFLINE_MODE, golden.ML_MODE, golden.STREAMS_MODE)
+    for mode in (m for m in modes if m not in special):
         for seed in golden.SEEDS:
             fresh = golden.fingerprint(mode, seed)
             path = golden.fixture_path(mode, seed)
