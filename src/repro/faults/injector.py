@@ -30,6 +30,7 @@ from collections import deque
 from repro.errors import ConfigurationError
 from repro.faults.plan import NODE_SCOPED, FaultEvent, FaultKind, FaultPlan
 from repro.faults.recovery import FaultStats
+from repro.gpusim.cluster import mask_ids
 from repro.integrity import mix64
 
 _2_64 = float(1 << 64)
@@ -86,9 +87,10 @@ class FaultInjector:
         self._armed_transfer: dict[int, int] = {}
         # (device, start_s, end_s, slow_factor) active/known windows.
         self._slow: list[tuple[int, float, float, float]] = []
-        #: Devices whose node lost its inter-node links (``link_lost``);
-        #: they stay alive but are D2D-unreachable from other nodes.
-        self._linkless: set[int] = set()
+        #: Bitmask of the devices whose node lost its inter-node links
+        #: (``link_lost``); they stay alive but are D2D-unreachable from
+        #: other nodes.
+        self._linkless: int = 0
         #: (device, start_s, end_s) heartbeat-silence windows — the
         #: device computes normally but its node reports nothing.
         self._silent: list[tuple[int, float, float]] = []
@@ -185,10 +187,11 @@ class FaultInjector:
         if kind in NODE_SCOPED and topology is not None and fault.device < topology.num_devices:
             devices = topology.devices_of_node(topology.node_of(fault.device))
         if kind is FaultKind.LINK_LOST:
-            devices = [d for d in devices if cluster.is_alive(d) and d not in self._linkless]
+            devices = [d for d in devices if cluster.is_alive(d) and not self._linkless >> d & 1]
             if devices:
                 stats.link_losses += 1
-                self._linkless.update(devices)
+                for d in devices:
+                    self._linkless |= 1 << d
                 stats.record_event(
                     "fault", fault.device, fault.time_s, 0.0,
                     label=f"link lost: devices {devices} host-staged",
@@ -282,21 +285,19 @@ class FaultInjector:
     @property
     def linkless_devices(self) -> frozenset[int]:
         """Devices currently isolated by ``link_lost`` faults."""
-        return frozenset(self._linkless)
+        return frozenset(mask_ids(self._linkless))
 
-    def reachable_holders(self, holders, dst: int, topology) -> frozenset:
-        """Holders of a tensor that ``dst`` can still reach over D2D.
+    def reachable_holders(self, holders: int, dst: int, topology) -> int:
+        """The holders in mask ``holders`` that ``dst`` can still reach over D2D.
 
         A holder is reachable when it shares ``dst``'s node (intra-node
         links survive a ``link_lost``) or when *neither* endpoint sits
-        on a link-degraded node.
+        on a link-degraded node.  Returns the reachable holders' mask.
         """
-        return frozenset(
-            h
-            for h in holders
-            if topology.same_node(h, dst)
-            or (h not in self._linkless and dst not in self._linkless)
-        )
+        local = topology.node_mask(topology.node_of(dst))
+        if self._linkless >> dst & 1:
+            return holders & local
+        return holders & (local | ~self._linkless)
 
     # ------------------------------------------------------------ engine side
     def take_kernel_fault(self, device: int) -> bool:

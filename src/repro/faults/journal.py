@@ -27,6 +27,7 @@ from collections import deque
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.gpusim.cluster import lowest_id
 from repro.reporting import dump_json
 
 
@@ -119,16 +120,17 @@ class ResidencyJournal:
         """
         restored = 0
         cost = 0.0
+        holders_map = cluster._holders
         for uid, nbytes in self.hot_tensors():
-            if cluster.is_resident(uid, device):
+            holders = holders_map.get(uid, 0)
+            if holders >> device & 1:
                 continue
             if cluster.used_bytes(device) + nbytes > budget:
                 continue
-            holders = cluster.devices_holding(uid)
             if not cluster.prewarm(uid, nbytes, device):
                 continue
             if holders:
-                copy_t = cost_model.d2d_time(nbytes, min(holders), device)
+                copy_t = cost_model.d2d_time(nbytes, lowest_id(holders), device)
             else:
                 copy_t = cost_model.h2d_time(nbytes)
             cost += copy_t + cost_model.alloc_time(nbytes)

@@ -4,7 +4,9 @@ This is the concrete realisation of the paper's three scheduler maps
 (Table III):
 
 * ``mapGPUTensor`` — which tensors are resident on which GPU
-  (here: each device's :class:`~repro.gpusim.memory.MemoryPool`),
+  (here: each device's :class:`~repro.gpusim.memory.MemoryPool`, and
+  the reverse index ``uid -> device bitmask``, bit ``d`` set while
+  device ``d`` holds a copy),
 * ``mapGPUCom``   — accumulated computation cost per GPU,
 * ``mapGPUMem``   — memory bytes used per GPU,
 
@@ -16,6 +18,8 @@ DESIGN.md §5).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import SchedulingError
@@ -24,8 +28,29 @@ from repro.gpusim.memory import MemoryPool
 from repro.tensor.spec import TensorSpec
 
 
+# A bounded table of the masks decoded most recently: placement decodes
+# the same few masks over and over, and the bound keeps its memory flat
+# however many distinct masks a run produces.
+@lru_cache(maxsize=1024)
+def mask_ids(mask: int) -> tuple[int, ...]:
+    """The device ids whose bits are set in ``mask``, ascending."""
+    return tuple(d for d in range(mask.bit_length()) if mask >> d & 1)
+
+
+def lowest_id(mask: int) -> int:
+    """The lowest device id set in a non-empty ``mask`` (``min`` of its ids)."""
+    return (mask & -mask).bit_length() - 1
+
+
 class ClusterState:
     """Mutable state of a simulated multi-GPU node.
+
+    ``mapGPUTensor`` is kept twice: forward, as each device's memory
+    pool, and in reverse, as ``_holders``, a ``uid -> device bitmask``
+    dict (bit ``d`` set while device ``d`` holds a copy; tensors with no
+    copy have no entry).  A single-holder entry stores the shared int
+    ``_bits[d]``, so indexing a copy allocates nothing beyond its dict
+    slot.
 
     Parameters
     ----------
@@ -54,8 +79,13 @@ class ClusterState:
         # Accumulated memory-operation seconds per device (for
         # earliest-available-device baselines that watch busy time).
         self.memop_s: list[float] = [0.0] * n
-        # uid -> set of device ids currently holding a copy.
-        self._holders: dict[int, set[int]] = {}
+        # uid -> bitmask of the devices currently holding a copy.
+        self._holders: dict[int, int] = {}
+        # Shared per-device bit objects: every writer stores these, so a
+        # single-holder entry allocates no int of its own.
+        self._bits: list[int] = [1 << d for d in range(n)]
+        # Devices candidates may come from; a ShardView narrows it.
+        self._device_mask: int = (1 << n) - 1
         # Per-vector load counters (the paper's availability test).
         self.assigned_slots: list[int] = [0] * n
         self.balance_num: float = 0.0
@@ -118,10 +148,10 @@ class ClusterState:
 
     def devices_holding(self, uid: int) -> frozenset[int]:
         """``mapGPUTensor.find(tensor)``: devices with a resident copy."""
-        return frozenset(self._holders.get(uid, ()))
+        return frozenset(mask_ids(self._holders.get(uid, 0)))
 
     def is_resident(self, uid: int, device_id: int) -> bool:
-        return device_id in self._holders.get(uid, ())
+        return self._holders.get(uid, 0) >> device_id & 1 == 1
 
     def resident_count(self, device_id: int) -> int:
         """Number of tensors resident on a device."""
@@ -161,25 +191,39 @@ class ClusterState:
     def register(self, spec: TensorSpec, device_id: int, protect: set[int] | frozenset[int] = frozenset()):
         """Make ``spec`` resident on ``device_id``; returns evicted residencies."""
         uid = spec.uid
-        holders_map = self._holders
+        bit = self._bits[device_id]
         evicted = self.pools[device_id].allocate(uid, spec.nbytes, protect=protect)
         if evicted:
             for r in evicted:
-                holders = holders_map.get(r.uid)
-                if holders is not None:
-                    holders.discard(device_id)
-                    if not holders:
-                        del holders_map[r.uid]
+                self._unhold(r.uid, bit)
                 if self.journal is not None:
                     self.journal.note_drop(r.uid, device_id, "evict")
-        h = holders_map.get(uid)
-        if h is None:
-            holders_map[uid] = {device_id}
-        else:
-            h.add(device_id)
+        self._hold(uid, bit)
         if self.journal is not None:
             self.journal.note_put(uid, device_id, spec.nbytes)
         return evicted
+
+    def _hold(self, uid: int, bit: int) -> None:
+        """Set a device's shared ``bit`` in ``uid``'s holder mask."""
+        h = self._holders.get(uid)
+        if h is None:
+            self._holders[uid] = bit
+        elif not h & bit:
+            self._holders[uid] = h | bit
+
+    def _unhold(self, uid: int, bit: int) -> None:
+        """Clear a device's ``bit`` from ``uid``'s holder mask.
+
+        An emptied entry is deleted, and a mask left with one holder
+        stores that device's shared bit again.
+        """
+        h = self._holders.get(uid, 0)
+        if h & bit:
+            h ^= bit
+            if not h:
+                del self._holders[uid]
+            else:
+                self._holders[uid] = h if h & (h - 1) else self._bits[h.bit_length() - 1]
 
     def touch(self, uid: int, device_id: int) -> None:
         """Refresh LRU recency of a reused tensor."""
@@ -196,21 +240,10 @@ class ClusterState:
         """
         nbytes = self.pools[device_id].free(uid)
         if nbytes:
-            holders = self._holders.get(uid)
-            if holders is not None:
-                holders.discard(device_id)
-                if not holders:
-                    del self._holders[uid]
+            self._unhold(uid, self._bits[device_id])
             if self.journal is not None:
                 self.journal.note_drop(uid, device_id, reason)
         return nbytes
-
-    def drop_everywhere(self, uid: int, reason: str = "drain") -> int:
-        """Free a tensor from every device; returns total bytes freed."""
-        total = 0
-        for dev in list(self._holders.get(uid, ())):
-            total += self.drop(uid, dev, reason)
-        return total
 
     def _take_offline(self, device_id: int) -> list[int]:
         """Remove a device from the alive set and clear its residency.
@@ -228,13 +261,10 @@ class ClusterState:
         self._alive.discard(device_id)
         self._alive_changed()
         orphans = list(self.pools[device_id].resident_uids())
+        bit = self._bits[device_id]
         for uid in orphans:
             self.pools[device_id].free(uid)
-            holders = self._holders.get(uid)
-            if holders is not None:
-                holders.discard(device_id)
-                if not holders:
-                    del self._holders[uid]
+            self._unhold(uid, bit)
             if self.journal is not None:
                 self.journal.note_drop(uid, device_id, "lost")
         return orphans
@@ -284,7 +314,7 @@ class ClusterState:
         if uid in pool or nbytes > pool.free_bytes:
             return False
         pool.allocate(uid, nbytes)
-        self._holders.setdefault(uid, set()).add(device_id)
+        self._hold(uid, self._bits[device_id])
         if self.journal is not None:
             self.journal.note_put(uid, device_id, nbytes)
         return True
@@ -349,30 +379,41 @@ class ClusterState:
 
         Each pool's own invariants must hold, and the ``_holders``
         reverse index must name exactly the devices whose pools contain
-        each uid: every resident ``(uid, device)`` is indexed, no index
-        entry is empty, and the index counts as many copies as the pools
-        hold (so it names no copy the pools lack).  The walk copies
-        neither the pools nor the index.  Raises :class:`AssertionError`
-        on violation.
+        each uid: every resident ``(uid, device)`` has its bit set, no
+        index entry is an empty mask, and the masks count as many copies
+        as the pools hold (when they count more, the first copy the
+        pools lack is named).  The walk copies neither the pools nor the
+        index.  Raises :class:`AssertionError` on violation.
         """
         holders_map = self._holders
+        bits = self._bits
+        pools = self.pools
         resident = 0
-        for dev, pool in enumerate(self.pools):
+        for dev, pool in enumerate(pools):
             pool.check_invariants()
+            bit = bits[dev]
             for uid in pool._resident:
-                holders = holders_map.get(uid)
-                assert holders is not None and dev in holders, (
+                holders = holders_map.get(uid, 0)
+                assert holders & bit, (
                     f"holders index out of sync: device {dev} holds uid {uid}, "
-                    f"index says {holders}"
+                    f"index says {list(mask_ids(holders))}"
                 )
             resident += len(pool)
         indexed = 0
         for uid, holders in holders_map.items():
-            assert holders, f"holders index out of sync: empty holder set for uid {uid}"
-            indexed += len(holders)
-        assert indexed == resident, (
-            f"holders index out of sync: index counts {indexed} copies, pools hold {resident}"
-        )
+            assert holders, f"holders index out of sync: empty holder mask for uid {uid}"
+            indexed += holders.bit_count()
+        if indexed != resident:
+            uid, dev = next(
+                (uid, d)
+                for uid, holders in holders_map.items()
+                for d in mask_ids(holders)
+                if d >= len(pools) or uid not in pools[d]._resident
+            )
+            raise AssertionError(
+                f"holders index out of sync: index says device {dev} holds uid {uid}, "
+                f"its pool does not (index counts {indexed} copies, pools hold {resident})"
+            )
 
     def add_compute(self, device_id: int, seconds: float) -> None:
         self.compute_s[device_id] += seconds
@@ -408,7 +449,9 @@ class ClusterState:
         other.compute_s[:] = self.compute_s
         other.memop_s[:] = self.memop_s
         other.pools = copy.deepcopy(self.pools)
-        other._holders = {uid: set(devs) for uid, devs in self._holders.items()}
+        # Masks are immutable ints, so a shallow copy is a deep one.
+        other._holders = dict(self._holders)
+        other._bits = self._bits
         other.assigned_slots[:] = self.assigned_slots
         other.balance_num = self.balance_num
         other.busy_until[:] = self.busy_until

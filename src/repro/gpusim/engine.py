@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.errors import DeviceLostError, SchedulingError, TransientFaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RetryPolicy
-from repro.gpusim.cluster import ClusterState
+from repro.gpusim.cluster import ClusterState, mask_ids
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.metrics import ExecutionMetrics
 from repro.gpusim.trace import TraceRecorder
@@ -109,6 +109,7 @@ class ExecutionEngine:
         counts = metrics.counts
         pool = cl.pools[device_id]
         holders_map = cl._holders
+        bit = cl._bits[device_id]
         journal = cl.journal
         interconnect = cm.interconnect
         topo = cm.topology
@@ -132,8 +133,8 @@ class ExecutionEngine:
             inputs = (left, right)
         for spec in inputs:
             uid = spec.uid
-            holders = holders_map.get(uid)
-            if holders is not None and device_id in holders:
+            holders = holders_map.get(uid, 0)
+            if holders & bit:
                 counts.reuse_hits += 1
                 pool.touch(uid)
                 continue
@@ -142,7 +143,7 @@ class ExecutionEngine:
                 # Partial-node degradation: a ``link_lost`` fault severs
                 # a node's inter-node links while its devices stay
                 # alive.  Holders unreachable over D2D are dropped; if
-                # that empties the set the fetch is staged through the
+                # that empties the mask the fetch is staged through the
                 # host instead (the copy exists on-device, but only the
                 # PCIe path can reach it).
                 holders = injector.reachable_holders(holders, device_id, topo)
@@ -158,18 +159,20 @@ class ExecutionEngine:
                 # peer beats a remote one.
                 d2d = True
                 if topo is None:
-                    # Constant D2D cost: the tie break picks the lowest id.
-                    source = min(holders)
+                    # Constant D2D cost: the tie break picks the lowest
+                    # id, the mask's lowest set bit.
+                    source = (holders & -holders).bit_length() - 1
                     copy_t = interconnect.d2d_time(nb)
                 else:
-                    if len(holders) == 1:
+                    if holders & (holders - 1) == 0:
                         # Single holder (the common case under
                         # ``d2d_moves``): no tie break to run.
-                        source = next(iter(holders))
+                        source = holders.bit_length() - 1
                     else:
                         lat = interconnect.latency_s
                         source = min(
-                            holders, key=lambda h: (topo.d2d_time(h, device_id, nb, lat), h)
+                            mask_ids(holders),
+                            key=lambda h: (topo.d2d_time(h, device_id, nb, lat), h),
                         )
                     copy_t = topo.d2d_time(source, device_id, nb, interconnect.latency_s)
             else:
@@ -248,13 +251,13 @@ class ExecutionEngine:
                 evicted = pool.allocate(uid, nb, protect)
                 if evicted:
                     pair_memop_s += self._settle_evictions(
-                        evicted, counts, device_id, holders_map, journal, trace
+                        evicted, counts, device_id, bit, journal, trace
                     )
             h = holders_map.get(uid)
             if h is None:
-                holders_map[uid] = {device_id}
-            else:
-                h.add(device_id)
+                holders_map[uid] = bit
+            elif not h & bit:
+                holders_map[uid] = h | bit
             if journal is not None:
                 journal.note_put(uid, device_id, nb)
             alloc_t = alloc_latency + nb / alloc_bw
@@ -280,13 +283,13 @@ class ExecutionEngine:
             evicted = pool.allocate(out_uid, out_nb, protect)
             if evicted:
                 pair_memop_s += self._settle_evictions(
-                    evicted, counts, device_id, holders_map, journal, trace
+                    evicted, counts, device_id, bit, journal, trace
                 )
         h = holders_map.get(out_uid)
         if h is None:
-            holders_map[out_uid] = {device_id}
-        else:
-            h.add(device_id)
+            holders_map[out_uid] = bit
+        elif not h & bit:
+            holders_map[out_uid] = h | bit
         if journal is not None:
             journal.note_put(out_uid, device_id, out_nb)
         out_alloc_t = alloc_latency + out_nb / alloc_bw
@@ -387,13 +390,15 @@ class ExecutionEngine:
             injector.stats.record_recovery("transient", fault_extra_s)
         return fault_extra_s
 
-    def _settle_evictions(self, evicted, counts, device_id, holders_map, journal, trace) -> float:
+    def _settle_evictions(self, evicted, counts, device_id, bit, journal, trace) -> float:
         """Settle one allocation's evictions; returns their memory-op seconds.
 
-        Drops each victim from the holder index and the journal, counts
-        it, records its ``evict`` trace event and sums the cost model's
-        eviction time (same terms, same order, inlined).
+        Clears the device's ``bit`` from each victim's holder mask, drops
+        it from the journal, counts it, records its ``evict`` trace event
+        and sums the cost model's eviction time (same terms, same order,
+        inlined).
         """
+        unhold = self.cluster._unhold
         cm = self.cost_model
         writeback = cm.eviction_writeback
         ev_lat = cm.eviction_latency_s
@@ -401,11 +406,7 @@ class ExecutionEngine:
         total = 0.0
         for r in evicted:
             r_uid = r.uid
-            holders = holders_map.get(r_uid)
-            if holders is not None:
-                holders.discard(device_id)
-                if not holders:
-                    del holders_map[r_uid]
+            unhold(r_uid, bit)
             if journal is not None:
                 journal.note_drop(r_uid, device_id, "evict")
             nb = r.nbytes
@@ -472,14 +473,15 @@ class ExecutionEngine:
         trace = self.trace
         writeback = cm.drain_writeback
         holders_map = cl._holders
+        bits = cl._bits
         pools = cl.pools
         journal = cl.journal
         for pair, dev in zip(vector.pairs, assignment):
             out = pair.out
             uid = out.uid
             dev = int(dev)
-            holders = holders_map.get(uid)
-            if holders is None or dev not in holders:
+            bit = bits[dev]
+            if not holders_map.get(uid, 0) & bit:
                 continue
             if writeback:
                 d2h_t = cm.interconnect.d2h_time(out.nbytes)
@@ -489,8 +491,6 @@ class ExecutionEngine:
                     trace.record("drain", dev, d2h_t, uid=uid, nbytes=out.nbytes)
             # ClusterState.drop, inlined.
             if pools[dev].free(uid):
-                holders.discard(dev)
-                if not holders:
-                    del holders_map[uid]
+                cl._unhold(uid, bit)
                 if journal is not None:
                     journal.note_drop(uid, dev, "drain")

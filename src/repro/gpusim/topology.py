@@ -78,6 +78,10 @@ class Topology:
         start = node * self.devices_per_node
         return list(range(start, start + self.devices_per_node))
 
+    def node_mask(self, node: int) -> int:
+        """Device bitmask of ``node``: bit ``d`` set for each device it hosts."""
+        return ((1 << self.devices_per_node) - 1) << (node * self.devices_per_node)
+
     def d2d_time(self, src: int, dst: int, nbytes: int, base_latency_s: float) -> float:
         """Seconds to move ``nbytes`` from ``src`` to ``dst``."""
         if self.same_node(src, dst):

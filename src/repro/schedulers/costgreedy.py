@@ -15,7 +15,7 @@ decision cost; the ablation bench quantifies both sides.
 
 from __future__ import annotations
 
-from repro.gpusim.cluster import ClusterState
+from repro.gpusim.cluster import ClusterState, lowest_id
 from repro.gpusim.costmodel import CostModel
 from repro.schedulers.base import Scheduler
 from repro.tensor.spec import TensorPair
@@ -77,18 +77,22 @@ class CostGreedyScheduler(Scheduler):
         devices = cluster.devices
         out_nbytes = pair.out.nbytes
         out_alloc = cm.alloc_time(out_nbytes)
-        # (holders, nbytes, alloc seconds, nearest source or None, host
-        # copy seconds or None) per distinct input.
+        holders_map = cluster._holders
+        # A ShardView narrows the mask to its devices, as its
+        # ``devices_holding`` does.
+        dmask = cluster._device_mask
+        # (holder mask, nbytes, alloc seconds, nearest source or None,
+        # host copy seconds or None) per distinct input.
         fetches = []
         seen: set[int] = set()
         for spec in pair.inputs:
             if spec.uid in seen:
                 continue
             seen.add(spec.uid)
-            holders = cluster.devices_holding(spec.uid)
+            holders = holders_map.get(spec.uid, 0) & dmask
             nbytes = spec.nbytes
             if holders:
-                fetches.append((holders, nbytes, cm.alloc_time(nbytes), min(holders), None))
+                fetches.append((holders, nbytes, cm.alloc_time(nbytes), lowest_id(holders), None))
             else:
                 fetches.append((holders, nbytes, cm.alloc_time(nbytes), None, cm.h2d_time(nbytes)))
         # ``kernel_time`` reads only the device's peak rate.
@@ -105,7 +109,7 @@ class CostGreedyScheduler(Scheduler):
             incoming = out_nbytes
             memop = out_alloc
             for holders, nbytes, alloc, src, h2d in fetches:
-                if g in holders:
+                if holders >> g & 1:
                     continue
                 if src is None:
                     memop += alloc + h2d

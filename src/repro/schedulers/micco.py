@@ -17,7 +17,7 @@ paper uses ``random()``, so experiment runs are reproducible.
 from __future__ import annotations
 
 from repro.errors import SchedulingError
-from repro.gpusim.cluster import ClusterState
+from repro.gpusim.cluster import ClusterState, mask_ids
 from repro.gpusim.costmodel import CostModel
 from repro.schedulers.base import Scheduler
 from repro.schedulers.bounds import ReuseBounds
@@ -35,9 +35,6 @@ _DEFAULT_COST_MODEL = CostModel()
 #: Sending 2-11 wide sets through the same strict scan read 3 % slower
 #: on the redstar-f0d2 bench workload, so narrow sets stay inline.
 VECTOR_MIN_CANDIDATES = 12
-
-#: Shared empty holder set for the classification fast path.
-_EMPTY_SET: frozenset[int] = frozenset()
 
 
 def incoming_bytes(pair: TensorPair, device_id: int, cluster: ClusterState) -> int:
@@ -169,11 +166,11 @@ class MiccoScheduler(Scheduler):
         return min(candidates, key=key)
 
     def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
-        """Alg. 1 + Alg. 2 fused: one pass from holder sets to device.
+        """Alg. 1 + Alg. 2 fused: one pass from holder masks to device.
 
         Equivalent to ``select(build_candidates(pair, cluster), ...)``
         (``tests/test_placement_oracle.py`` checks that on random
-        cluster states), but the holder sets are read once and the
+        cluster states), but the holder masks are read once and the
         candidate tier is remembered: tier-0 candidates hold *both*
         inputs, so their incoming bytes are the output alone and the
         per-candidate residency probes collapse to a constant.  Narrow
@@ -182,29 +179,21 @@ class MiccoScheduler(Scheduler):
         :meth:`CostModel.score_batch` on the same plain values.
         """
         holders_map = cluster._holders
-        # A ShardView carries ``_device_set``; its ``devices_holding``
-        # scopes holders to the shard, and reading the raw holder map
-        # must apply the same scoping or candidates leak off-shard.
-        dset = getattr(cluster, "_device_set", None)
+        # A ShardView narrows ``_device_mask`` to its devices, as its
+        # ``devices_holding`` does, so candidates never leave the shard.
+        dmask = cluster._device_mask
         left_spec, right_spec = pair.left, pair.right
         lu = left_spec.uid
         ru = right_spec.uid
-        left = holders_map.get(lu) or _EMPTY_SET
-        if dset is not None and left:
-            left = left & dset
-        if ru == lu:
-            right = left
-        else:
-            right = holders_map.get(ru) or _EMPTY_SET
-            if dset is not None and right:
-                right = right & dset
+        left = holders_map.get(lu, 0) & dmask
+        right = left if ru == lu else holders_map.get(ru, 0) & dmask
         # Pattern codes index ``PATTERNS``: twoRepeatedSame,
         # twoRepeatedDiff, oneRepeated, twoNew.
         if left and right:
             common = left & right
             self._pattern_tally[0 if common else 1] += 1
         else:
-            common = _EMPTY_SET
+            common = 0
             self._pattern_tally[2 if (left or right) else 3] += 1
 
         slots = cluster.assigned_slots
@@ -215,13 +204,12 @@ class MiccoScheduler(Scheduler):
         if self.pattern_aware:
             if common:
                 thr = bounds[0] + balance
-                candi = [g for g in sorted(common) if slots[g] < thr]
+                candi = [g for g in mask_ids(common) if slots[g] < thr]
                 if candi:
                     candidates, tier = candi, 0
             if candidates is None and (left or right):
-                any_h = left | right
                 thr = bounds[1] + balance
-                candi = [g for g in sorted(any_h) if slots[g] < thr]
+                candi = [g for g in mask_ids(left | right) if slots[g] < thr]
                 if candi:
                     candidates, tier = candi, 1
         if candidates is None:
@@ -243,7 +231,7 @@ class MiccoScheduler(Scheduler):
                 l_nb = left_spec.nbytes
                 r_nb = right_spec.nbytes if ru != lu else 0
                 incoming = [
-                    out_b + (0 if g in left else l_nb) + (0 if g in right else r_nb)
+                    out_b + (0 if left >> g & 1 else l_nb) + (0 if right >> g & 1 else r_nb)
                     for g in candidates
                 ]
             return self.cost_model.score_batch(
@@ -268,9 +256,9 @@ class MiccoScheduler(Scheduler):
                 r_nb = right_spec.nbytes
                 for i, g in enumerate(candidates):
                     inc = out_b
-                    if g not in left:
+                    if not left >> g & 1:
                         inc += l_nb
-                    if two and g not in right:
+                    if two and not right >> g & 1:
                         inc += r_nb
                     if inc > free[i]:
                         evict = True

@@ -25,10 +25,9 @@ also applies its decisions and owns the shard's pool membership.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.serve.timeline import DeviceOnline
@@ -123,6 +122,27 @@ class AutoscalerConfig(JsonConfig):
             )
 
 
+def p99_linear(ordered: list[float]) -> float:
+    """The 99th percentile of the ascending, non-empty list ``ordered``.
+
+    numpy's default ``"linear"`` method, in the same float operations:
+    the virtual index ``(n - 1) * 0.99`` splits into ``lo`` and the
+    fraction ``g``, and the result interpolates between its neighbours
+    ``a`` and ``b`` from the nearer end, so it equals
+    ``float(np.percentile(ordered, 99))`` bit for bit.
+    """
+    n = len(ordered)
+    if n == 1:
+        return ordered[0]
+    index = (n - 1) * 0.99
+    lo = int(index)
+    a = ordered[lo]
+    b = ordered[lo + 1]
+    g = index - lo
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
+
+
 def clamp_to_shard(config: AutoscalerConfig, num_devices: int) -> AutoscalerConfig:
     """``config`` with ``min/max/initial_devices`` clamped to a shard of
     ``num_devices`` devices (at least one device, ``min <= max``)."""
@@ -152,8 +172,11 @@ class Autoscaler:
         self.devices = tuple(devices)
         self.node = int(node)
         self.config = clamp_to_shard(config, len(self.devices))
-        #: (complete_s, latency_s) pairs inside the sliding window.
+        #: (complete_s, latency_s) pairs inside the sliding window, and
+        #: the same latencies ascending.  Only a p99 target reads them,
+        #: so without one neither is kept.
         self._window: deque[tuple[float, float]] = deque()
+        self._sorted: list[float] | None = [] if self.config.p99_target_s is not None else None
         self._last_action_s = -math.inf
         #: Devices warming up (scale-up or loss replacement).
         self.pending: set[int] = set()
@@ -167,20 +190,31 @@ class Autoscaler:
     # -------------------------------------------------------------- signals
     def observe_completion(self, now: float, latency_s: float) -> None:
         """Feed one completed vector's end-to-end latency."""
-        self._window.append((now, float(latency_s)))
+        if self._sorted is None:
+            return
+        latency_s = float(latency_s)
+        self._window.append((now, latency_s))
+        insort(self._sorted, latency_s)
         self._prune(now)
 
     def _prune(self, now: float) -> None:
         horizon = now - self.config.window_s
-        while self._window and self._window[0][0] < horizon:
-            self._window.popleft()
+        window = self._window
+        ordered = self._sorted
+        while window and window[0][0] < horizon:
+            _, latency_s = window.popleft()
+            del ordered[bisect_left(ordered, latency_s)]
 
     def windowed_p99(self, now: float) -> float:
-        """p99 of latencies completed in the last ``window_s`` (NaN if none)."""
+        """p99 of latencies completed in the last ``window_s``.
+
+        NaN when the window is empty, and always without a
+        ``p99_target_s`` (no window is kept then).
+        """
         self._prune(now)
-        if not self._window:
+        if not self._sorted:
             return float("nan")
-        return float(np.percentile([lat for _, lat in self._window], 99))
+        return p99_linear(self._sorted)
 
     # ------------------------------------------------------------- decisions
     def decide(self, now: float, *, queue_depth: int, num_alive: int) -> str | None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SchedulingError
-from repro.gpusim.cluster import ClusterState
+from repro.gpusim.cluster import ClusterState, mask_ids
 from repro.serve.autoscale import Autoscaler, AutoscalerConfig
 from repro.serve.queueing import AdmissionQueue
 
@@ -40,7 +40,6 @@ class ShardView:
     def __init__(self, cluster: ClusterState, devices):
         self._cluster = cluster
         self.devices = tuple(sorted(int(d) for d in devices))
-        self._device_set = frozenset(self.devices)
         if not self.devices:
             raise SchedulingError("a shard view needs at least one device")
         # The placement hot path reads these per pair.  The cluster never
@@ -54,6 +53,9 @@ class ShardView:
         self.memop_s = cluster.memop_s
         self.assigned_slots = cluster.assigned_slots
         self._holders = cluster._holders
+        # Bitmask of the shard's devices: ``devices_holding`` and the
+        # schedulers that read holder masks directly narrow them with it.
+        self._device_mask = sum(1 << d for d in set(self.devices))
         # (the cluster's alive-id list, this shard's survivors in it):
         # the cluster replaces that list on every alive-set change.
         self._alive_memo = (None, [])
@@ -92,7 +94,7 @@ class ShardView:
         cross-node transfer through the cost model rather than being
         silently co-located.
         """
-        return self._cluster.devices_holding(uid) & self._device_set
+        return frozenset(mask_ids(self._holders.get(uid, 0) & self._device_mask))
 
     def begin_vector(self, num_tensors: int) -> None:
         """Shard-local balance window: spread over the shard's survivors."""

@@ -53,8 +53,9 @@ class TestResidency:
         t = make_tensor()
         cl.register(t, 0)
         cl.register(t, 1)
-        assert cl.drop_everywhere(t.uid) == 2 * t.nbytes
+        assert sum(cl.drop(t.uid, d) for d in cl.devices_holding(t.uid)) == 2 * t.nbytes
         assert cl.devices_holding(t.uid) == frozenset()
+        assert t.uid not in cl._holders
 
     def test_eviction_updates_holders(self):
         cl = make_cluster(memory_bytes=2 * make_tensor(size=64, batch=8).nbytes)
@@ -335,26 +336,35 @@ class TestCheckInvariants:
 
     def test_resident_uid_missing_from_index(self):
         cl, a, _ = self.cluster_with_copies()
-        cl._holders[a.uid].discard(1)
-        with pytest.raises(AssertionError, match=f"device 1 holds uid {a.uid}"):
+        cl._holders[a.uid] &= ~(1 << 1)
+        with pytest.raises(AssertionError, match=f"device 1 holds uid {a.uid}, index says \\[0\\]"):
             cl.check_invariants()
 
     def test_index_names_a_device_whose_pool_lacks_the_uid(self):
         cl, _, b = self.cluster_with_copies()
-        cl._holders[b.uid].add(0)
-        with pytest.raises(AssertionError, match="index counts 4 copies, pools hold 3"):
+        cl._holders[b.uid] |= 1 << 0
+        with pytest.raises(
+            AssertionError,
+            match=f"device 0 holds uid {b.uid}, its pool does not .index counts 4 copies, pools hold 3",
+        ):
             cl.check_invariants()
 
     def test_empty_holder_set(self):
         cl, _, _ = self.cluster_with_copies()
-        cl._holders[10**9] = set()
-        with pytest.raises(AssertionError, match="empty holder set"):
+        cl._holders[10**9] = 0
+        with pytest.raises(AssertionError, match=f"empty holder mask for uid {10**9}"):
             cl.check_invariants()
 
     def test_extra_copy_of_a_uid_no_pool_holds(self):
         cl, _, _ = self.cluster_with_copies()
-        cl._holders[10**9] = {2}
-        with pytest.raises(AssertionError, match="index counts 4 copies"):
+        cl._holders[10**9] = 1 << 2
+        with pytest.raises(AssertionError, match=f"device 2 holds uid {10**9}, its pool does not"):
+            cl.check_invariants()
+
+    def test_bit_past_the_last_device(self):
+        cl, a, _ = self.cluster_with_copies()
+        cl._holders[a.uid] |= 1 << 3
+        with pytest.raises(AssertionError, match=f"device 3 holds uid {a.uid}, its pool does not"):
             cl.check_invariants()
 
     @pytest.mark.parametrize("policy", ["lru", "fifo"])

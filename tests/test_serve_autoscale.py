@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import MiccoConfig
 from repro.errors import ConfigurationError
@@ -94,9 +96,11 @@ class TestAutoscalerDecisions:
         assert a.decide(0.1, queue_depth=8, num_alive=1) == "up"
 
     def test_no_target_decides_without_a_percentile(self, monkeypatch):
+        from repro.serve import autoscale
+
         calls = []
-        percentile = np.percentile
-        monkeypatch.setattr(np, "percentile", lambda *a, **k: calls.append(a) or percentile(*a, **k))
+        p99 = autoscale.p99_linear
+        monkeypatch.setattr(autoscale, "p99_linear", lambda xs: calls.append(xs) or p99(xs))
         cfg = AutoscalerConfig(up_queue_depth=3, max_devices=4, cooldown_s=0.0)
         a = Autoscaler(cfg)
         # (now, queue depth, alive, decision): the queue-depth rule alone,
@@ -122,6 +126,37 @@ class TestAutoscalerDecisions:
         a.observe_completion(0.0, 5.0)
         assert a.windowed_p99(0.5) == pytest.approx(5.0)
         assert a.windowed_p99(2.0) != a.windowed_p99(2.0)  # NaN after pruning
+
+    def test_sorted_window_follows_the_deque(self):
+        rng = np.random.default_rng(5)
+        a = Autoscaler(AutoscalerConfig(window_s=0.05, p99_target_s=0.1))
+        for step in range(400):
+            # Rounded values so ties reach the pruning bisect.
+            a.observe_completion(step * 0.001, float(np.round(rng.exponential(0.01), 3)))
+            assert a._sorted == sorted(lat for _, lat in a._window)
+            assert float.hex(a.windowed_p99(step * 0.001)) == float.hex(
+                float(np.percentile([lat for _, lat in a._window], 99))
+            )
+
+
+class TestP99Linear:
+    """``p99_linear`` is numpy's default percentile, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 10.0, allow_nan=False),
+                st.integers(0, 5).map(lambda k: k / 4),  # ties
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_matches_np_percentile(self, xs):
+        from repro.serve.autoscale import p99_linear
+
+        assert float.hex(p99_linear(sorted(xs))) == float.hex(float(np.percentile(xs, 99)))
 
 
 def burst_config(**kw):

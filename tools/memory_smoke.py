@@ -13,6 +13,11 @@ untraced warm-up run, so lazy imports and first-call caches land in
 neither measurement.  Exits 1 when either is above
 ``MAX_BYTES_PER_TICKET``.
 
+It also checks one fixed cost: after each long run, the traced bytes the
+cluster's holder index (``uid -> device bitmask``) frees when cleared,
+per resident tensor copy.  Exits 1 when that is above
+``MAX_INDEX_BYTES_PER_COPY``.
+
 Usage::
 
     PYTHONPATH=src python tools/memory_smoke.py                      # 2x2000 vs 2x8000
@@ -38,14 +43,22 @@ SEED = 11
 #: while the generator kept a ``TensorSpec`` per fresh input, and 1.4 KB
 #: plain / 2.8 KB fully traced with per-ticket record objects.
 MAX_BYTES_PER_TICKET = 320
+#: Traced holder-index bytes per resident copy above which the smoke
+#: fails: the measured ~80 B (one dict slot; a single holder's mask is
+#: its device's shared int) plus 25 %.  A ``set`` per entry read ~300 B.
+MAX_INDEX_BYTES_PER_COPY = 100
 #: Per-tenant stream length of the warm-up run.
 WARM_UP = 50
 #: The two runs of the roster: name -> trace block.
 TRACES = {"plain": TraceConfig(), "full trace": TraceConfig(mode="full")}
 
 
-def traced_peak(per_tenant: int, trace: TraceConfig) -> tuple[int, int]:
-    """Serve ``2 * per_tenant`` tickets; return (tickets offered, traced peak bytes)."""
+def traced_peak(per_tenant: int, trace: TraceConfig) -> tuple[int, int, float]:
+    """Serve ``2 * per_tenant`` tickets.
+
+    Returns (tickets offered, traced peak bytes, traced holder-index
+    bytes per resident copy at the end of the run).
+    """
     stream = WorkloadParams(num_vectors=per_tenant, vector_size=8, tensor_size=64, batch=2)
     arrivals = BurstyArrivals(1000.0, 200.0, mean_on_s=0.2, mean_off_s=0.2)
     slo = SloTargets(p99_s=0.020)
@@ -70,10 +83,15 @@ def traced_peak(per_tenant: int, trace: TraceConfig) -> tuple[int, int]:
     try:
         result = server.run(seed=SEED)
         offered = result.summary()["offered"]
-        _, peak = tracemalloc.get_traced_memory()
+        current, peak = tracemalloc.get_traced_memory()
+        # Clearing the index frees its table and whatever values it owns
+        # alone; uid keys are shared with the pools and stay.
+        copies = server.cluster.total_resident_tensors()
+        server.cluster._holders.clear()
+        index_bytes = current - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return offered, peak
+    return offered, peak, index_bytes / copies
 
 
 def main(argv=None) -> int:
@@ -87,14 +105,19 @@ def main(argv=None) -> int:
     traced_peak(WARM_UP, TraceConfig(mode="full"))
     failed = False
     for name, trace in TRACES.items():
-        n_short, peak_short = traced_peak(short, trace)
-        n_long, peak_long = traced_peak(long_, trace)
+        n_short, peak_short, _ = traced_peak(short, trace)
+        n_long, peak_long, per_copy = traced_peak(long_, trace)
         per_ticket = (peak_long - peak_short) / (n_long - n_short)
         print(f"{name}: traced peak {n_short} tickets {peak_short / MIB:.1f} MiB, "
               f"{n_long} tickets {peak_long / MIB:.1f} MiB")
         print(f"{name}: marginal {per_ticket:.0f} B/ticket (limit {MAX_BYTES_PER_TICKET})")
+        print(f"{name}: holder index {per_copy:.0f} B/resident copy "
+              f"(limit {MAX_INDEX_BYTES_PER_COPY})")
         if per_ticket > MAX_BYTES_PER_TICKET:
             print(f"FAIL: {name} per-ticket memory grew past the limit", file=sys.stderr)
+            failed = True
+        if per_copy > MAX_INDEX_BYTES_PER_COPY:
+            print(f"FAIL: {name} holder index grew past its per-copy limit", file=sys.stderr)
             failed = True
     return 1 if failed else 0
 
