@@ -24,6 +24,14 @@ class SchedulingError(ReproError):
     """A scheduler produced (or was handed) an inconsistent assignment."""
 
 
+class LifecycleError(SchedulingError):
+    """A device was asked to take an edge missing from the lifecycle table."""
+
+    def __init__(self, device_id: int, from_state: str, to_state: str):
+        self.device_id, self.from_state, self.to_state = device_id, from_state, to_state
+        super().__init__(f"device {device_id} cannot go from {from_state} to {to_state}")
+
+
 class CapacityError(ReproError, RuntimeError):
     """A tensor cannot fit on a device even after evicting everything else.
 

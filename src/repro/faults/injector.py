@@ -30,7 +30,7 @@ from collections import deque
 from repro.errors import ConfigurationError
 from repro.faults.plan import NODE_SCOPED, FaultEvent, FaultKind, FaultPlan
 from repro.faults.recovery import FaultStats
-from repro.gpusim.cluster import mask_ids
+from repro.gpusim.cluster import POOL, mask_ids, up
 from repro.integrity import mix64
 
 _2_64 = float(1 << 64)
@@ -157,9 +157,9 @@ class FaultInjector:
         """Apply one event :meth:`poll` returned to ``cluster``.
 
         Returns ``{device: orphaned tensor uids}`` for every device the
-        event killed; the caller recovers the work in flight there.  The
-        map is empty for the kinds that kill nothing and for a loss that
-        finds nothing left to kill.
+        event killed or took down; the caller recovers the work in flight
+        there.  The map is empty for the kinds that kill nothing and for
+        a loss that finds nothing left to kill.
 
         A node-scoped kind (:data:`~repro.faults.plan.NODE_SCOPED`) hits
         every device of the node hosting ``fault.device``, through
@@ -174,9 +174,8 @@ class FaultInjector:
           device is corrupted in place, in ``integrity`` when given;
           without it the flip is recorded but untracked.
         * ``device_lost``, ``node_lost`` and ``node_flap``: the radius's
-          devices fail atomically
-          (:meth:`~repro.gpusim.cluster.ClusterState.fail_node`), so no
-          orphan can land on a doomed sibling.
+          devices fail (or go down) atomically, so no orphan can land
+          on a doomed sibling.
 
         A link or heartbeat loss on a dead node, a duplicate link loss
         and a loss whose radius is already dead record nothing.
@@ -227,23 +226,24 @@ class FaultInjector:
             raise ConfigurationError(
                 f"{kind.value} faults are armed by poll(); apply() takes the events it returns"
             )
-        members = [d for d in devices if not cluster.is_failed(d)]
-        if not members:
-            return {}  # already dead (duplicate plan entry)
-        orphaned = cluster.fail_node(members)
-        if not orphaned:
-            return {}  # only offline (retired) devices died
+        flap = kind is FaultKind.NODE_FLAP
+        if flap:
+            taken = cluster.flap_down(devices)
+            lost = {d: o for d, o in taken.items() if up(cluster.state(d)) in POOL}
+        else:
+            taken = lost = cluster.fail_node(devices)
+        if not taken:
+            return {}  # nothing left to take: a duplicate, or only spares
         if kind is FaultKind.NODE_LOST:
             stats.node_losses += 1
-        flap = kind is FaultKind.NODE_FLAP
-        for dev, orphans in sorted(orphaned.items()):
+        for dev, orphans in sorted(lost.items()):
             self.note_device_lost(dev, fault.time_s, len(orphans))
             stats.record_event(
                 "fault", dev, fault.time_s,
                 fault.duration_s if flap else 0.0,
                 label="node flap down" if flap else kind.value.replace("_", " "),
             )
-        return orphaned
+        return taken
 
     def drain(self) -> list[FaultEvent]:
         """Arm every remaining fault regardless of time (end-of-run flush)."""

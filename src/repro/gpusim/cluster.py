@@ -13,7 +13,7 @@ This is the concrete realisation of the paper's three scheduler maps
 plus the per-vector tensor-slot counters the availability test
 ``assigned[g] < reuseBd[k] + balanceNum`` is evaluated against
 (reuse bounds cap a GPU's *share of the current vector*, see
-DESIGN.md §5).
+DESIGN.md §5), over the devices in the pool.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import SchedulingError
+from repro.errors import LifecycleError, SchedulingError
 from repro.gpusim.device import DeviceSpec, mi100_like
 from repro.gpusim.memory import MemoryPool
 from repro.tensor.spec import TensorSpec
@@ -42,6 +42,42 @@ def lowest_id(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+# Device lifecycle states (DESIGN.md §5).  In the pool: ``active``, and
+# ``condemned`` (blamed for corruption while the last device of its shard
+# or cluster: it serves on, and leaves the pool only for quarantine).
+ACTIVE, CONDEMNED = "active", "condemned"
+POOL = (ACTIVE, CONDEMNED)
+# Out of it: a scale-up takes a ``spare``, which is ``warming`` until its
+# warm-up event fires; ``quarantined`` and ``failed`` are for good, and
+# a node flap takes any other state ``S`` to ``down(S)`` and back.
+SPARE, WARMING, QUARANTINED, FAILED = "spare", "warming", "quarantined", "failed"
+
+
+def down(state: str) -> str:
+    """The state of a device that a node flap took down from ``state``."""
+    return f"down({state})"
+
+
+def up(state: str) -> str | None:
+    """The state a ``down(S)`` device returns to (``S``); ``None`` otherwise."""
+    return state[5:-1] if state.startswith("down(") else None
+
+
+#: Legal lifecycle edges, ``from -> {to}`` (read-only).
+EDGES: dict[str, set[str]] = {
+    ACTIVE: {SPARE, CONDEMNED, QUARANTINED, FAILED, down(ACTIVE)},
+    CONDEMNED: {QUARANTINED, FAILED, down(CONDEMNED)},
+    SPARE: {WARMING, QUARANTINED, FAILED, down(SPARE)},
+    WARMING: {ACTIVE, QUARANTINED, FAILED, down(WARMING)},
+    QUARANTINED: {FAILED},
+    FAILED: set(),
+    down(ACTIVE): {ACTIVE, QUARANTINED, FAILED},
+    down(CONDEMNED): {CONDEMNED, QUARANTINED, FAILED},
+    down(SPARE): {SPARE, QUARANTINED, FAILED},
+    down(WARMING): {WARMING, down(SPARE), QUARANTINED, FAILED},
+}
+
+
 class ClusterState:
     """Mutable state of a simulated multi-GPU node.
 
@@ -51,6 +87,9 @@ class ClusterState:
     copy have no entry).  A single-holder entry stores the shared int
     ``_bits[d]``, so indexing a copy allocates nothing beyond its dict
     slot.
+
+    Each device has one lifecycle state, changed only by
+    :meth:`transition`; ``alive_mask`` holds the pool's devices.
 
     Parameters
     ----------
@@ -93,16 +132,13 @@ class ClusterState:
         # each device is busy.  Owned by the serving loop; the batch
         # paths leave it at zero.
         self.busy_until: list[float] = [0.0] * n
-        # Device health: offline devices stay in ``devices`` (ids keep
-        # their meaning) but leave this set.  A device goes offline by
-        # *failing* (permanent, also enters ``_failed``) or by being
-        # *retired* (autoscaler scale-down; may come back online cold
-        # via :meth:`activate_device`).
-        self._alive: set[int] = set(range(len(devices)))
-        self._failed: set[int] = set()
-        # Cached ascending id list, invalidated by the lifecycle methods
-        # (``alive_ids`` sits on every scheduler's hot path).
-        self._alive_cache: list[int] | None = list(range(len(devices)))
+        # Each state's devices, as a mask (every device in exactly one).
+        # Devices out of the pool keep their ids (and time counters).
+        self._members: dict[str, int] = {ACTIVE: (1 << n) - 1}
+        self.alive_mask: int = (1 << n) - 1
+        # Ascending id list, rebuilt on every pool change (``alive_ids``
+        # sits on every scheduler's hot path).
+        self._alive_ids: list[int] = list(range(n))
         #: Optional :class:`~repro.faults.journal.ResidencyJournal`
         #: observing residency deltas (attached per run by the serving
         #: loop; ``None`` keeps the batch paths journal-free).
@@ -115,36 +151,30 @@ class ClusterState:
 
     @property
     def num_alive(self) -> int:
-        """Devices still healthy (total minus permanently lost)."""
-        return len(self._alive)
+        """Devices in the pool."""
+        return self.alive_mask.bit_count()
 
     def is_alive(self, device_id: int) -> bool:
-        return device_id in self._alive
+        return self.alive_mask >> device_id & 1 == 1
 
     def alive_ids(self) -> list[int]:
-        """Healthy device ids, ascending (the schedulable pool).
+        """Ids of the devices in the pool, ascending (the schedulable pool).
 
-        The list is cached between alive-set changes — callers must
+        The list is cached between pool changes — callers must
         treat it as read-only.
         """
-        if self._alive_cache is None:
-            self._alive_cache = sorted(self._alive)
-        return self._alive_cache
+        return self._alive_ids
 
-    def _alive_changed(self) -> None:
-        """Invalidate the alive-id cache after a lifecycle transition."""
-        self._alive_cache = None
+    def state(self, device_id: int) -> str:
+        """The device's lifecycle state (a key of :data:`EDGES`)."""
+        if not (0 <= device_id < self.num_devices):
+            raise SchedulingError(f"device id {device_id} out of range 0..{self.num_devices - 1}")
+        bit = self._bits[device_id]
+        return next(state for state, mask in self._members.items() if mask & bit)
 
-    def is_failed(self, device_id: int) -> bool:
-        """True when the device was permanently lost (never reactivatable)."""
-        return device_id in self._failed
-
-    def offline_ids(self) -> list[int]:
-        """Retired-but-healthy device ids, ascending (scale-up candidates)."""
-        return sorted(
-            d for d in range(self.num_devices)
-            if d not in self._alive and d not in self._failed
-        )
+    def members(self, state: str) -> int:
+        """The mask of the devices in lifecycle ``state``."""
+        return self._members.get(state, 0)
 
     def devices_holding(self, uid: int) -> frozenset[int]:
         """``mapGPUTensor.find(tensor)``: devices with a resident copy."""
@@ -152,10 +182,6 @@ class ClusterState:
 
     def is_resident(self, uid: int, device_id: int) -> bool:
         return self._holders.get(uid, 0) >> device_id & 1 == 1
-
-    def resident_count(self, device_id: int) -> int:
-        """Number of tensors resident on a device."""
-        return len(self.pools[device_id])
 
     def used_bytes(self, device_id: int) -> int:
         """``mapGPUMem``: bytes used on a device."""
@@ -178,7 +204,7 @@ class ClusterState:
         """
         if num_tensors <= 0:
             raise SchedulingError(f"vector must have positive tensor slots, got {num_tensors}")
-        if not self._alive:
+        if not self.alive_mask:
             raise SchedulingError("cannot begin a vector: every device has been lost")
         self.assigned_slots[:] = [0] * self.num_devices
         self.balance_num = num_tensors / self.num_alive
@@ -245,59 +271,77 @@ class ClusterState:
                 self.journal.note_drop(uid, device_id, reason)
         return nbytes
 
-    def _take_offline(self, device_id: int) -> list[int]:
-        """Remove a device from the alive set and clear its residency.
+    def transition(self, device_id: int, to: str) -> list[int]:
+        """Move a device along one :data:`EDGES` edge, else raise
+        :class:`~repro.errors.LifecycleError` and change nothing.
 
-        Returns the orphaned tensor uids (uids whose *only* copy lived
-        there must be re-fetched from the host if referenced again).
-        No-op returning ``[]`` when the device is already offline.
+        A device leaving the pool drops its residency and returns the
+        orphaned uids; one joining it starts cold.
         """
-        if not (0 <= device_id < self.num_devices):
-            raise SchedulingError(
-                f"device id {device_id} out of range 0..{self.num_devices - 1}"
-            )
-        if device_id not in self._alive:
-            return []
-        self._alive.discard(device_id)
-        self._alive_changed()
-        orphans = list(self.pools[device_id].resident_uids())
+        state = self.state(device_id)
+        if to not in EDGES[state]:
+            raise LifecycleError(device_id, state, to)
         bit = self._bits[device_id]
+        members = self._members
+        members[state] ^= bit
+        members[to] = members.get(to, 0) | bit
+        if (to in POOL) == (state in POOL):
+            return []
+        self.alive_mask ^= bit
+        self._alive_ids = list(mask_ids(self.alive_mask))
+        if to in POOL:
+            return []
+        pool = self.pools[device_id]
+        orphans = list(pool.resident_uids())
         for uid in orphans:
-            self.pools[device_id].free(uid)
+            pool.free(uid)
             self._unhold(uid, bit)
             if self.journal is not None:
                 self.journal.note_drop(uid, device_id, "lost")
         return orphans
 
-    def fail_device(self, device_id: int) -> list[int]:
-        """Permanently lose a device; returns the orphaned tensor uids.
-
-        The device keeps its id (and its accumulated time counters, for
-        reporting) but is excluded from ``alive_ids``, rejected by the
-        engine, and can never be reactivated.  Failing an already-dead
-        device is a no-op returning ``[]`` (but still marks it failed,
-        so a retired device that dies stays dead).
-        """
-        orphans = self._take_offline(device_id)
-        self._failed.add(device_id)
-        return orphans
-
     def fail_node(self, device_ids) -> dict[int, list[int]]:
-        """Atomically lose a whole failure domain (every device of a node).
+        """Fail every member not failed yet, before any recovery runs.
 
-        All member devices leave the alive set *before* any recovery can
-        run, so orphaned work cannot be re-scheduled onto a doomed
-        sibling of the same rack.  Returns ``{device: orphan uids}`` for
-        the members that were actually alive (already-dead members
-        contribute nothing, like :meth:`fail_device`).
+        Returns ``{device: orphan uids}`` for the members that were in
+        the pool or a flap had taken down from it.
         """
         orphaned: dict[int, list[int]] = {}
         for device_id in device_ids:
-            was_alive = self.is_alive(device_id)
-            orphans = self.fail_device(device_id)
-            if was_alive:
-                orphaned[device_id] = orphans
+            state = self.state(device_id)
+            if state != FAILED:
+                orphans = self.transition(device_id, FAILED)
+                if state in POOL or up(state) in POOL:
+                    orphaned[device_id] = orphans
         return orphaned
+
+    def fail_device(self, device_id: int) -> list[int]:
+        """Fail one device; returns the orphaned tensor uids."""
+        return self.fail_node((device_id,)).get(device_id, [])
+
+    def flap_down(self, device_ids) -> dict[int, list[int]]:
+        """Take every member that may go down from ``S`` to ``down(S)``.
+
+        Returns ``{device: orphan uids}`` for each member taken down.
+        """
+        taken: dict[int, list[int]] = {}
+        for device_id in device_ids:
+            state = self.state(device_id)
+            if down(state) in EDGES[state]:
+                taken[device_id] = self.transition(device_id, down(state))
+        return taken
+
+    def flap_up(self, device_id: int) -> bool:
+        """``down(S) -> S`` (a failed device stays failed); True if back in the pool."""
+        back = up(self.state(device_id))
+        if back is not None:
+            self.transition(device_id, back)
+        return back in POOL
+
+    def retire_device(self, device_id: int) -> list[int]:
+        """Scale-down: ``active -> spare``, ``condemned -> quarantined``."""
+        to = QUARANTINED if self.state(device_id) == CONDEMNED else SPARE
+        return self.transition(device_id, to)
 
     def prewarm(self, uid: int, nbytes: int, device_id: int) -> bool:
         """Pre-load a journal-replayed tensor onto an alive device.
@@ -319,65 +363,12 @@ class ClusterState:
             self.journal.note_put(uid, device_id, nbytes)
         return True
 
-    def retire_device(self, device_id: int) -> list[int]:
-        """Gracefully take a healthy device offline (scale-down).
-
-        Same residency consequences as :meth:`fail_device` — resident
-        tensors are dropped, orphan uids returned — but the device stays
-        healthy and can rejoin the pool later via
-        :meth:`activate_device`.  Retiring a failed or already-offline
-        device is a no-op returning ``[]``.
-        """
-        return self._take_offline(device_id)
-
-    def activate_device(self, device_id: int) -> None:
-        """Bring a retired device back online with a cold memory pool.
-
-        The device rejoins ``alive_ids`` holding no resident tensors
-        (warm-up happened off-pool; nothing survives it).  Activating an
-        alive device is a no-op; activating a permanently failed device
-        raises.
-        """
-        if not (0 <= device_id < self.num_devices):
-            raise SchedulingError(
-                f"device id {device_id} out of range 0..{self.num_devices - 1}"
-            )
-        if device_id in self._failed:
-            raise SchedulingError(
-                f"device {device_id} was permanently lost and cannot be reactivated"
-            )
-        if device_id in self._alive:
-            return
-        self.pools[device_id].clear()
-        self._alive.add(device_id)
-        self._alive_changed()
-
-    def restore_device(self, device_id: int) -> None:
-        """Bring a *failed* device back online with a cold memory pool.
-
-        The flap-recovery counterpart of :meth:`activate_device`: a
-        device that died in a ``node_flap`` down phase rejoins the pool
-        when the node comes back.  The failure mark is cleared — the
-        device is healthy again — but nothing survives the bounce: the
-        pool restarts cold and residency must be re-fetched (or
-        pre-warmed via journal replay).  Restoring an alive device is a
-        no-op.
-        """
-        if not (0 <= device_id < self.num_devices):
-            raise SchedulingError(
-                f"device id {device_id} out of range 0..{self.num_devices - 1}"
-            )
-        if device_id in self._alive:
-            return
-        self._failed.discard(device_id)
-        self.pools[device_id].clear()
-        self._alive.add(device_id)
-        self._alive_changed()
-
     def check_invariants(self) -> None:
         """Assert pool accounting and the residency index agree.
 
-        Each pool's own invariants must hold, and the ``_holders``
+        Each pool's own invariants must hold; the state masks partition
+        the devices, ``alive_mask`` and ``alive_ids`` match them, and a
+        device out of the pool holds nothing and is in no holder mask.  The ``_holders``
         reverse index must name exactly the devices whose pools contain
         each uid: every resident ``(uid, device)`` has its bit set, no
         index entry is an empty mask, and the masks count as many copies
@@ -388,7 +379,12 @@ class ClusterState:
         holders_map = self._holders
         bits = self._bits
         pools = self.pools
-        resident = 0
+        resident = placed = 0
+        for mask in self._members.values():
+            assert not placed & mask, f"device {lowest_id(placed & mask)} is in two states"
+            placed |= mask
+        assert placed == (1 << len(pools)) - 1, f"device {lowest_id(~placed)} has no state"
+        alive = self.members(ACTIVE) | self.members(CONDEMNED)
         for dev, pool in enumerate(pools):
             pool.check_invariants()
             bit = bits[dev]
@@ -399,10 +395,21 @@ class ClusterState:
                     f"index says {list(mask_ids(holders))}"
                 )
             resident += len(pool)
-        indexed = 0
+            if not alive & bit:
+                assert not pool, f"{self.state(dev)} device {dev} holds {len(pool)} tensors"
+        ids = list(mask_ids(alive))
+        assert alive == self.alive_mask, (
+            f"alive mask names devices {list(mask_ids(self.alive_mask))}, states say {ids}"
+        )
+        assert self._alive_ids == ids, f"cached alive ids {self._alive_ids}, states say {ids}"
+        indexed = held = 0
         for uid, holders in holders_map.items():
             assert holders, f"holders index out of sync: empty holder mask for uid {uid}"
             indexed += holders.bit_count()
+            held |= holders
+        stray = held & ~alive & ((1 << len(pools)) - 1)
+        dev = lowest_id(stray)
+        assert not stray, f"holders index names {self.state(dev)} device {dev} as a holder"
         if indexed != resident:
             uid, dev = next(
                 (uid, d)
@@ -414,12 +421,6 @@ class ClusterState:
                 f"holders index out of sync: index says device {dev} holds uid {uid}, "
                 f"its pool does not (index counts {indexed} copies, pools hold {resident})"
             )
-
-    def add_compute(self, device_id: int, seconds: float) -> None:
-        self.compute_s[device_id] += seconds
-
-    def add_memop(self, device_id: int, seconds: float) -> None:
-        self.memop_s[device_id] += seconds
 
     @property
     def busy_s(self) -> np.ndarray:
@@ -437,9 +438,9 @@ class ClusterState:
         self.assigned_slots[:] = [0] * n
         self.balance_num = 0.0
         self.busy_until[:] = [0.0] * n
-        self._alive = set(range(self.num_devices))
-        self._failed = set()
-        self._alive_changed()
+        self._members = {ACTIVE: (1 << n) - 1}
+        self.alive_mask = (1 << n) - 1
+        self._alive_ids = list(range(n))
 
     def clone(self) -> "ClusterState":
         """Deep copy — used by look-ahead / exhaustive oracles."""
@@ -455,9 +456,9 @@ class ClusterState:
         other.assigned_slots[:] = self.assigned_slots
         other.balance_num = self.balance_num
         other.busy_until[:] = self.busy_until
-        other._alive = set(self._alive)
-        other._failed = set(self._failed)
-        other._alive_changed()
+        other._members = dict(self._members)
+        other.alive_mask = self.alive_mask
+        other._alive_ids = list(self._alive_ids)
         # Look-ahead clones must not pollute the real run's journal.
         other.journal = None
         return other

@@ -100,7 +100,7 @@ class ExecutionEngine:
         devices = cl.devices
         if not (0 <= device_id < len(devices)):
             raise SchedulingError(f"device id {device_id} out of range 0..{len(devices) - 1}")
-        if device_id not in cl._alive:
+        if not cl.alive_mask >> device_id & 1:
             raise DeviceLostError(device_id)
         injector = self.injector
         integrity = self.integrity

@@ -19,7 +19,7 @@ Every decision is a pure function of simulated time and observed
 completions, so autoscaled runs replay bit-for-bit from a seed.  The
 policy object keeps an ``actions`` log (scale-up/online/scale-down
 records) that lands in the serving report.  Each shard's autoscaler
-also applies its decisions and owns the shard's pool membership.
+also applies its decisions to the devices' states in the cluster.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.gpusim.cluster import ACTIVE, SPARE, WARMING, down, lowest_id
 from repro.serve.timeline import DeviceOnline
 from repro.utils.codec import JsonConfig
 
@@ -153,23 +154,24 @@ def clamp_to_shard(config: AutoscalerConfig, num_devices: int) -> AutoscalerConf
 
 
 class Autoscaler:
-    """Pool size and membership of one shard for one serving run.
+    """Pool size of one shard for one serving run.
 
     Built fresh per run for shard ``node`` over ``devices`` (default
     ``range(config.max_devices)``), the only devices it retires or
     brings online; ``min/max/initial_devices`` are clamped to them here,
-    once, by :func:`clamp_to_shard`.  The run calls
-    :meth:`shrink_to_initial` at start, :meth:`step` at each event-loop
-    step, :meth:`observe_completion`, :meth:`online` and
-    :meth:`replace_lost` at their hooks, adds quarantined devices to
-    :attr:`barred`, and lends it the work that needs run state:
-    ``drain`` and ``rejoin``.
+    once, by :func:`clamp_to_shard`.  Its spares and warm-ups are the
+    shard's devices in the cluster's ``spare`` and ``warming`` states.
+    The run calls :meth:`shrink_to_initial` at start, :meth:`step` at
+    each event-loop step, :meth:`observe_completion`, :meth:`online`
+    and :meth:`replace_lost` at their hooks, and lends it the work that
+    needs run state: ``drain`` and ``rejoin``.
     """
 
     def __init__(self, config: AutoscalerConfig, devices=None, node: int = 0):
         if devices is None:
             devices = range(config.max_devices)
         self.devices = tuple(devices)
+        self.device_mask = sum(1 << d for d in set(self.devices))
         self.node = int(node)
         self.config = clamp_to_shard(config, len(self.devices))
         #: (complete_s, latency_s) pairs inside the sliding window, and
@@ -178,10 +180,6 @@ class Autoscaler:
         self._window: deque[tuple[float, float]] = deque()
         self._sorted: list[float] | None = [] if self.config.p99_target_s is not None else None
         self._last_action_s = -math.inf
-        #: Devices warming up (scale-up or loss replacement).
-        self.pending: set[int] = set()
-        #: Devices that never rejoin the pool (integrity quarantine).
-        self.barred: set[int] = set()
         #: Applied pool actions, in order: dicts with ``time_s``,
         #: ``action`` ("up" | "online" | "down"), ``device``,
         #: ``alive_after`` and ``reason``.
@@ -291,9 +289,8 @@ class Autoscaler:
         c = self.config
         view = shard.view
         depth = len(shard.queue)
-        decision = self.decide(
-            now, queue_depth=depth, num_alive=view.num_alive + len(self.pending)
-        )
+        warming = self.warming(view)
+        decision = self.decide(now, queue_depth=depth, num_alive=view.num_alive + warming)
         if decision == "up":
             self.request_device(
                 now, shard, timeline, self.tag(f"queue depth {depth}, warm-up {c.warmup_s:g}s")
@@ -301,7 +298,7 @@ class Autoscaler:
         elif decision == "down":
             # Never shrink below the floor or while a warm-up is pending
             # (mixed signals: the queue says grow, the window says shrink).
-            if self.pending or view.num_alive <= c.min_devices:
+            if warming or view.num_alive <= c.min_devices:
                 return
             dev = view.alive_ids()[-1]
             view.retire_device(dev)
@@ -312,28 +309,24 @@ class Autoscaler:
                 reason=self.tag(f"drained {moved} in-flight vectors"),
             )
 
-    def spare(self, view) -> int | None:
-        """The lowest retired device that may rejoin (not failed, pending or barred)."""
-        for d in self.devices:
-            if not (
-                view.is_alive(d) or view.is_failed(d) or d in self.pending or d in self.barred
-            ):
-                return d
-        return None
+    def warming(self, view) -> int:
+        """How many of the shard's devices are warming up."""
+        return (view.members(WARMING) & self.device_mask).bit_count()
 
     def request_device(
         self, now: float, shard, timeline, reason: str, *, cooldown: bool = True
     ) -> bool:
-        """Start warming up the shard's first spare device.
+        """Start warming up the shard's lowest spare device.
 
         False (nothing started) when no spare is left or the pool plus
-        pending warm-ups already reaches ``max_devices``.
+        the warm-ups already reaches ``max_devices``.
         """
         view = shard.view
-        dev = self.spare(view)
-        if dev is None or view.num_alive + len(self.pending) >= self.config.max_devices:
+        spares = view.members(SPARE) & self.device_mask
+        if not spares or view.num_alive + self.warming(view) >= self.config.max_devices:
             return False
-        self.pending.add(dev)
+        dev = lowest_id(spares)
+        view.transition(dev, WARMING)
         timeline.push(DeviceOnline(now + self.config.warmup_s, device=dev))
         self.log(now, "up", dev, view.num_alive, reason=reason, starts_cooldown=cooldown)
         return True
@@ -354,18 +347,20 @@ class Autoscaler:
                 return
 
     def online(self, now: float, dev: int, shard, rejoin) -> None:
-        """A warm-up ended: ``dev`` joins the pool unless it died, was barred or is back.
+        """A warm-up ended: ``warming -> active``, ``down(warming) -> down(spare)``.
 
-        ``rejoin(shard, dev, now)`` does the run's part and returns the
-        number of tensors pre-warmed.
+        In any other state the event does nothing.  ``rejoin(shard, dev,
+        now)`` does the run's part and returns the tensors pre-warmed.
         """
         if shard.dead:
             return
-        self.pending.discard(dev)
         view = shard.view
-        if view.is_failed(dev) or view.is_alive(dev) or dev in self.barred:
+        state = view.state(dev)
+        if state == down(WARMING):
+            view.transition(dev, down(SPARE))
+        if state != WARMING:
             return
-        view.activate_device(dev)
+        view.transition(dev, ACTIVE)
         restored = rejoin(shard, dev, now)
         reason = "warm-up complete"
         if restored:

@@ -38,7 +38,7 @@ from repro.errors import ConfigurationError, FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.journal import ResidencyJournal
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.gpusim.cluster import ClusterState
+from repro.gpusim.cluster import CONDEMNED, EDGES, POOL, QUARANTINED, ClusterState, up
 from repro.gpusim.device import mi100_like
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.metrics import ExecutionMetrics
@@ -451,18 +451,12 @@ class ServeRun:
         shard.scaler.online(now, event.device, shard, self.rejoin)
 
     def on_device_restore(self, event: DeviceRestore, now: float) -> None:
-        """A flapped device comes back: rejoin the pool, cold (or warm).
-
-        Like :meth:`on_device_online` but for a *failed* device (flap
-        cycles go down as failures, not retirements).  A device no
-        longer marked failed is a stale event — an overlapping fail-stop
-        loss or an earlier restore already settled it — and is skipped.
-        """
+        """A flap ended: the device returns to its old state; one back
+        in the pool rejoins it, cold (or warm), and records the restore."""
         dev = event.device
         shard = self.shards[self.node_of[dev]]
-        if shard.dead or not self.cluster.is_failed(dev):
+        if shard.dead or not self.cluster.flap_up(dev):
             return
-        self.cluster.restore_device(dev)
         restored = self.rejoin(shard, dev, now)
         injector = self.injector
         if injector is not None:
@@ -1011,6 +1005,14 @@ class ServeRun:
         stats = self.injector.stats
         kind = fault.kind.value
         flap = fault.kind is FaultKind.NODE_FLAP
+        if flap:
+            # Every member comes back on its own; only the pool's had work.
+            back = max(now, fault.time_s + fault.duration_s)
+            for dev in sorted(orphaned):
+                self.timeline.push(DeviceRestore(back, device=dev))
+            orphaned = {d: o for d, o in orphaned.items() if up(self.cluster.state(d)) in POOL}
+            if not orphaned:
+                return
         by_shard: dict[int, set[int]] = {}
         for d in orphaned:
             by_shard.setdefault(self.node_of[d], set()).add(d)
@@ -1020,14 +1022,18 @@ class ServeRun:
             shard = self.shards[node]
             dead = by_shard[node]
             down = shard.view.num_alive == 0
+            # A shard whose other devices are only flapping comes back.
+            gone = down and not flap and all(
+                up(self.cluster.state(d)) not in POOL for d in shard.devices
+            )
             if not down:
                 # The shard recovers on its own survivors, with its own
                 # rescaled bounds.
                 shard.rescale_bounds()
-            elif not flap:
+            elif gone:
                 self.kill_shard(shard, now)
             for ticket in self.affected(dead):
-                if down and not flap:
+                if gone:
                     # The charge cannot complete on the dead shard; drop
                     # it (and any learned sample) before the ticket
                     # re-homes.
@@ -1066,12 +1072,6 @@ class ServeRun:
                     "recovery", fault.device, now, max(latest - now, 0.0),
                     label=f"rescheduled {rescheduled} vectors",
                 )
-        if flap:
-            # Transient: the devices come back on their own.
-            for dev in sorted(orphaned):
-                self.timeline.push(
-                    DeviceRestore(max(now, fault.time_s + fault.duration_s), device=dev)
-                )
 
     def kill_shard(self, shard, now: float) -> None:
         """A whole shard died: its queue re-routes through the global tier."""
@@ -1089,31 +1089,29 @@ class ServeRun:
         (:meth:`~repro.integrity.IntegrityState.invalidate_quarantined`);
         then the device drains like an autoscale scale-down, with the
         moved tickets' audit status reset so the re-executed work is
-        audited again.  The shard's autoscaler bars the device, so no
-        scale-up or replacement brings it back.  A health monitor, when
-        present, takes the blame as a suspicion floor: corruption is
-        exactly the gray failure heartbeats cannot see.  The last alive
-        device of the cluster or of a shard is never retired (a degraded
-        answer beats no answer; mandatory audits of its output flag what
-        cannot be verified).
+        audited again.  Quarantined devices never rejoin.  A health
+        monitor, when present, takes the blame as a suspicion floor:
+        corruption is exactly the gray failure heartbeats cannot see.
+        The last alive device of the cluster or of a shard stays in the
+        pool ``condemned`` (a degraded answer beats no answer; mandatory
+        audits of its output flag what cannot be verified).
         """
         cluster = self.cluster
         shard = self.shards[self.node_of[dev]]
         stats = self.injector.stats if self.injector is not None else None
         self.integ.invalidate_quarantined(dev, now, cluster, stats)
-        if shard.scaler is not None:
-            shard.scaler.barred.add(dev)
         if self.monitor is not None:
             self.monitor.raise_suspicion(shard.node, self.hcfg.quarantine_threshold)
         self.health_event("blame", shard.node, now, f"device {dev} quarantined for corruption")
-        if (
-            not cluster.is_alive(dev)
-            or cluster.num_alive <= 1
-            or shard.dead
-            or shard.view.num_alive <= 1
-        ):
+        state = cluster.state(dev)
+        keep = state in POOL and (
+            cluster.num_alive <= 1 or shard.dead or shard.view.num_alive <= 1
+        )
+        to = CONDEMNED if keep else QUARANTINED
+        if to in EDGES[state]:  # not failed, quarantined or condemned already
+            cluster.transition(dev, to)
+        if keep or state not in POOL:  # it stays, or it was not in the pool: nothing to drain
             return
-        cluster.retire_device(dev)
         shard.rescale_bounds()
         self.drain_device(shard, dev, now, reaudit=True)
 

@@ -56,8 +56,7 @@ class ShardView:
         # Bitmask of the shard's devices: ``devices_holding`` and the
         # schedulers that read holder masks directly narrow them with it.
         self._device_mask = sum(1 << d for d in set(self.devices))
-        # (the cluster's alive-id list, this shard's survivors in it):
-        # the cluster replaces that list on every alive-set change.
+        # (the shard's alive mask, its ids): rebuilt when the mask moves.
         self._alive_memo = (None, [])
 
     def __getattr__(self, name):
@@ -74,12 +73,11 @@ class ShardView:
     # ---------------------------------------------------- shard-scoped surface
     def alive_ids(self) -> list[int]:
         """The shard's alive device ids, ascending (cached; read-only)."""
-        cluster_ids = self._cluster.alive_ids()
+        mask = self._cluster.alive_mask & self._device_mask
         key, ids = self._alive_memo
-        if key is not cluster_ids:
-            alive = self._cluster._alive
-            ids = [d for d in self.devices if d in alive]
-            self._alive_memo = (cluster_ids, ids)
+        if key != mask:
+            ids = list(mask_ids(mask))
+            self._alive_memo = (mask, ids)
         return ids
 
     @property

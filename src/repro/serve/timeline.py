@@ -231,8 +231,8 @@ class DeviceOnline(Event):
     """A scaling-up device finished its warm-up and becomes schedulable.
 
     Pushed by the autoscaler at decision time plus the configured
-    warm-up delay; the device joins with a cold memory pool (no
-    resident tensors).
+    warm-up delay; a device still ``warming`` joins with a cold memory
+    pool (no resident tensors).
     """
 
     device: int = -1
@@ -247,10 +247,10 @@ class DeviceOnline(Event):
 class DeviceRestore(Event):
     """A flapped device's node comes back up (``node_flap`` up phase).
 
-    Pushed by the driver when it applies a flap's down phase, at
-    ``fault.time_s + duration_s``; the device rejoins the pool cold via
-    :meth:`~repro.gpusim.cluster.ClusterState.restore_device` (plus
-    journal-driven warm restore when enabled).  A *work* event — a run
+    Pushed for every device a flap took down, at ``fault.time_s +
+    duration_s``; :meth:`~repro.gpusim.cluster.ClusterState.flap_up`
+    returns it to its old state, and one back in the pool rejoins it
+    cold (plus journal-driven warm restore when enabled).  A *work* event — a run
     must not end while a restore is still due, or conservation breaks.
     """
 

@@ -234,6 +234,37 @@ def _sharded_chaos(seed):
     )
 
 
+def _composed(seed):
+    # Every fault kind in one sharded run with health, hedging and spot
+    # audits: the fault counts and defaults ``micco chaos --kill 1
+    # --kill-nodes 1 --cut-links 1 --flap-nodes 1 --silence-nodes 1
+    # --corrupt-devices 1 --bitflips 2 --health --hedge --verify spot``
+    # derives for 40 vectors at its default 100 vectors/s.
+    n, rate = 40, 100.0
+    plan = FaultPlan.generate(
+        seed, num_devices=8, horizon_s=n / rate,
+        n_device_lost=1, n_node_lost=1, n_link_lost=1, n_node_flap=1,
+        n_heartbeat_loss=1, n_data_corruption=1, n_tensor_bitflip=2,
+    )
+    cfg = ServeConfig(
+        sharded=True,
+        health=HealthConfig(hedging=True),
+        integrity=IntegrityConfig(mode="spot"),
+    )
+    params = WorkloadParams(
+        vector_size=16, tensor_size=256, repeated_rate=0.8, num_vectors=n, batch=8,
+    )
+    return serve(
+        cfg,
+        cluster=MiccoConfig(
+            num_devices=8, cost_model=CostModel(topology=Topology(num_devices=8, devices_per_node=4))
+        ),
+        scheduler=MiccoScheduler(ReuseBounds.from_sequence("0,4,0".split(","))),
+        vectors=SyntheticWorkload(params, seed=seed).vectors(),
+        arrivals=PoissonArrivals(rate), seed=seed, faults=plan,
+    )
+
+
 def _gray(seed):
     plan = FaultPlan((
         FaultEvent(FaultKind.STRAGGLER, 1e-3, 4, duration_s=20e-3, slow_factor=6.0),
@@ -370,6 +401,7 @@ MODES = {
     "sharded-integrity": _sharded_integrity,
     "optimal": _optimal,
     "sharded-optimal": _sharded_optimal,
+    "composed": _composed,
 }
 
 
@@ -436,8 +468,14 @@ def _bounds_summary(result) -> dict:
     return {"distinct_bounds": len(result.predicted_bounds)}
 
 
+def _kinds_summary(result) -> dict:
+    """How many faults of each kind the plan injected."""
+    return {"injected": dict(sorted(result.faults["injected"].items()))}
+
+
 EXTRA_SUMMARY = {
     "learned-wrap": _window_summary,
+    "composed": _kinds_summary,
     "optimal": _bounds_summary,
     "sharded-optimal": _bounds_summary,
 }
@@ -504,16 +542,30 @@ COVERAGE = {
     "sharded-integrity": {"detected": 1, "quarantines": 1},
     "optimal": {"completed": 1, "distinct_bounds": 2},
     "sharded-optimal": {"completed": 1, "distinct_bounds": 2},
+    # The kinds both seeds' plans fire, and what the losses and flaps did.
+    "composed": {
+        "node_losses": 1, "device_losses": 1, "restores": 1,
+        **{
+            f"injected.{kind}": 1
+            for kind in (
+                "device_lost", "heartbeat_loss", "link_lost", "node_flap", "node_lost",
+                "tensor_bitflip", "transfer", "transient",
+            )
+        },
+    },
 }
 
 
 def coverage_gaps(mode: str, summary: dict) -> list[str]:
     """Coverage requirements of ``mode`` the summary does not meet."""
-    return [
-        f"{mode}: {field} = {summary[field]!r}, needs >= {need}"
-        for field, need in COVERAGE[mode].items()
-        if (summary[field] or 0) < need
-    ]
+    gaps = []
+    for field, need in COVERAGE[mode].items():
+        value = summary
+        for key in field.split("."):  # "injected.node_lost" reads a nested count
+            value = value[key]
+        if (value or 0) < need:
+            gaps.append(f"{mode}: {field} = {value!r}, needs >= {need}")
+    return gaps
 
 
 # ------------------------------------------------------------ offline path

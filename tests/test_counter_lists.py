@@ -124,7 +124,7 @@ class TestShardViewAliasing:
     def test_view_keeps_the_cluster_lists(self):
         cluster = make_cluster(num_devices=8)
         view = ShardView(cluster, [4, 5, 6, 7])
-        cluster.add_compute(5, 1.5)
+        cluster.compute_s[5] += 1.5
         cluster.reset()
         self.assert_aliased(view, cluster)
         assert cluster.compute_s == [0.0] * 8

@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultStats, RetryPolicy
 from repro.faults.plan import NODE_SCOPED
 from repro.gpusim import ClusterState, Topology, mi100_like
+from repro.gpusim.cluster import ACTIVE, FAILED, down
 from repro.integrity import IntegrityConfig, IntegrityState
 
 
@@ -681,7 +682,9 @@ class TestInjectorApply:
     @staticmethod
     def hit(kind, inj, cluster):
         if kind in (FaultKind.NODE_LOST, FaultKind.NODE_FLAP):
-            return {d for d in range(cluster.num_devices) if cluster.is_failed(d)}
+            # A loss fails its radius; a flap takes it down until it ends.
+            hit = FAILED if kind is FaultKind.NODE_LOST else down(ACTIVE)
+            return {d for d in range(cluster.num_devices) if cluster.state(d) == hit}
         if kind is FaultKind.LINK_LOST:
             return set(inj.linkless_devices)
         return set(inj.silent_devices(1.0))

@@ -254,7 +254,7 @@ class TestNodeLossDomains:
         plan = FaultPlan((FaultEvent(FaultKind.NODE_LOST, 0.01, 1),))
         server, result = run_multinode(plan)
         assert server.cluster.alive_ids() == [4, 5, 6, 7]
-        assert all(server.cluster.is_failed(d) for d in range(4))
+        assert all(server.cluster.state(d) == "failed" for d in range(4))
         f = result.faults
         assert f["node_losses"] == 1
         assert f["device_losses"] == 4
@@ -269,7 +269,7 @@ class TestNodeLossDomains:
         dead = {0, 1, 2, 3}
         for dev in range(8):
             if dev in dead:
-                assert server.cluster.resident_count(dev) == 0
+                assert len(server.cluster.pools[dev]) == 0
         server.cluster.check_invariants()
 
     def test_inflight_rescheduled_onto_surviving_node(self):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import SchedulingError
-from repro.gpusim.cluster import ClusterState
+from repro.errors import LifecycleError, SchedulingError
+from repro.gpusim.cluster import ACTIVE, FAILED, SPARE, WARMING, ClusterState
 from repro.gpusim.device import DeviceSpec
 from tests.conftest import MIB, make_cluster, make_tensor
 
@@ -64,7 +64,7 @@ class TestResidency:
         cl.register(big[1], 0)
         cl.register(big[2], 0)  # evicts big[0]
         assert cl.devices_holding(big[0].uid) == frozenset()
-        assert cl.resident_count(0) == 2
+        assert len(cl.pools[0]) == 2
 
     def test_used_and_free_bytes(self):
         cl = make_cluster(memory_bytes=MIB)
@@ -97,14 +97,14 @@ class TestVectorCounters:
 class TestBusyAndClone:
     def test_busy_is_compute_plus_memop(self):
         cl = make_cluster()
-        cl.add_compute(0, 1.0)
-        cl.add_memop(0, 0.5)
+        cl.compute_s[0] += 1.0
+        cl.memop_s[0] += 0.5
         assert cl.busy_s[0] == pytest.approx(1.5)
 
     def test_reset(self):
         cl = make_cluster()
         cl.register(make_tensor(), 0)
-        cl.add_compute(0, 1.0)
+        cl.compute_s[0] += 1.0
         cl.reset()
         assert cl.total_resident_tensors() == 0
         assert cl.busy_s.sum() == 0
@@ -113,10 +113,10 @@ class TestBusyAndClone:
         cl = make_cluster()
         t = make_tensor()
         cl.register(t, 0)
-        cl.add_compute(0, 2.0)
+        cl.compute_s[0] += 2.0
         other = cl.clone()
         other.drop(t.uid, 0)
-        other.add_compute(0, 5.0)
+        other.compute_s[0] += 5.0
         assert cl.is_resident(t.uid, 0)
         assert cl.compute_s[0] == pytest.approx(2.0)
 
@@ -196,58 +196,62 @@ class TestElasticPool:
         orphans = cl.retire_device(3)
         assert orphans == [t.uid]
         assert cl.alive_ids() == [0, 1, 2]
-        assert cl.offline_ids() == [3]
-        assert not cl.is_failed(3)
-        cl.activate_device(3)
+        assert cl.state(3) == SPARE
+        cl.transition(3, WARMING)
+        cl.transition(3, ACTIVE)
         assert cl.alive_ids() == [0, 1, 2, 3]
-        assert cl.resident_count(3) == 0  # comes back cold
+        assert len(cl.pools[3]) == 0  # comes back cold
         cl.check_invariants()
 
-    def test_retire_offline_device_is_noop(self):
+    def test_retire_offline_device_raises(self):
         cl = make_cluster()
         cl.retire_device(0)
-        assert cl.retire_device(0) == []
+        with pytest.raises(LifecycleError, match="device 0 cannot go from spare to spare"):
+            cl.retire_device(0)
+        assert cl.state(0) == SPARE
 
-    def test_activate_alive_device_is_noop(self):
+    def test_activate_alive_device_raises(self):
         cl = make_cluster()
         t = make_tensor()
         cl.register(t, 0)
-        cl.activate_device(0)
-        assert cl.resident_count(0) == 1  # no accidental pool clear
+        with pytest.raises(LifecycleError):
+            cl.transition(0, ACTIVE)
+        assert len(cl.pools[0]) == 1  # no accidental pool clear
 
     def test_activate_failed_device_raises(self):
         cl = make_cluster()
         cl.fail_device(0)
-        assert cl.offline_ids() == []  # failed, not retirable stock
+        assert cl.state(0) == FAILED  # failed, not retirable stock
         with pytest.raises(SchedulingError):
-            cl.activate_device(0)
+            cl.transition(0, WARMING)
 
     def test_retired_device_that_fails_stays_dead(self):
         cl = make_cluster(num_devices=3)
         cl.retire_device(2)
         cl.fail_device(2)
-        assert cl.is_failed(2)
+        assert cl.state(2) == FAILED
         with pytest.raises(SchedulingError):
-            cl.activate_device(2)
+            cl.transition(2, WARMING)
 
     def test_activate_out_of_range(self):
         with pytest.raises(SchedulingError):
-            make_cluster().activate_device(7)
+            make_cluster().transition(7, ACTIVE)
 
     def test_reset_clears_failures(self):
         cl = make_cluster()
         cl.fail_device(0)
         cl.reset()
-        assert not cl.is_failed(0)
-        cl.activate_device(0)  # allowed again after reset
+        assert cl.state(0) == ACTIVE
+        cl.retire_device(0)  # allowed again after reset
 
     def test_clone_copies_failed_set(self):
         cl = make_cluster(num_devices=3)
         cl.fail_device(1)
         cl.retire_device(2)
         other = cl.clone()
-        assert other.is_failed(1)
-        assert other.offline_ids() == [2]
+        assert [other.state(d) for d in range(3)] == [ACTIVE, FAILED, SPARE]
+        other.transition(2, WARMING)
+        assert cl.state(2) == SPARE  # the clone is independent
 
 
 class TestFailureDomains:
@@ -260,7 +264,7 @@ class TestFailureDomains:
         assert set(orphaned) == {0, 1}
         assert orphaned[0] == [a.uid] and orphaned[1] == [b.uid]
         assert cl.alive_ids() == [2, 3]
-        assert cl.is_failed(0) and cl.is_failed(1)
+        assert cl.state(0) == cl.state(1) == FAILED
         cl.check_invariants()
 
     def test_fail_node_skips_already_dead_members(self):
@@ -359,6 +363,49 @@ class TestCheckInvariants:
         cl, _, _ = self.cluster_with_copies()
         cl._holders[10**9] = 1 << 2
         with pytest.raises(AssertionError, match=f"device 2 holds uid {10**9}, its pool does not"):
+            cl.check_invariants()
+
+    def test_device_out_of_the_pool_holds_tensors(self):
+        cl, a, _ = self.cluster_with_copies()
+        cl._members[ACTIVE] &= ~(1 << 1)
+        cl._members[SPARE] = 1 << 1
+        cl.alive_mask &= ~(1 << 1)
+        cl._alive_ids = [0, 2]
+        with pytest.raises(AssertionError, match="spare device 1 holds 1 tensors"):
+            cl.check_invariants()
+
+    def test_device_in_two_states(self):
+        cl, _, _ = self.cluster_with_copies()
+        cl._members[FAILED] = 1 << 2
+        with pytest.raises(AssertionError, match="device 2 is in two states"):
+            cl.check_invariants()
+
+    def test_device_in_no_state(self):
+        cl, _, _ = self.cluster_with_copies()
+        cl._members[ACTIVE] &= ~(1 << 1)
+        with pytest.raises(AssertionError, match="device 1 has no state"):
+            cl.check_invariants()
+
+    def test_holder_mask_names_a_device_out_of_the_pool(self):
+        cl, _, b = self.cluster_with_copies()
+        cl.retire_device(1)
+        cl._holders[b.uid] |= 1 << 1
+        with pytest.raises(AssertionError, match="index names spare device 1 as a holder"):
+            cl.check_invariants()
+
+    def test_alive_mask_disagrees_with_states(self):
+        cl, _, _ = self.cluster_with_copies()
+        cl.retire_device(1)
+        cl.alive_mask |= 1 << 1
+        with pytest.raises(AssertionError, match=r"alive mask names devices \[0, 1, 2\], states say \[0, 2\]"):
+            cl.check_invariants()
+
+    def test_cached_alive_ids_disagree_with_states(self):
+        cl, _, _ = self.cluster_with_copies()
+        cl.fail_device(2)
+        cl.alive_ids()
+        cl._alive_ids.append(2)
+        with pytest.raises(AssertionError, match=r"cached alive ids \[0, 1, 2\], states say \[0, 1\]"):
             cl.check_invariants()
 
     def test_bit_past_the_last_device(self):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from repro.gpusim.cluster import mask_ids
+from repro.gpusim.cluster import EDGES, mask_ids
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.metrics import ExecutionMetrics
@@ -58,7 +58,8 @@ STEP = st.one_of(
     st.tuples(st.just("pair"), TENSOR, TENSOR, DEVICE),
     st.tuples(st.just("drain"), DEVICE),
     st.tuples(st.just("prewarm"), TENSOR, DEVICE),
-    st.tuples(st.sampled_from(["fail", "retire", "activate", "restore"]), DEVICE),
+    # One lifecycle edge of the device: the k-th legal one, if any.
+    st.tuples(st.just("move"), DEVICE, st.integers(0, 4)),
     st.tuples(st.just("clone")),
 )
 
@@ -103,15 +104,11 @@ class TestMaskIndexOracle:
             elif kind == "prewarm":
                 _, t, dev = step
                 cluster.prewarm(inputs[t].uid, inputs[t].nbytes, dev)
-            elif kind == "fail":
-                cluster.fail_device(step[1])
-            elif kind == "retire":
-                cluster.retire_device(step[1])
-            elif kind == "activate":
-                if not cluster.is_failed(step[1]):
-                    cluster.activate_device(step[1])
-            elif kind == "restore":
-                cluster.restore_device(step[1])
+            elif kind == "move":
+                _, dev, k = step
+                edges = sorted(EDGES[cluster.state(dev)])
+                if edges:
+                    cluster.transition(dev, edges[k % len(edges)])
             else:
                 clone = cluster.clone()
                 assert clone._holders == cluster._holders

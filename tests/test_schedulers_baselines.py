@@ -11,15 +11,15 @@ from tests.conftest import make_cluster, make_pair, make_vector
 class TestGroute:
     def test_picks_least_busy(self):
         cl = make_cluster(num_devices=3)
-        cl.add_compute(0, 2.0)
-        cl.add_compute(1, 0.5)
-        cl.add_compute(2, 1.0)
+        cl.compute_s[0] += 2.0
+        cl.compute_s[1] += 0.5
+        cl.compute_s[2] += 1.0
         assert GrouteScheduler().choose(make_pair(), cl) == 1
 
     def test_memops_count_toward_busy(self):
         cl = make_cluster(num_devices=2)
-        cl.add_compute(0, 1.0)
-        cl.add_memop(1, 2.0)
+        cl.compute_s[0] += 1.0
+        cl.memop_s[1] += 2.0
         assert GrouteScheduler().choose(make_pair(), cl) == 0
 
     def test_tie_breaks_lowest_id(self):
@@ -44,7 +44,7 @@ class TestGroute:
         p = make_pair()
         cl.register(p.left, 0)
         cl.register(p.right, 0)
-        cl.add_compute(0, 1.0)  # device 0 busier
+        cl.compute_s[0] += 1.0  # device 0 busier
         assert GrouteScheduler().choose(p, cl) == 1
 
 

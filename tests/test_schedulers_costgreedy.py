@@ -53,7 +53,7 @@ class TestChoice:
         p = make_pair()
         cl.register(p.left, 1)
         cl.register(p.right, 1)
-        cl.add_compute(1, 1e9)  # holder is pathologically backed up
+        cl.compute_s[1] += 1e9  # holder is pathologically backed up
         assert CostGreedyScheduler().choose(p, cl) == 0
 
     def test_lost_device_never_chosen(self):

@@ -27,7 +27,7 @@ class TestLocality:
         p = make_pair()
         cl.register(p.left, 0)
         cl.register(p.right, 1)
-        cl.add_compute(0, 5.0)
+        cl.compute_s[0] += 5.0
         assert LocalityScheduler().choose(p, cl) == 1
 
     def test_nothing_resident_prefers_roomiest(self):

@@ -284,7 +284,7 @@ class TestAutoscaledServing:
         result = server.run(vectors, PoissonArrivals(100.0), seed=0, faults=plan)
         assert result.summary()["completed"] == 6
         assert result.faults["device_losses"] == 0
-        assert server.cluster.is_failed(3)
+        assert server.cluster.state(3) == "failed"
 
 
 class TestPoolMembership:

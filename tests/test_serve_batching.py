@@ -305,12 +305,14 @@ class TestRescaleAnchoring:
 
     @staticmethod
     def resize(server, shard, size):
-        """Retire or activate devices until ``size`` are alive, then rescale."""
+        """Retire or warm up devices until ``size`` are alive, then rescale."""
         cluster = server.cluster
         while cluster.num_alive > size:
             cluster.retire_device(cluster.alive_ids()[-1])
         while cluster.num_alive < size:
-            cluster.activate_device(cluster.offline_ids()[0])
+            spare = next(d for d in range(cluster.num_devices) if cluster.state(d) == "spare")
+            cluster.transition(spare, "warming")
+            cluster.transition(spare, "active")
         shard.rescale_bounds()
 
     def test_round_trip_restores_exact_bounds(self):

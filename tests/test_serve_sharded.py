@@ -88,8 +88,15 @@ class TestShardView:
         assert view.num_alive == 3
         cluster.retire_device(7)
         assert view.alive_ids() == [4, 6]
-        cluster.activate_device(7)
+        cluster.transition(7, "warming")
+        assert view.alive_ids() == [4, 6]
+        cluster.transition(7, "active")
         assert view.alive_ids() == [4, 6, 7]
+        cluster.flap_down([4, 6])
+        assert view.alive_ids() == [7]
+        cluster.flap_up(4)
+        assert view.alive_ids() == [4, 7]
+        cluster.flap_up(6)
         cluster.fail_device(1)  # another shard's loss leaves this view alone
         assert view.alive_ids() == [4, 6, 7]
         cluster.reset()
