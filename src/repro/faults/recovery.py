@@ -56,7 +56,10 @@ class RetryPolicy:
 class FaultStats:
     """Counters and timelines accumulated over one chaos run.
 
-    ``recovery_latency_s`` maps fault kind to the simulated seconds each
+    ``injected`` counts plan events by kind as they come due, whether
+    or not they take effect (a link cut on an already-dead node counts
+    too); ``node_losses``, ``link_losses`` and ``heartbeat_losses``
+    count only what took effect.  ``recovery_latency_s`` maps fault kind to the simulated seconds each
     recovered fault cost: wasted work + backoff for transients, wasted
     copy + host re-fetch for transfers, and fault-to-new-completion time
     for device losses.  ``events`` is the replayable fault/retry/

@@ -37,7 +37,7 @@ def dump_json(path: str | Path, payload: dict) -> None:
     """Write ``payload`` with the library-wide JSON convention.
 
     ``indent=2`` and insertion-ordered keys: two runs that build the
-    same payload produce byte-identical files (the CI determinism
-    checks diff these directly).
+    same payload produce byte-identical files (the golden fixtures
+    pin their digests).
     """
     Path(path).write_text(json.dumps(payload, indent=2))

@@ -57,14 +57,6 @@ from repro.serve.timeline import Ticket
 from repro.tensor.spec import VectorSpec
 from repro.workloads.characteristics import CharacteristicsTracker
 
-#: Test hook invoked at the top of every :meth:`GlobalScheduler.sync`
-#: (before the digests refresh) with ``(router, now, unreachable)``.
-#: The digest-conservation property test installs an auditor here to
-#: check, at each sync, that every live shard's ``routed_since_sync``
-#: reconciles exactly with its completed-since-sync count plus the
-#: charged tickets still queued or in flight.  ``None`` in production.
-SYNC_AUDIT_HOOK = None
-
 #: Circuit-breaker state encoded as a routing feature.
 _BREAKER_CODE = {
     CircuitBreaker.CLOSED: 0,
@@ -134,8 +126,6 @@ class GlobalScheduler:
         inference exists to catch.  Router-side ``routed_since_sync``
         corrections are likewise kept for unreachable shards.
         """
-        if SYNC_AUDIT_HOOK is not None:
-            SYNC_AUDIT_HOOK(self, now, unreachable)
         self.syncs += 1
         for node in sorted(self.shards):
             shard = self.shards[node]

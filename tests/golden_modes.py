@@ -1,11 +1,12 @@
 """Serving-mode matrix behind the frozen golden fixtures.
 
-Every mode is one small fixed-seed run through :func:`repro.serve.serve`
-that reaches a distinct path of the serving loop.  :func:`fingerprint`
-reduces a run to the SHA-256 of its serialized artifacts plus a short
-readable summary; ``tests/golden/<mode>-s<seed>.json`` stores that
-fingerprint, ``tests/test_golden_fixtures.py`` recomputes and compares
-it, and ``tools/regen_golden.py`` rewrites it (only with ``--write``).
+Every mode is one small fixed-seed run that reaches a distinct path of
+the serving loop: :data:`MODES` call :func:`repro.serve.serve` and
+:data:`CLI_MODES` call ``micco serve`` / ``micco chaos`` in-process.
+:func:`fingerprint` reduces a run to the SHA-256 of its serialized
+artifacts plus a short readable summary; ``tests/golden/<mode>-s<seed>.json``
+stores that fingerprint, ``tests/test_golden_fixtures.py`` recomputes and
+compares it, and ``tools/regen_golden.py`` rewrites it (only with ``--write``).
 
 Streams are built right after :func:`reset_uid_counter`: integrity
 labels carry tensor uids, so without the reset the digests would depend
@@ -14,8 +15,10 @@ on which tests ran earlier in the process.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import tempfile
 from collections import Counter
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import cli
 from repro.core.config import MiccoConfig
 from repro.core.framework import Micco
 from repro.faults import FaultEvent, FaultKind, FaultPlan
@@ -52,7 +56,8 @@ from repro.tensor.spec import reset_uid_counter
 from repro.workloads import SyntheticWorkload, WorkloadParams
 
 MIB = 1024**2
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
 SEEDS = (12, 13)
 
 FAST_HEALTH = HealthConfig(
@@ -370,7 +375,7 @@ def _optimal_run(cfg, cluster, seed):
         cfg, cluster=cluster, scheduler=_scheduler(), predictor=predictor,
         vectors=_stream(3, n=32), arrivals=PoissonArrivals(4_000.0), seed=seed,
     )
-    result.predicted_bounds = sorted(predictor.triples)
+    result.golden_summary = {"distinct_bounds": len(predictor.triples)}
     return result
 
 
@@ -411,96 +416,204 @@ def run(mode: str, seed: int):
     return MODES[mode](seed)
 
 
+#: ``micco`` command lines, one golden mode each, run in-process through
+#: :func:`repro.cli.main` with ``--seed``, ``--json`` and ``--trace``
+#: appended.  ``cli-sharded-chaos`` needs a third node and a second link
+#: cut, or its one cut lands on the node that dies and no fetch is
+#: host-staged; ``cli-suspect-full`` needs ``--corruption-prob 0.2``, or
+#: it audits no more pairs than ``--verify spot``.
+CLI_MODES = {
+    "cli-chaos": "chaos --num-vectors 20".split(),
+    "cli-node-loss": (
+        "chaos --num-vectors 20 --num-devices 8 --devices-per-node 4 --kill 0 "
+        "--kill-nodes 1 --warm-restore --fault-aware"
+    ).split(),
+    "cli-tenants": ["serve", "--config", str(ROOT / "examples" / "tenants.json")],
+    "cli-batched": "serve --num-vectors 40 --rate 2000 --max-batch-vectors 4".split(),
+    "cli-sharded": (
+        "serve --num-vectors 40 --rate 2000 --num-devices 8 --devices-per-node 4 --sharded "
+        "--sync-interval 0.01 --routing residency-affinity --max-batch-vectors 4"
+    ).split(),
+    "cli-sharded16": (
+        "serve --num-vectors 60 --num-devices 16 --devices-per-node 1 --sharded "
+        "--routing residency-affinity"
+    ).split(),
+    "cli-sharded-chaos": (
+        "chaos --num-vectors 30 --num-devices 12 --devices-per-node 4 --sharded "
+        "--kill 0 --kill-nodes 1 --cut-links 2"
+    ).split(),
+    "cli-gray": (
+        "chaos --num-vectors 30 --num-devices 8 --devices-per-node 4 --sharded "
+        "--kill 0 --flap-nodes 1 --silence-nodes 1 --health --hedge"
+    ).split(),
+    "cli-learned": (
+        "serve --num-vectors 40 --rate 2000 --num-devices 8 --devices-per-node 4 --sharded "
+        "--health --sync-interval 0.01 --routing learned --explore-floor 0.1 "
+        "--min-samples 4 --refit-interval 4"
+    ).split(),
+    "cli-integrity": (
+        "chaos --num-vectors 60 --corrupt-devices 1 --bitflips 1 --verify spot"
+    ).split(),
+    "cli-suspect-full": (
+        "chaos --num-vectors 60 --corrupt-devices 1 --bitflips 1 --corruption-prob 0.2 "
+        "--verify suspect-full"
+    ).split(),
+}
+
+#: Every (mode, seed) fixture's mode: the in-process runs, then the CLI runs.
+FIXTURE_MODES = (*MODES, *CLI_MODES)
+
+
+def run_cli(argv: list[str], seed: int, out: Path) -> dict:
+    """``micco <argv>`` at ``seed`` writing ``out/report.json`` and
+    ``out/trace.json``, on a fresh tensor-uid counter; returns the report."""
+    reset_uid_counter()
+    report = out / "report.json"
+    files = ["--json", str(report), "--trace", str(out / "trace.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main([*argv, "--seed", str(seed), *files])
+    assert rc == 0, f"micco {' '.join(argv)} exited {rc}"
+    return json.loads(report.read_text())
+
+
 def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def summarize(result) -> dict:
-    """The readable part of a fixture: what the run did, in counts."""
-    s = result.summary()
-    actions = (result.autoscale or {}).get("actions", [])
-    fault_kinds = Counter(e["kind"] for e in result.fault_events)
-    labels = [e["label"] for e in result.fault_events]
-    health = result.health or {}
+def strict_events(path: Path) -> list:
+    """A Chrome trace's events, parsed with NaN and Infinity rejected."""
+
+    def reject(token):
+        raise ValueError(f"{path.name}: non-finite JSON token {token}")
+
+    events = json.loads(path.read_text(), parse_constant=reject)["traceEvents"]
+    assert events, f"{path.name}: empty traceEvents"
+    return events
+
+
+def summarize(report: dict, engine_trace_events: int | None = None) -> dict:
+    """The readable part of a fixture: what the run did, in counts.
+
+    ``report`` is the parsed report JSON, as ``ServeResult.to_json`` and
+    ``micco serve --json`` write it.
+    """
+    s = report["summary"]
+    faults = report.get("faults") or {}
+    actions = (report.get("autoscale") or {}).get("actions", [])
+    fault_events = report.get("fault_events", [])
+    fault_kinds = Counter(e["kind"] for e in fault_events)
+    labels = [e["label"] for e in fault_events]
+    health = report.get("health") or {}
+    sharding = report.get("sharding") or {}
     return {
         "offered": s["offered"],
         "completed": s["completed"],
-        "drops": dict(sorted(Counter(d.reason for d in result.report.dropped).items())),
+        "drops": dict(sorted(Counter(d["reason"] for d in report["dropped"]).items())),
         "p50_s": s["p50_s"],
         "p99_s": s["p99_s"],
-        "events_processed": result.events_processed,
-        "multi_member_rounds": sum(1 for r in result.rounds if len(r["members"]) > 1),
+        "events_processed": s["events_processed"],
+        "multi_member_rounds": sum(1 for r in report.get("rounds", ()) if len(r["members"]) > 1),
         "scale_ups": sum(1 for a in actions if a["action"] == "up"),
         "scale_downs": sum(1 for a in actions if a["action"] == "down"),
         "replacements": sum(1 for a in actions if "replace lost" in a["reason"]),
-        "node_losses": (result.faults or {}).get("node_losses", 0),
-        "device_losses": (result.faults or {}).get("device_losses", 0),
+        "node_losses": faults.get("node_losses", 0),
+        "device_losses": faults.get("device_losses", 0),
         "restores": fault_kinds.get("restore", 0),
         "prewarms": fault_kinds.get("prewarm", 0),
         "link_cuts": sum(1 for x in labels if x.startswith("link lost")),
         "silences": sum(1 for x in labels if x.startswith("heartbeat loss")),
         "quarantines": fault_kinds.get("blame", 0),
-        "detected": (result.integrity or {}).get("detected", 0),
+        "detected": (report.get("integrity") or {}).get("detected", 0),
         "health_quarantines": len(health.get("quarantine_episodes", [])),
         "hedges": health.get("hedges", {}).get("launched", 0),
-        "forwards": (result.sharding or {}).get("forwards", 0),
-        "rerouted": (result.sharding or {}).get("rerouted", 0),
-        "learned_decisions": (result.routing or {}).get("learned", 0),
-        "engine_trace_events": (
-            len(result.engine_trace) if result.engine_trace is not None else None
-        ),
+        "forwards": sharding.get("forwards", 0),
+        "rerouted": sharding.get("rerouted", 0),
+        "learned_decisions": (report.get("routing") or {}).get("learned", 0),
+        "engine_trace_events": engine_trace_events,
     }
 
 
-def _window_summary(result) -> dict:
+#: Extra summary fields for modes whose path the common summary cannot
+#: see (kept out of :func:`summarize` so other fixtures do not change),
+#: each read from the parsed report.
+def _window_summary(report) -> dict:
     """How far the least-fed shard's learned-routing window got."""
-    shards = result.routing["per_shard"].values()
+    shards = report["routing"]["per_shard"].values()
     return {
         "min_shard_samples": min(s["samples"] for s in shards),
         "min_shard_refits": min(s["refits"] for s in shards),
     }
 
 
-#: Extra summary fields for modes whose path the common summary cannot
-#: see (kept out of :func:`summarize` so other fixtures do not change).
-def _bounds_summary(result) -> dict:
-    """How many distinct bound triples the predictor handed out."""
-    return {"distinct_bounds": len(result.predicted_bounds)}
+def _kinds_summary(report) -> dict:
+    """How many fault events of each kind came due."""
+    return {"injected": dict(sorted(report["faults"]["injected"].items()))}
 
 
-def _kinds_summary(result) -> dict:
-    """How many faults of each kind the plan injected."""
-    return {"injected": dict(sorted(result.faults["injected"].items()))}
+def _fault_counts(*fields):
+    """Copy these counters of the report's ``faults`` section."""
+    return lambda report: {f: report["faults"][f] for f in fields}
+
+
+def _shard_count(report) -> dict:
+    return {"num_shards": report["sharding"]["num_shards"]}
+
+
+def _audits_over_spot(report) -> dict:
+    """Pairs audited, and how many more than under ``--verify spot``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [*CLI_MODES["cli-suspect-full"], "--verify", "spot"]
+        spot = run_cli(argv, report["config"]["seed"], Path(tmp))
+    audited = report["integrity"]["audited_pairs"]
+    return {
+        "audited_pairs": audited,
+        "audited_over_spot": audited - spot["integrity"]["audited_pairs"],
+    }
 
 
 EXTRA_SUMMARY = {
     "learned-wrap": _window_summary,
     "composed": _kinds_summary,
-    "optimal": _bounds_summary,
-    "sharded-optimal": _bounds_summary,
+    "cli-node-loss": _fault_counts("predicted_infeasible"),
+    "cli-sharded16": _shard_count,
+    "cli-sharded-chaos": _fault_counts("link_losses", "host_staged_fetches"),
+    "cli-gray": _fault_counts("heartbeat_losses"),
+    "cli-suspect-full": _audits_over_spot,
 }
 
 
 def fingerprint(mode: str, seed: int) -> dict:
-    """Artifact digests plus summary for one (mode, seed) run."""
-    result = run(mode, seed)
-    summary = summarize(result)
-    if mode in EXTRA_SUMMARY:
-        summary.update(EXTRA_SUMMARY[mode](result))
+    """Artifact digests plus summary for one (mode, seed) run.
+
+    Every trace written must be strict JSON (no NaN or Infinity).
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        result.to_json(tmp / "report.json")
-        result.to_trace().save_chrome_trace(tmp / "trace.json")
-        engine = None
-        if result.engine_trace is not None:
-            result.engine_trace.save_chrome_trace(tmp / "engine.json")
-            engine = _sha(tmp / "engine.json")
+        out = Path(tmp)
+        extra = {}
+        if mode in CLI_MODES:
+            run_cli(CLI_MODES[mode], seed, out)
+        else:
+            result = run(mode, seed)
+            result.to_json(out / "report.json")
+            result.to_trace().save_chrome_trace(out / "trace.json")
+            if result.engine_trace is not None:
+                result.engine_trace.save_chrome_trace(out / "engine.json")
+            # Fields a run knows that its report does not show.
+            extra = getattr(result, "golden_summary", {})
+        report = json.loads((out / "report.json").read_text())
+        strict_events(out / "trace.json")
+        engine = out / "engine.json"
+        has_engine = engine.exists()
+        summary = summarize(report, len(strict_events(engine)) if has_engine else None)
+        if mode in EXTRA_SUMMARY:
+            summary.update(EXTRA_SUMMARY[mode](report))
+        summary.update(extra)
         return {
             "mode": mode,
             "seed": seed,
-            "report_sha256": _sha(tmp / "report.json"),
-            "trace_sha256": _sha(tmp / "trace.json"),
-            "engine_trace_sha256": engine,
+            "report_sha256": _sha(out / "report.json"),
+            "trace_sha256": _sha(out / "trace.json"),
+            "engine_trace_sha256": _sha(engine) if has_engine else None,
             "summary": summary,
         }
 
@@ -543,16 +656,31 @@ COVERAGE = {
     "optimal": {"completed": 1, "distinct_bounds": 2},
     "sharded-optimal": {"completed": 1, "distinct_bounds": 2},
     # The kinds both seeds' plans fire, and what the losses and flaps did.
+    # ``injected`` counts events that came due, not what took effect: at
+    # s12 the link cut and the silence land on the dead node, so applied
+    # cuts and silences are pinned by cli-sharded-chaos and cli-gray.
     "composed": {
         "node_losses": 1, "device_losses": 1, "restores": 1,
         **{
             f"injected.{kind}": 1
             for kind in (
-                "device_lost", "heartbeat_loss", "link_lost", "node_flap", "node_lost",
-                "tensor_bitflip", "transfer", "transient",
+                "device_lost", "node_flap", "node_lost", "tensor_bitflip", "transfer",
+                "transient",
             )
         },
     },
+    "cli-chaos": {"device_losses": 1},
+    "cli-node-loss": {"node_losses": 1, "predicted_infeasible": 1},
+    "cli-tenants": {"completed": 1, "scale_downs": 1},
+    "cli-batched": {"multi_member_rounds": 1},
+    "cli-sharded": {"multi_member_rounds": 1},
+    "cli-sharded16": {"num_shards": 16},
+    "cli-sharded-chaos": {"node_losses": 1, "link_losses": 1, "host_staged_fetches": 1},
+    # Hedges are covered by the in-process gray mode.
+    "cli-gray": {"heartbeat_losses": 1, "restores": 1, "health_quarantines": 1},
+    "cli-learned": {"learned_decisions": 1},
+    "cli-integrity": {"detected": 1, "quarantines": 1},
+    "cli-suspect-full": {"detected": 1, "audited_over_spot": 1},
 }
 
 

@@ -2,7 +2,8 @@
 
 Each ``tests/golden/<mode>-s<seed>.json`` holds the SHA-256 of a
 fixed-seed run's report JSON, its Chrome trace and (when one is
-recorded) its engine trace, plus a readable summary.  Any behaviour
+recorded) its engine trace, plus a readable summary.  Recomputing a
+fingerprint also parses every trace as strict JSON.  Any behaviour
 change in any serving path shows up here as a digest mismatch, with the
 summary diff naming what moved.  Regenerate deliberately with
 ``python tools/regen_golden.py --write``.
@@ -12,7 +13,7 @@ import pytest
 
 from tests import golden_modes as golden
 
-CASES = [(mode, seed) for mode in golden.MODES for seed in golden.SEEDS]
+CASES = [(mode, seed) for mode in golden.FIXTURE_MODES for seed in golden.SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -43,4 +44,4 @@ def test_fixture_covers_its_path(mode, seed):
 
 
 def test_every_mode_has_a_coverage_rule():
-    assert set(golden.COVERAGE) == set(golden.MODES)
+    assert set(golden.COVERAGE) == set(golden.FIXTURE_MODES)

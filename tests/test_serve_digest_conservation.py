@@ -14,15 +14,15 @@ shard::
     routed_since_sync == completed_since_sync
                          + |charged tickets still queued or in flight|
 
-via the :data:`repro.serve.sharded.server.SYNC_AUDIT_HOOK` test hook,
-which fires before the sync resets the counters.
+by an auditor wrapped around :meth:`GlobalScheduler.sync`, which runs
+before the sync resets the counters.
 """
 
 import pytest
 
 from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.serve import HealthConfig, PoissonArrivals, ServeConfig
-from repro.serve.sharded import server as sharded_server
+from repro.serve.sharded.server import GlobalScheduler
 from tests.test_serve_sharded import run_sharded
 
 FAST_HEALTH = HealthConfig(
@@ -63,14 +63,17 @@ class Auditor:
                 )
 
 
-def audited(**kwargs):
-    """run_sharded under the audit hook; returns (auditor, result)."""
+def audited(monkeypatch, **kwargs):
+    """run_sharded with every sync audited first; returns (auditor, result)."""
     auditor = Auditor()
-    sharded_server.SYNC_AUDIT_HOOK = auditor
-    try:
-        _, result = run_sharded(**kwargs)
-    finally:
-        sharded_server.SYNC_AUDIT_HOOK = None
+    sync = GlobalScheduler.sync
+
+    def audited_sync(router, now, linkless_devices=frozenset(), unreachable=frozenset()):
+        auditor(router, now, unreachable)
+        sync(router, now, linkless_devices, unreachable)
+
+    monkeypatch.setattr(GlobalScheduler, "sync", audited_sync)
+    _, result = run_sharded(**kwargs)
     s = result.summary()
     assert s["completed"] + s["dropped"] == s["offered"]
     assert auditor.syncs > 1  # the property was actually exercised
@@ -94,16 +97,17 @@ def gray_plan():
 
 class TestConservation:
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_plain_routes(self, seed):
-        audited(n=32, seed=seed, serve=ServeConfig(
+    def test_plain_routes(self, seed, monkeypatch):
+        audited(monkeypatch, n=32, seed=seed, serve=ServeConfig(
             sharded=True, sync_interval_s=2e-3,
         ))
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_full_queue_forwards(self, seed):
+    def test_full_queue_forwards(self, seed, monkeypatch):
         # queue_capacity=1 bounces tickets between shards; each hop must
         # discharge the previous shard and charge the next.
         _, result = audited(
+            monkeypatch,
             n=32, seed=seed,
             arrivals=[i * 1e-4 for i in range(32)],
             serve=ServeConfig(
@@ -113,12 +117,12 @@ class TestConservation:
         )
         assert result.sharding["forwards"] > 0
 
-    def test_quarantine_drain_and_hedges(self):
+    def test_quarantine_drain_and_hedges(self, monkeypatch):
         # Gray faults drive quarantine drains (discharge + re-place) and
         # hedge clones (the loser's charge must be reversed on cancel).
         health = FAST_HEALTH.with_(hedging=True, hedge_deadline_s=2e-3)
         audited(
-            n=48, seed=0,
+            monkeypatch, n=48, seed=0,
             arrivals=PoissonArrivals(3000.0),
             faults=gray_plan(),
             serve=ServeConfig(
@@ -126,14 +130,14 @@ class TestConservation:
             ),
         )
 
-    def test_node_death_reroutes(self):
+    def test_node_death_reroutes(self, monkeypatch):
         # A whole failure domain dies mid-run; rescheduled tickets leave
         # the dead shard's ledger and charge their new home.
         plan = FaultPlan((
             FaultEvent(FaultKind.NODE_LOST, 3e-3, 5),
         ))
         _, result = audited(
-            n=32, seed=2,
+            monkeypatch, n=32, seed=2,
             arrivals=PoissonArrivals(3000.0),
             faults=plan,
             serve=ServeConfig(sharded=True, sync_interval_s=2e-3),
@@ -141,17 +145,17 @@ class TestConservation:
         assert result.sharding["rerouted"] > 0
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_learned_routing_conserves_too(self, seed):
+    def test_learned_routing_conserves_too(self, seed, monkeypatch):
         # The learned policy adds placement callbacks on the same charge
         # path; the ledger must balance identically.
-        audited(n=32, seed=seed, serve=ServeConfig(
+        audited(monkeypatch, n=32, seed=seed, serve=ServeConfig(
             sharded=True, routing="learned", sync_interval_s=2e-3,
             min_samples=4, refit_interval=4, explore_floor=0.2,
         ))
 
-    def test_very_stale_syncs_conserve_at_the_horizon(self):
+    def test_very_stale_syncs_conserve_at_the_horizon(self, monkeypatch):
         # One mid-run sync: the counters accumulate for a long window
         # and still reconcile exactly when it finally fires.
-        audited(n=32, seed=0, serve=ServeConfig(
+        audited(monkeypatch, n=32, seed=0, serve=ServeConfig(
             sharded=True, sync_interval_s=30e-3,
         ))

@@ -6,9 +6,11 @@ Usage::
     PYTHONPATH=src python tools/regen_golden.py           # check only
     PYTHONPATH=src python tools/regen_golden.py --write   # rewrite fixtures
 
-Every (mode, seed) fixture under ``tests/golden/`` is recomputed, and
-so are the offline ``offline-f0d2``, the ``ml-models`` and the
-``redstar-streams`` fixtures (name one to check it alone).  For
+Every (mode, seed) fixture under ``tests/golden/`` is recomputed, the
+in-process serving modes and the ``cli-*`` modes that run ``micco serve``
+/ ``micco chaos`` alike, and so are the offline ``offline-f0d2``, the
+``ml-models`` and the ``redstar-streams`` fixtures (name a mode, e.g.
+``cli-gray``, to check or ``--write`` it alone).  For
 each mismatch the digests that moved and a field-by-field summary diff
 are printed.  Exits 1 when any fixture differs (or is missing), 0 when
 all match.  Files are written only with ``--write``; the exit status
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
     ap.add_argument("--write", action="store_true", help="rewrite the fixture files")
     ap.add_argument("modes", nargs="*", help="restrict to these modes (default: all)")
     args = ap.parse_args(argv)
-    known = [*golden.MODES, golden.OFFLINE_MODE, golden.ML_MODE, golden.STREAMS_MODE]
+    known = [*golden.FIXTURE_MODES, golden.OFFLINE_MODE, golden.ML_MODE, golden.STREAMS_MODE]
     unknown = set(args.modes) - set(known)
     if unknown:
         ap.error(f"unknown modes {sorted(unknown)}; choose from {known}")
