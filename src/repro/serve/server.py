@@ -230,9 +230,12 @@ class ServeRun:
             }
             self.router.breakers = self.breakers
         if self.integ is not None:
-            integ = self.integ
+            # Capture what the callback reads, never the run: a closure
+            # over ``self`` is a run -> router -> callback -> run cycle
+            # that keeps every finished run alive until a full collection.
+            integ, shards = self.integ, self.shards
             self.router.blame_of = lambda node: max(
-                (integ.ewma[d] for d in self.shards[node].devices), default=0.0
+                (integ.ewma[d] for d in shards[node].devices), default=0.0
             )
 
         # Anchor each shard's reuse bounds before any pool-size change so
@@ -440,8 +443,8 @@ class ServeRun:
         owner = self.shards.get(ticket.shard)
         if owner is not None and owner.scaler is not None:
             owner.scaler.observe_completion(now, rec.latency_s)
-        self.settle(ticket, now)
         pair = ticket.hedge
+        self.settle(ticket, now)
         if pair is not None and not pair.resolved:
             self.resolve_hedge(pair, ticket, now)
 
@@ -552,6 +555,9 @@ class ServeRun:
         """A round member is done (completed or shed); the round's
         scheduling slot frees only when its last member settles."""
         self.pending.pop(id(ticket), None)
+        # A settled ticket drops its hedge link (its pair still answers
+        # for it to the partner), so no ticket <-> pair cycle outlives it.
+        ticket.hedge = None
         owner = self.shards.get(ticket.shard) if ticket.shard is not None else None
         if owner is not None:
             owner.inflight_tickets.pop(id(ticket), None)
@@ -626,6 +632,7 @@ class ServeRun:
                     self.report.add_drop(ticket)  # every live shard was full
                 else:
                     self.report.add_drop(ticket, reason="fault-abandoned")
+                ticket.hedge = None  # never dispatched: it leaves the run here
                 return
             shard = self.shards[node]
             breaker = self.breakers.get(node)
@@ -715,6 +722,7 @@ class ServeRun:
         if loser.cancelled:
             return
         loser.cancelled = True
+        loser.hedge = None  # it may sit in a queue until popped; unlink now
         loser.epoch += 1
         self.router.discharge(loser, now)
         self.hstats["cancelled"] += 1

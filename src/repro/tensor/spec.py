@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -235,8 +236,15 @@ class TensorPair:
 _output_spec = None
 
 
-@dataclass
-class VectorSpec:
+class _Weakrefable:
+    """Slot base giving a ``slots=True`` dataclass a ``__weakref__``
+    (``weakref_slot=True`` needs Python 3.11)."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(slots=True)
+class VectorSpec(_Weakrefable):
     """One *vector*: a batch of independent tensor pairs (one stage slice).
 
     Mirrors the paper's input unit (Fig. 6): the scheduler receives one
@@ -245,12 +253,14 @@ class VectorSpec:
 
     ``meta`` carries generator-declared characteristics (repeated rate,
     distribution, ...) for experiment bookkeeping; schedulers must not
-    read it — they only see measured state.
+    read it — they only see measured state.  A generator may share one
+    read-only mapping among many vectors (see
+    :class:`~repro.workloads.synth.SyntheticWorkload`).
     """
 
     pairs: list[TensorPair]
     vector_id: int = 0
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.pairs:

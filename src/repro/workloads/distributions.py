@@ -22,10 +22,15 @@ class UniformPicker:
 
     name = "uniform"
 
-    def pick(self, pool_size: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def pick(self, pool_size: int, n: int, rng: np.random.Generator) -> list[int]:
+        """``n`` indices in ``[0, pool_size)``, as Python ints: the
+        generator indexes lists with them, and indexing by a numpy scalar
+        pays ``__index__`` per lookup."""
         if pool_size <= 0:
             raise WorkloadError("cannot pick repeated tensors from an empty pool")
-        return rng.integers(0, pool_size, size=n)
+        # Same draws as integers(0, pool_size, size=n), without the low
+        # bound's argument handling.
+        return rng.integers(pool_size, size=n).tolist()
 
 
 class GaussianPicker:
@@ -50,13 +55,22 @@ class GaussianPicker:
         check_fraction("sigma_frac", sigma_frac, inclusive=False)
         self.sigma_frac = sigma_frac
 
-    def pick(self, pool_size: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def pick(self, pool_size: int, n: int, rng: np.random.Generator) -> list[int]:
+        """``n`` indices in ``[0, pool_size)``, as Python ints (see
+        :meth:`UniformPicker.pick`)."""
         if pool_size <= 0:
             raise WorkloadError("cannot pick repeated tensors from an empty pool")
         center = rng.uniform(0, pool_size - 1)
         sigma = max(self.sigma_frac * pool_size, 0.5)
-        idx = np.rint(rng.normal(center, sigma, size=n)).astype(np.int64)
-        return np.clip(idx, 0, pool_size - 1)
+        # Python's round() is round-half-even like np.rint, so this is
+        # clip(rint(normal(...)), 0, pool_size - 1) bit for bit, without
+        # three numpy calls on a dozen elements.
+        hi = pool_size - 1
+        out = []
+        for x in rng.normal(center, sigma, size=n).tolist():
+            i = round(x)
+            out.append(0 if i < 0 else hi if i > hi else i)
+        return out
 
 
 def make_picker(distribution: str, sigma_frac: float = 0.05):

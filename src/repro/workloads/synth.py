@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -113,6 +114,22 @@ class SyntheticWorkload:
         #: rebuilds its spec exactly from the uid.
         self.pool = array("q")
         self._emitted = 0
+        #: Repeat count -> the read-only ``meta`` every vector with that
+        #: many repeated slots shares: 0 for the first vector,
+        #: ``repeat_slots`` for every later one.  Every repeated slot
+        #: comes from the pool (seen before its vector) and every fresh
+        #: tensor has a brand-new uid, so the measured rate is exactly
+        #: ``n_repeat / vector_size``.
+        self._meta = {
+            n: MappingProxyType({
+                "declared_repeated_rate": params.repeated_rate,
+                "measured_repeated_rate": n / params.vector_size,
+                "distribution": params.distribution,
+                "tensor_size": params.tensor_size,
+                "vector_size": params.vector_size,
+            })
+            for n in (0, params.repeat_slots)
+        }
 
     def next_vector(self) -> VectorSpec:
         """Generate the next vector in the stream.
@@ -137,9 +154,7 @@ class SyntheticWorkload:
 
         slots: list[TensorSpec] = []
         if n_repeat:
-            # .tolist() converts the drawn indices to Python ints once —
-            # list indexing by numpy scalars pays __index__ per lookup.
-            idx = self._picker.pick(len(pool), n_repeat, self._rng).tolist()
+            idx = self._picker.pick(len(pool), n_repeat, self._rng)
             if built is None:
                 slots = [
                     _spec_unchecked(pool[i], size, batch, rank, dtype_bytes, f"t{i}")
@@ -162,20 +177,7 @@ class SyntheticWorkload:
             for i in range(n_slots // 2)
         ]
 
-        vec = VectorSpec(
-            pairs=pairs,
-            vector_id=self._emitted,
-            meta={
-                "declared_repeated_rate": p.repeated_rate,
-                # Every repeated slot comes from the pool (seen before
-                # this call) and every fresh tensor has a brand-new uid,
-                # so the measured rate is exactly n_repeat / n_slots.
-                "measured_repeated_rate": n_repeat / n_slots,
-                "distribution": p.distribution,
-                "tensor_size": p.tensor_size,
-                "vector_size": n_slots,
-            },
-        )
+        vec = VectorSpec(pairs=pairs, vector_id=self._emitted, meta=self._meta[n_repeat])
         self._emitted += 1
         return vec
 

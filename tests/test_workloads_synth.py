@@ -163,7 +163,7 @@ def eager_reference(params: WorkloadParams, seed, n: int, uids) -> list:
         n_repeat = params.repeat_slots if pool else 0
         slots = []
         if n_repeat:
-            slots.extend(pool[i] for i in picker.pick(len(pool), n_repeat, rng).tolist())
+            slots.extend(pool[i] for i in picker.pick(len(pool), n_repeat, rng))
         for _ in range(params.vector_size - n_repeat):
             t = TensorSpec(
                 next(uids), params.tensor_size, params.batch, params.rank,

@@ -18,6 +18,14 @@ cluster's holder index (``uid -> device bitmask``) frees when cleared,
 per resident tensor copy.  Exits 1 when that is above
 ``MAX_INDEX_BYTES_PER_COPY``.
 
+Last, a finished run must keep nothing: one chaos-integrity-shaped
+server (8 GPUs x 16 MiB, a generated fault plan, spot integrity audits,
+full trace capture, warm restore) serves the same stream three times
+with the garbage collector off, so only reference counting frees a run.
+Exits 1 when the traced memory held after the third run exceeds that
+after the first by more than ``MAX_RETAINED_BYTES`` — a reference cycle
+through a run's state keeps the whole run alive, ~0.5 MiB each here.
+
 Usage::
 
     PYTHONPATH=src python tools/memory_smoke.py                      # 2x2000 vs 2x8000
@@ -32,9 +40,18 @@ import sys
 import tracemalloc
 
 from repro import MiccoConfig
+from repro.faults import FaultPlan
 from repro.gpusim import CostModel, Topology, TraceConfig
-from repro.serve import BurstyArrivals, ServeConfig, SloTargets, TenantSpec, make_server
-from repro.workloads import WorkloadParams
+from repro.integrity import IntegrityConfig
+from repro.serve import (
+    BurstyArrivals,
+    PoissonArrivals,
+    ServeConfig,
+    SloTargets,
+    TenantSpec,
+    make_server,
+)
+from repro.workloads import SyntheticWorkload, WorkloadParams
 
 MIB = 1024**2
 SEED = 11
@@ -47,6 +64,13 @@ MAX_BYTES_PER_TICKET = 320
 #: fails: the measured ~80 B (one dict slot; a single holder's mask is
 #: its device's shared int) plus 25 %.  A ``set`` per entry read ~300 B.
 MAX_INDEX_BYTES_PER_COPY = 100
+#: Traced bytes a server may hold after its third run beyond what it
+#: held after its first: ~0.2 KiB measured; a run kept alive by a
+#: reference cycle left ~480 KiB per run of ``RETAIN_VECTORS``.
+MAX_RETAINED_BYTES = 64 * 1024
+#: Stream length of the chaos-integrity-shaped retention case: enough
+#: that every generated fault lands and audits detect corruption.
+RETAIN_VECTORS = 400
 #: Per-tenant stream length of the warm-up run.
 WARM_UP = 50
 #: The two runs of the roster: name -> trace block.
@@ -94,6 +118,42 @@ def traced_peak(per_tenant: int, trace: TraceConfig) -> tuple[int, int, float]:
     return offered, peak, index_bytes / copies
 
 
+def retained_after_runs(runs: int = 3) -> list[int]:
+    """Traced bytes held after each of ``runs`` runs of one
+    chaos-integrity-shaped server, with the garbage collector off."""
+    rate = 600.0
+    params = WorkloadParams(
+        num_vectors=RETAIN_VECTORS, vector_size=16, tensor_size=128, repeated_rate=0.75,
+        distribution="gaussian", batch=2,
+    )
+    vectors = SyntheticWorkload(params, seed=SEED).vectors()
+    faults = FaultPlan.generate(
+        SEED, num_devices=8, horizon_s=RETAIN_VECTORS / rate, n_transient=2, n_transfer=2,
+        n_straggler=1, n_device_lost=1, n_data_corruption=2, n_tensor_bitflip=2,
+        corruption_prob=0.3,
+    )
+    config = ServeConfig(
+        queue_capacity=128,
+        schedule_latency_per_pair_s=1e-4,
+        warm_restore=True,
+        trace=TraceConfig(mode="full"),
+        integrity=IntegrityConfig(mode="spot", audit_fraction=0.08),
+    )
+    server = make_server(config, cluster=MiccoConfig(num_devices=8, memory_bytes=16 * MIB))
+    held = []
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(runs):
+            server.run(vectors, PoissonArrivals(rate), seed=SEED, faults=faults)
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return held
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="2000,8000",
@@ -119,6 +179,14 @@ def main(argv=None) -> int:
         if per_copy > MAX_INDEX_BYTES_PER_COPY:
             print(f"FAIL: {name} holder index grew past its per-copy limit", file=sys.stderr)
             failed = True
+    held = retained_after_runs()
+    grown = held[-1] - held[0]
+    print(f"chaos-integrity server: {grown / 1024:.1f} KiB more held after run "
+          f"{len(held)} than after run 1 (limit {MAX_RETAINED_BYTES // 1024} KiB)")
+    if grown > MAX_RETAINED_BYTES:
+        print("FAIL: finished runs stay alive (a reference cycle through run state)",
+              file=sys.stderr)
+        failed = True
     return 1 if failed else 0
 
 
