@@ -31,7 +31,9 @@ class MiccoConfig:
         vector (multi-stage pipelines); otherwise they drain to host.
     eviction_policy:
         Per-device victim selection: ``"lru"`` (default), ``"fifo"``,
-        or ``"largest"`` (see :mod:`repro.gpusim.memory`).
+        or ``"largest"`` (see :mod:`repro.gpusim.memory`).  In an
+        offline run (:meth:`Micco.run`) every policy first evicts
+        tensors that no later pair reads.
     """
 
     num_devices: int = 8

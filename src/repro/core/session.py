@@ -5,6 +5,11 @@ characteristics, (2) run regression inference to obtain reuse bounds
 (when a predictor is attached and the scheduler accepts bounds), then
 (3) schedule pair-by-pair and execute on the simulated cluster.
 
+The whole stream is known before it runs, so after each pair every
+tensor that pair reads for the last time is demoted on every device
+holding it (:meth:`ClusterState.demote`): eviction takes dead tensors
+before live ones.
+
 Real wall-clock time of the scheduling decisions and of the model
 inference is measured separately (Table V's overhead split); simulated
 device time comes from the execution metrics.
@@ -52,6 +57,48 @@ class RunResult:
         return self.metrics.makespan_s
 
 
+def last_uses(vectors: list[VectorSpec], keep_outputs: bool) -> list[list[int]]:
+    """For each vector of the stream and each of its pairs, which of the
+    pair's tensors no later pair uses: bit 0 the left input, bit 1 the
+    right input, bit 2 the output.
+
+    One backward pass: a uid not met yet is at its last use.  With
+    ``keep_outputs`` off, the drain at the end of its vector is an
+    output's last use (and frees it at no writeback cost), so no output
+    bit is set.  The codes are small ints, which CPython caches: a
+    tuple of uids per pair would make the garbage collector run during
+    the stream.
+    """
+    seen: set[int] = set()
+    if not keep_outputs:
+        seen.update(pair.out.uid for vector in vectors for pair in vector.pairs)
+    add = seen.add
+    codes: list[list[int]] = []
+    # Unrolled over the pair's three tensors: a loop over them costs
+    # twice as much.
+    for vector in reversed(vectors):
+        per_pair = []
+        for pair in reversed(vector.pairs):
+            code = 0
+            uid = pair.out.uid
+            if uid not in seen:
+                add(uid)
+                code = 4
+            uid = pair.right.uid
+            if uid not in seen:
+                add(uid)
+                code |= 2
+            uid = pair.left.uid
+            if uid not in seen:
+                add(uid)
+                code |= 1
+            per_pair.append(code)
+        per_pair.reverse()
+        codes.append(per_pair)
+    codes.reverse()
+    return codes
+
+
 def run_stream(
     vectors: list[VectorSpec],
     scheduler: Scheduler,
@@ -85,8 +132,9 @@ def run_stream(
     wants_bounds = predictor is not None and hasattr(scheduler, "set_bounds")
     choose = scheduler.choose
     execute_pair = engine.execute_pair
+    demote = cluster.demote
 
-    for vector in vectors:
+    for vector, last in zip(vectors, last_uses(vectors, keep_outputs)):
         chars = tracker.observe(vector)
         bounds_used = None
         if wants_bounds:
@@ -102,12 +150,18 @@ def run_stream(
         schedule_s = perf_counter() - t0
         vec_metrics = ExecutionMetrics(num_devices=cluster.num_devices)
         assignment: list[int] = []
-        for pair in vector.pairs:
+        for pair, dead in zip(vector.pairs, last):
             t0 = perf_counter()
             g = choose(pair, cluster)
             schedule_s += perf_counter() - t0
             execute_pair(pair, g, vec_metrics)
             assignment.append(g)
+            if dead & 1:
+                demote(pair.left.uid)
+            if dead & 2:
+                demote(pair.right.uid)
+            if dead & 4:
+                demote(pair.out.uid)
         sw.add("schedule", schedule_s)
         if not keep_outputs:
             engine.drain_outputs(vector, assignment, vec_metrics)

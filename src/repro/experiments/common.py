@@ -17,6 +17,7 @@ from pathlib import Path
 from repro.core.config import MiccoConfig
 from repro.core.framework import Micco
 from repro.core.session import RunResult
+from repro.gpusim.memory import EVICTION_SEMANTICS
 from repro.ml.persistence import FORMAT, load_predictor, save_predictor
 from repro.ml.predictor import ReuseBoundPredictor, train_default_predictor
 from repro.schedulers.groute import GrouteScheduler
@@ -54,9 +55,12 @@ def get_default_predictor(
     if pred is not None:
         return pred
 
-    # The file layout is part of the key, so a file saved in another
-    # format is never picked up.
-    disk_key = hashlib.sha256(json.dumps([*key, FORMAT]).encode()).hexdigest()[:16]
+    # The file layout and the eviction semantics the training labels
+    # were simulated under are part of the key, so a file saved in
+    # another format or under other semantics is never picked up.
+    disk_key = hashlib.sha256(
+        json.dumps([*key, FORMAT, EVICTION_SEMANTICS]).encode()
+    ).hexdigest()[:16]
     disk_path = cache_dir() / f"predictor-{disk_key}.json"
     if use_disk_cache and disk_path.exists():
         pred = load_predictor(disk_path)

@@ -255,6 +255,24 @@ class ClusterState:
         """Refresh LRU recency of a reused tensor."""
         self.pools[device_id].touch(uid)
 
+    def demote(self, uid: int) -> None:
+        """Put every resident copy of ``uid`` first in its pool's eviction
+        order: no later pair reads it (see :meth:`MemoryPool.demote`)."""
+        holders = self._holders.get(uid)
+        if not holders:
+            return
+        if holders & (holders - 1):
+            for d in mask_ids(holders):
+                self.pools[d].demote(uid)
+            return
+        pool = self.pools[holders.bit_length() - 1]
+        if pool._track_insertion:
+            pool.demote(uid)
+        else:
+            # MemoryPool.demote inlined for LRU with a single holder,
+            # the common case: the call costs as much as the move.
+            pool._resident.move_to_end(uid, False)
+
     def drop(self, uid: int, device_id: int, reason: str = "drain") -> int:
         """Explicitly free a tensor from one device; returns bytes freed.
 

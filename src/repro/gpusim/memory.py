@@ -11,6 +11,13 @@ Eviction policies (the ablation bench compares them):
 * ``"lru"`` — least recently used first (production default),
 * ``"fifo"`` — oldest allocation first, recency ignored,
 * ``"largest"`` — biggest tensor first (frees space fastest).
+
+A run that knows its whole stream (``run_stream``) *demotes* each
+tensor after the pair that reads it last (:meth:`MemoryPool.demote`).
+Every policy evicts demoted tensors before any live one, and keeps its
+own order for live tensors.  Evicting a dead tensor never costs a later
+fetch.  On the f0 Redstar streams every victim of Belady's MIN is dead,
+so dead-first LRU makes MIN's exact run there.  Serving never demotes.
 """
 
 from __future__ import annotations
@@ -22,6 +29,11 @@ from repro.errors import CapacityError
 from repro.utils.validation import check_in, check_positive
 
 EVICTION_POLICIES = ("lru", "fifo", "largest")
+
+#: Names the simulator's victim choice.  Change it whenever victims
+#: change, so that caches of results simulated under the old choice
+#: (the experiments' trained predictors) are not reused.
+EVICTION_SEMANTICS = "dead-first"
 
 
 class Residency(NamedTuple):
@@ -51,8 +63,9 @@ class MemoryPool:
         self._used = 0
         # Resident uids in allocation order, oldest first (FIFO and
         # "largest"): a key is added on allocation and dropped on free
-        # and evict, so a re-allocated uid goes to the back.
-        self._insertion: dict[int, None] = {}
+        # and evict, so a re-allocated uid goes to the back.  A demoted
+        # uid moves to the front and its value becomes True.
+        self._insertion: OrderedDict[int, bool | None] = OrderedDict()
         # LRU never reads allocation order (recency order lives in the
         # OrderedDict itself), so skip maintaining it on that policy's
         # hot path.
@@ -93,20 +106,37 @@ class MemoryPool:
         """Mark ``uid`` most-recently-used (a reuse hit)."""
         self._resident.move_to_end(uid)
 
+    def demote(self, uid: int) -> None:
+        """Put resident ``uid`` first in eviction order: no later pair reads it.
+
+        LRU moves the uid to the front of its recency order, FIFO and
+        "largest" to the front of the allocation-order map.  So LRU and
+        FIFO evict the most recently demoted first, and "largest" the
+        biggest demoted first.
+        """
+        # ``last`` is passed by position: a keyword costs a tenth of the call.
+        if self._track_insertion:
+            self._insertion[uid] = True
+            self._insertion.move_to_end(uid, False)
+        else:
+            self._resident.move_to_end(uid, False)
+
     def _victim_order(self, protect) -> list[int]:
         """Unprotected uids in FIFO/largest eviction-preference order.
 
-        The allocation-order map already iterates oldest first, so FIFO
-        needs no sort (as LRU needs none: its OrderedDict iterates least
-        recently used first, see :meth:`allocate`).
+        The allocation-order map already iterates demoted uids first,
+        then oldest first, so FIFO needs no sort (as LRU needs none: its
+        OrderedDict iterates least recently used first, see
+        :meth:`allocate`).
         """
-        candidates = [u for u in self._insertion if u not in protect]
+        insertion = self._insertion
+        candidates = [u for u in insertion if u not in protect]
         if self.policy == "fifo":
             return candidates
-        # "largest": biggest footprint first; the stable sort keeps ties
-        # oldest first.
+        # "largest": demoted first, then biggest footprint first; the
+        # stable sort keeps ties in allocation-map order.
         resident = self._resident
-        return sorted(candidates, key=lambda u: -resident[u])
+        return sorted(candidates, key=lambda u: (insertion[u] is None, -resident[u]))
 
     def allocate(self, uid: int, nbytes: int, protect: set[int] | frozenset[int] = frozenset()) -> list[Residency]:
         """Allocate ``nbytes`` for ``uid``, evicting victims if needed.
@@ -199,7 +229,8 @@ class MemoryPool:
         nbytes = self._resident.pop(uid, None)
         if nbytes is None:
             return 0
-        self._insertion.pop(uid, None)
+        if self._track_insertion:
+            self._insertion.pop(uid, None)
         self._used -= nbytes
         return nbytes
 

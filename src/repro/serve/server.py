@@ -428,9 +428,14 @@ class ServeRun:
             if action == "flag":
                 # Audit budget (or auditor pool) exhausted: the result
                 # cannot be verified — shed it rather than report a
-                # possibly-wrong answer.
+                # possibly-wrong answer.  While a hedge partner still
+                # races, this copy cancels silently instead.
                 self.router.discharge(ticket, now)
-                self.report.add_drop(ticket, reason="integrity-unverified")
+                if hedge_shielded(ticket):
+                    ticket.cancelled = True
+                    self.hstats["absorbed_drops"] += 1
+                else:
+                    self.report.add_drop(ticket, reason="integrity-unverified")
                 self.settle(ticket, now)
                 return
         if integ is not None:

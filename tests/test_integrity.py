@@ -533,3 +533,43 @@ class TestEndToEnd:
         }
         completed_ids = {r.vector_id for r in result.report.completed}
         assert not flagged_ids & completed_ids  # shed means never reported
+
+
+class TestHedgedAudit:
+    def test_hedged_vector_is_offered_once(self):
+        """A hedged copy that fails its audit while its partner still races
+        cancels silently: every vector is offered exactly once, even when
+        one copy is shed unverified and the other completes."""
+        from repro.serve import HealthConfig
+
+        n = 120
+        plan = FaultPlan.generate(
+            4, num_devices=8, horizon_s=0.04, n_straggler=2, n_heartbeat_loss=1,
+            n_data_corruption=2, n_tensor_bitflip=2, corruption_prob=0.8,
+        )
+        cfg = ServeConfig(
+            sharded=True,
+            health=HealthConfig(
+                heartbeat_interval_s=1e-3, hedging=True, hedge_deadline_s=5e-4,
+            ),
+            integrity=IntegrityConfig(mode="suspect-full", audit_budget_frac=0.05),
+        )
+        vectors = SyntheticWorkload(
+            WorkloadParams(vector_size=8, num_vectors=n), seed=4
+        ).vectors()
+        result = serve(
+            cfg,
+            cluster=MiccoConfig(
+                num_devices=8,
+                cost_model=CostModel(topology=Topology(num_devices=8, devices_per_node=4)),
+            ),
+            scheduler=MiccoScheduler(ReuseBounds(0, 4, 0)),
+            vectors=vectors, arrivals=PoissonArrivals(3_000.0), seed=4, faults=plan,
+        )
+        offered = [r.vector_id for r in result.report.completed]
+        offered += [d.vector_id for d in result.report.dropped]
+        assert sorted(offered) == sorted(v.vector_id for v in vectors)
+        hedges = result.health["hedges"]
+        assert hedges["won_by_clone"] + hedges["won_by_primary"] > 0
+        assert hedges["absorbed_drops"] > 0  # the flagged copies cancelled
+        assert any(d.reason == "integrity-unverified" for d in result.report.dropped)

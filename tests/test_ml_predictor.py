@@ -10,6 +10,7 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.linear import LinearRegression
 from repro.experiments import common
+from repro.gpusim.memory import EVICTION_SEMANTICS
 from repro.ml.persistence import (
     FORMAT,
     load_predictor,
@@ -190,3 +191,26 @@ class TestFormat:
         loaded = common.get_default_predictor(seed=5)
         assert len(trained) == 2 and loaded.model.table_ is not None
         assert saved.exists()
+
+    def test_cache_key_carries_the_eviction_semantics(self, monkeypatch, tmp_path):
+        # Training labels are simulated runs: a predictor trained before
+        # eviction changed its victims must be retrained, not loaded.
+        monkeypatch.setattr(common, "cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(common, "_PREDICTOR_CACHE", {})
+        trained = []
+
+        def fake_train(config, *, n_samples, seed, n_estimators):
+            trained.append(seed)
+            X = np.arange(12.0).reshape(3, 4)
+            return ReuseBoundPredictor(DecisionTreeRegressor().fit(X, X[:, :3])), None
+
+        monkeypatch.setattr(common, "train_default_predictor", fake_train)
+        monkeypatch.setattr(common, "EVICTION_SEMANTICS", "recency-only")
+        common.get_default_predictor(seed=5)
+        monkeypatch.setattr(common, "_PREDICTOR_CACHE", {})
+        monkeypatch.setattr(common, "EVICTION_SEMANTICS", EVICTION_SEMANTICS)
+        common.get_default_predictor(seed=5)
+        assert len(trained) == 2 and len(list(tmp_path.glob("predictor-*.json"))) == 2
+        monkeypatch.setattr(common, "_PREDICTOR_CACHE", {})
+        common.get_default_predictor(seed=5)
+        assert len(trained) == 2
