@@ -1,9 +1,11 @@
 """Run-session driver: schedule and execute a vector stream.
 
 Implements the Fig. 6 workflow: per vector, (1) measure data
-characteristics, (2) run regression inference to obtain reuse bounds
+characteristics and (2) run regression inference to obtain reuse bounds
 (when a predictor is attached and the scheduler accepts bounds), then
 (3) schedule pair-by-pair and execute on the simulated cluster.
+Without a predictor the loop does only per-pair work: the per-vector
+records are built when :attr:`RunResult.per_vector` is first read.
 
 The whole stream is known before it runs, so after each pair every
 tensor that pair reads for the last time is demoted on every device
@@ -18,6 +20,7 @@ device time comes from the execution metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 from repro.gpusim.cluster import ClusterState
@@ -31,18 +34,45 @@ from repro.workloads.characteristics import CharacteristicsTracker
 
 @dataclass
 class RunResult:
-    """Outcome of one scheduled stream."""
+    """Outcome of one scheduled stream.
+
+    The per-vector records (:attr:`per_vector`) are built on first read
+    from what the run kept of each vector, so a run that never reads
+    them pays only for its pairs.
+    """
 
     metrics: ExecutionMetrics
     #: Real seconds spent inside scheduler decisions (Alg. 1 + Alg. 2).
     schedule_overhead_s: float = 0.0
     #: Real seconds spent in regression-model inference.
     inference_overhead_s: float = 0.0
-    #: Per-vector summaries (gflops, counters, bounds used).
-    per_vector: list[dict] = field(default_factory=list)
     #: Local-reuse-pattern histogram ({pattern name: count}) when the
     #: scheduler classifies pairs (MICCO); empty otherwise.
     pattern_counts: dict[str, int] = field(default_factory=dict)
+    #: One ``(vector, metrics, characteristics, bounds, assignment)``
+    #: tuple per vector, in stream order; ``characteristics`` is None
+    #: unless a predictor needed it during the run.
+    records: list[tuple] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def per_vector(self) -> list[dict]:
+        """Per-vector summaries (gflops, counters, characteristics,
+        bounds used, assignment), built on first read.
+
+        Characteristics the run did not measure are measured here by a
+        fresh tracker replayed over the stream in order, which is what
+        the run's own tracker would have seen: each run starts one.
+        """
+        tracker = CharacteristicsTracker()
+        per_vector = []
+        for vector, metrics, chars, bounds, assignment in self.records:
+            summary = metrics.summary()
+            summary["vector_id"] = vector.vector_id
+            summary["characteristics"] = chars if chars is not None else tracker.observe(vector)
+            summary["bounds"] = bounds
+            summary["assignment"] = assignment
+            per_vector.append(summary)
+        return per_vector
 
     @property
     def total_overhead_s(self) -> float:
@@ -126,18 +156,20 @@ def run_stream(
         if hasattr(scheduler, "reset_stats"):
             scheduler.reset_stats()
     sw = Stopwatch()
-    tracker = CharacteristicsTracker()
     total = ExecutionMetrics(num_devices=cluster.num_devices)
-    per_vector: list[dict] = []
+    records: list[tuple] = []
     wants_bounds = predictor is not None and hasattr(scheduler, "set_bounds")
+    # Characteristics are measured during the run only for the
+    # predictor; RunResult.per_vector measures them on demand otherwise.
+    tracker = CharacteristicsTracker() if wants_bounds else None
     choose = scheduler.choose
     execute_pair = engine.execute_pair
     demote = cluster.demote
 
     for vector, last in zip(vectors, last_uses(vectors, keep_outputs)):
-        chars = tracker.observe(vector)
-        bounds_used = None
+        chars = bounds_used = None
         if wants_bounds:
+            chars = tracker.observe(vector)
             with sw.measure("inference"):
                 bounds = predictor.predict_bounds(chars)
             scheduler.set_bounds(bounds)
@@ -165,13 +197,7 @@ def run_stream(
         sw.add("schedule", schedule_s)
         if not keep_outputs:
             engine.drain_outputs(vector, assignment, vec_metrics)
-
-        summary = vec_metrics.summary()
-        summary["vector_id"] = vector.vector_id
-        summary["characteristics"] = chars
-        summary["bounds"] = bounds_used
-        summary["assignment"] = assignment
-        per_vector.append(summary)
+        records.append((vector, vec_metrics, chars, bounds_used, assignment))
         total.merge(vec_metrics)
 
     pattern_counts: dict[str, int] = {}
@@ -181,6 +207,6 @@ def run_stream(
         metrics=total,
         schedule_overhead_s=sw.total("schedule"),
         inference_overhead_s=sw.total("inference"),
-        per_vector=per_vector,
         pattern_counts=pattern_counts,
+        records=records,
     )

@@ -23,7 +23,7 @@ from repro.gpusim.cluster import ClusterState, mask_ids
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.metrics import ExecutionMetrics
 from repro.gpusim.trace import TraceRecorder
-from repro.tensor.flops import pair_flops
+from repro.tensor.flops import contraction_flops
 from repro.tensor.spec import TensorPair, VectorSpec
 from repro.tensor.storage import TensorStore
 
@@ -80,6 +80,8 @@ class ExecutionEngine:
         #: immutable; the list is only ever replaced wholesale).
         self._peak9: list[float] | None = None
         self._peak9_devices = None
+        #: Kernel flops per ``(size, batch, left rank, right rank)``.
+        self._flops: dict[tuple[int, int, int, int], int] = {}
 
     # ------------------------------------------------------------- single pair
     def execute_pair(self, pair: TensorPair, device_id: int, metrics: ExecutionMetrics) -> None:
@@ -196,8 +198,12 @@ class ExecutionEngine:
                 injector.stats.record_recovery("transfer", wasted_t + copy_t)
                 self._note_fault("retry", device_id, copy_t, f"refetch {uid}")
             elif d2d and cm.d2d_moves:
-                # Single-residency runtime: the source copy migrates.
-                cl.drop(uid, source, reason="migrate")
+                # Single-residency runtime: the source copy migrates
+                # (ClusterState.drop inlined, journaled as "migrate").
+                if cl.pools[source].free(uid):
+                    cl._unhold(uid, cl._bits[source])
+                    if journal is not None:
+                        journal.note_drop(uid, source, "migrate")
             if integrity is not None:
                 if not d2d:
                     # Host copies are ground truth: a fresh H2D fetch
@@ -298,11 +304,14 @@ class ExecutionEngine:
         if trace is not None:
             trace.record("alloc", device_id, out_alloc_t, uid=out_uid, nbytes=out_nb)
 
-        # Kernel; flops are computed once and reused for the
-        # throughput counter.  Memory ops may overlap the kernel
-        # (async-copy model).
-        flops = pair_flops(pair)
+        # Kernel; flops are derived once per kernel shape and reused
+        # for the throughput counter.  Memory ops may overlap the
+        # kernel (async-copy model).
         size = left.size
+        shape = (size, left.batch, left.rank, right.rank)
+        flops = self._flops.get(shape)
+        if flops is None:
+            flops = self._flops[shape] = contraction_flops(*shape)
         if self._peak9_devices is not devices:
             self._peak9 = [d.peak_gflops * 1e9 for d in devices]
             self._peak9_devices = devices

@@ -16,12 +16,11 @@ paper uses ``random()``, so experiment runs are reproducible.
 
 from __future__ import annotations
 
-from repro.errors import SchedulingError
 from repro.gpusim.cluster import ClusterState, mask_ids
 from repro.gpusim.costmodel import CostModel
 from repro.schedulers.base import Scheduler
 from repro.schedulers.bounds import ReuseBounds
-from repro.schedulers.reuse_patterns import PATTERNS, ReusePattern, classify_pair
+from repro.schedulers.reuse_patterns import PATTERNS, ReusePattern
 from repro.tensor.spec import TensorPair, VectorSpec
 
 #: Shared default scoring model — Alg. 2 scoring only reads cluster
@@ -35,27 +34,6 @@ _DEFAULT_COST_MODEL = CostModel()
 #: Sending 2-11 wide sets through the same strict scan read 3 % slower
 #: on the redstar-f0d2 bench workload, so narrow sets stay inline.
 VECTOR_MIN_CANDIDATES = 12
-
-
-def incoming_bytes(pair: TensorPair, device_id: int, cluster: ClusterState) -> int:
-    """New device bytes needed to run ``pair`` on ``device_id``.
-
-    Counts each non-resident distinct input once plus the output.
-    """
-    total = pair.out.nbytes
-    seen: set[int] = set()
-    for spec in pair.inputs:
-        if spec.uid in seen:
-            continue
-        seen.add(spec.uid)
-        if not cluster.is_resident(spec.uid, device_id):
-            total += spec.nbytes
-    return total
-
-
-def would_evict(pair: TensorPair, device_id: int, cluster: ClusterState) -> bool:
-    """True if placing ``pair`` on ``device_id`` would trigger evictions."""
-    return incoming_bytes(pair, device_id, cluster) > cluster.free_bytes(device_id)
 
 
 class MiccoScheduler(Scheduler):
@@ -89,7 +67,7 @@ class MiccoScheduler(Scheduler):
         eviction_sensitive: bool = True,
         cost_model: CostModel | None = None,
     ):
-        self.bounds = bounds if bounds is not None else ReuseBounds.zeros()
+        self.set_bounds(bounds if bounds is not None else ReuseBounds.zeros())
         self.pattern_aware = pattern_aware
         self.eviction_sensitive = eviction_sensitive
         #: Scoring model for the vectorised Alg. 2 selection.
@@ -106,72 +84,24 @@ class MiccoScheduler(Scheduler):
     def set_bounds(self, bounds: ReuseBounds) -> None:
         """Install the reuse bounds for subsequent decisions."""
         self.bounds = bounds
+        # ``choose`` reads a tier on every decision: indexing a plain
+        # tuple skips a ``ReuseBounds.__getitem__`` call each time.
+        self._thresholds = bounds.as_tuple()
 
     def begin_vector(self, vector: VectorSpec, cluster: ClusterState) -> None:
         # Per-vector balance counters are reset by the engine via
         # ``cluster.begin_vector``; nothing else to do here.
         pass
 
-    # -------------------------------------------------------------- Alg. 1
-    def _available(self, device_id: int, tier: int, cluster: ClusterState) -> bool:
-        """The paper's availability test for reuse-bound ``tier``."""
-        return cluster.assigned_slots[device_id] < self.bounds[tier] + cluster.balance_num
-
-    def build_candidates(self, pair: TensorPair, cluster: ClusterState) -> list[int]:
-        """Alg. 1 steps I–II: the candidate queue for ``pair``.
-
-        The plain paper-faithful form, one availability test per
-        candidate.  :meth:`choose` fuses this with :meth:`select`; the
-        two must always agree.  Returned device ids are unique and in
-        ascending order (the order itself never matters — Alg. 2 selects
-        by cost, ties by id).
-        """
-        cls = classify_pair(pair, cluster)
-        self._pattern_tally[PATTERNS.index(cls.pattern)] += 1
-        if self.pattern_aware:
-            # Step I: devices holding both tensors, under the tier-0 bound.
-            candi = [g for g in sorted(cls.common_holders) if self._available(g, 0, cluster)]
-            if candi:
-                return candi
-            # Step II: devices holding one tensor, under the tier-1 bound.
-            candi = [g for g in sorted(cls.any_holders) if self._available(g, 1, cluster)]
-            if candi:
-                return candi
-        # Fallback: any *surviving* device under the tier-2 bound.
-        # (Steps I–II are alive-safe for free: lost devices hold no
-        # tensors, so they never appear among the holders.)
-        candi = [g for g in cluster.alive_ids() if self._available(g, 2, cluster)]
-        if candi:
-            return candi
-        # Defensive: with bounds >= 0 some device is always below the
-        # balanced share mid-vector, but guard against degenerate
-        # configurations (e.g. externally mutated counters).
-        return cluster.alive_ids()
-
-    # -------------------------------------------------------------- Alg. 2
-    def select(self, candidates: list[int], pair: TensorPair, cluster: ClusterState) -> int:
-        """Alg. 2: computation-centric vs memory-eviction-sensitive pick."""
-        if not candidates:
-            raise SchedulingError("empty candidate queue")
-        evict_flag = self.eviction_sensitive and any(
-            would_evict(pair, g, cluster) for g in candidates
-        )
-        compute = cluster.compute_s
-        if not evict_flag:
-            # Least computation; ties -> most free memory; ties -> lowest id.
-            key = lambda g: (compute[g], -cluster.free_bytes(g), g)
-        else:
-            # Most free memory; ties -> least computation; ties -> lowest id.
-            key = lambda g: (-cluster.free_bytes(g), compute[g], g)
-        return min(candidates, key=key)
-
     def choose(self, pair: TensorPair, cluster: ClusterState) -> int:
         """Alg. 1 + Alg. 2 fused: one pass from holder masks to device.
 
-        Equivalent to ``select(build_candidates(pair, cluster), ...)``
-        (``tests/test_placement_oracle.py`` checks that on random
-        cluster states), but the holder masks are read once and the
-        candidate tier is remembered: tier-0 candidates hold *both*
+        Equivalent to the plain per-candidate form of Alg. 1 and
+        Alg. 2, one availability test and one residency probe per
+        candidate (``tests/micco_oracle.py``; the property test in
+        ``tests/test_placement_oracle.py`` checks the two agree on
+        random cluster states).  Here the holder masks are read once and
+        the candidate tier is remembered: tier-0 candidates hold *both*
         inputs, so their incoming bytes are the output alone and the
         per-candidate residency probes collapse to a constant.  Narrow
         candidate sets are scored inline; from
@@ -198,7 +128,7 @@ class MiccoScheduler(Scheduler):
 
         slots = cluster.assigned_slots
         balance = cluster.balance_num
-        bounds = self.bounds
+        bounds = self._thresholds
         candidates = None
         tier = 2
         if self.pattern_aware:

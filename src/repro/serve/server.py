@@ -718,14 +718,22 @@ class ServeRun:
 
     def resolve_hedge(self, pair: HedgePair, winner: Ticket, now: float) -> None:
         """First completion wins; the loser is cancelled exactly once
-        (its round slot settles, no completion, no drop)."""
+        (its round slot settles, no completion, no drop).
+
+        A win is counted only when it cancels a live loser.  A loser
+        already gone left the race earlier and was counted then, as
+        ``unplaced`` or ``absorbed_drops``.  So every launched hedge has
+        one outcome: ``launched == won_by_primary + won_by_clone +
+        unplaced + absorbed_drops`` once the run ends, and ``cancelled
+        == won_by_primary + won_by_clone``.
+        """
         pair.resolved = True
         pair.winner = winner
-        clone_won = winner is pair.clone
-        self.hstats["won_by_clone" if clone_won else "won_by_primary"] += 1
         loser = pair.other(winner)
         if loser.cancelled:
             return
+        clone_won = winner is pair.clone
+        self.hstats["won_by_clone" if clone_won else "won_by_primary"] += 1
         loser.cancelled = True
         loser.hedge = None  # it may sit in a queue until popped; unlink now
         loser.epoch += 1

@@ -22,6 +22,7 @@ from repro.schedulers.micco import MiccoScheduler
 from repro.serve.sharded.node import ShardView
 from repro.tensor.spec import TensorPair, VectorSpec
 from tests.conftest import make_cluster, make_tensor
+from tests.micco_oracle import build_candidates, select
 
 N = 16
 TOPOLOGY = Topology(num_devices=N, devices_per_node=4)
@@ -125,8 +126,8 @@ class TestMaskIndexOracle:
                 view.begin_vector(8)
                 sched = MiccoScheduler()
                 pair = TensorPair.make(inputs[0], inputs[1])
-                assert sched.choose(pair, view) == sched.select(
-                    sched.build_candidates(pair, view), pair, view
+                assert sched.choose(pair, view) == select(
+                    sched, build_candidates(sched, pair, view), pair, view
                 )
 
     def test_high_device_bits(self):

@@ -3,8 +3,8 @@
 ``MiccoScheduler.choose`` fuses Alg. 1 (candidate queue) and Alg. 2
 (eviction-sensitive pick) into one pass with a scalar arm for narrow
 candidate sets and a ``CostModel.score_batch`` arm for wide ones.
-``build_candidates`` + ``select`` are the plain per-candidate form of
-the same algorithm.  On random cluster states — residency, slots,
+``build_candidates`` + ``select`` (``tests/micco_oracle.py``) are the
+plain per-candidate form of the same algorithm.  On random cluster states — residency, slots,
 compute, free memory, lost devices, shard views — the two must pick the
 same device.  The same holds for CostGreedy's batch estimate against its
 scalar estimate, and for Groute against a plain lowest-busy scan.
@@ -29,6 +29,7 @@ from repro.serve.sharded.node import ShardView
 from repro.tensor.spec import TensorPair
 from repro.workloads import WorkloadParams
 from tests.conftest import make_tensor
+from tests.micco_oracle import build_candidates, select
 
 KIB = 1024
 
@@ -89,8 +90,8 @@ def shard_of(cluster: ClusterState, rng):
 
 def oracle_pick(pair, view, bounds, **flags):
     oracle = MiccoScheduler(bounds, **flags)
-    candidates = oracle.build_candidates(pair, view)
-    return oracle.select(candidates, pair, view), candidates, oracle.pattern_counts
+    candidates = build_candidates(oracle, pair, view)
+    return select(oracle, candidates, pair, view), candidates, oracle.pattern_counts
 
 
 class TestMiccoChooseMatchesOracle:

@@ -12,6 +12,7 @@ from repro.schedulers.locality import LocalityScheduler, RandomScheduler
 from repro.schedulers.micco import MiccoScheduler
 from repro.workloads.synth import SyntheticWorkload, WorkloadParams
 from tests.conftest import make_cluster, make_pair, make_tensor
+from tests.micco_oracle import build_candidates, select
 
 
 class TestLocality:
@@ -80,8 +81,8 @@ class TestMiccoAblations:
         cl.register(p.right, 2)
         aware = MiccoScheduler(ReuseBounds(4, 4, 4))
         blind = MiccoScheduler(ReuseBounds(4, 4, 4), pattern_aware=False)
-        assert aware.build_candidates(p, cl) == [2]
-        assert blind.build_candidates(p, cl) == [0, 1, 2, 3]
+        assert build_candidates(aware, p, cl) == [2]
+        assert build_candidates(blind, p, cl) == [0, 1, 2, 3]
 
     def test_eviction_insensitive_uses_compute_rule(self):
         p = make_pair(size=64, batch=8)
@@ -92,8 +93,8 @@ class TestMiccoAblations:
         cl.compute_s[:] = [0.0, 10.0]
         sensitive = MiccoScheduler()
         insensitive = MiccoScheduler(eviction_sensitive=False)
-        assert sensitive.select([0, 1], p, cl) == 1   # roomier device
-        assert insensitive.select([0, 1], p, cl) == 0  # least compute
+        assert select(sensitive, [0, 1], p, cl) == 1   # roomier device
+        assert select(insensitive, [0, 1], p, cl) == 0  # least compute
 
     def test_ablations_cost_throughput_under_pressure(self):
         """Full MICCO beats its pattern-blind ablation at high reuse."""

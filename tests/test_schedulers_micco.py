@@ -7,10 +7,11 @@ from repro.gpusim.costmodel import CostModel
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.metrics import ExecutionMetrics
 from repro.schedulers.bounds import ReuseBounds
-from repro.schedulers.micco import MiccoScheduler, incoming_bytes, would_evict
+from repro.schedulers.micco import MiccoScheduler
 from repro.schedulers.reuse_patterns import ReusePattern
 from repro.tensor.spec import TensorPair, VectorSpec
 from tests.conftest import MIB, make_cluster, make_pair, make_tensor, make_vector
+from tests.micco_oracle import build_candidates, incoming_bytes, select, would_evict
 
 
 class TestIncomingBytes:
@@ -51,24 +52,24 @@ class TestCandidateQueue:
         p = make_pair()
         self.cl.register(p.left, 2)
         self.cl.register(p.right, 2)
-        assert sched.build_candidates(p, self.cl) == [2]
+        assert build_candidates(sched, p, self.cl) == [2]
 
     def test_two_repeated_diff_yields_both_holders(self):
         sched = MiccoScheduler()
         p = make_pair()
         self.cl.register(p.left, 1)
         self.cl.register(p.right, 3)
-        assert sched.build_candidates(p, self.cl) == [1, 3]
+        assert build_candidates(sched, p, self.cl) == [1, 3]
 
     def test_one_repeated_yields_holder(self):
         sched = MiccoScheduler()
         p = make_pair()
         self.cl.register(p.right, 0)
-        assert sched.build_candidates(p, self.cl) == [0]
+        assert build_candidates(sched, p, self.cl) == [0]
 
     def test_two_new_yields_all_available(self):
         sched = MiccoScheduler()
-        assert sched.build_candidates(make_pair(), self.cl) == [0, 1, 2, 3]
+        assert build_candidates(sched, make_pair(), self.cl) == [0, 1, 2, 3]
 
     def test_unavailable_holder_falls_through_to_tier1(self):
         """A twoRepeatedSame holder over the tier-0 bound is skipped;
@@ -78,13 +79,13 @@ class TestCandidateQueue:
         self.cl.register(p.left, 2)
         self.cl.register(p.right, 2)
         self.cl.assigned_slots[2] = 4  # at balance -> tier-0 unavailable
-        candi = sched.build_candidates(p, self.cl)
+        candi = build_candidates(sched, p, self.cl)
         assert candi == [2]  # tier-1 bound (8) readmits the holder
 
     def test_full_fallback_when_all_over(self):
         sched = MiccoScheduler()
         self.cl.assigned_slots[:] = [100] * self.cl.num_devices
-        assert sched.build_candidates(make_pair(), self.cl) == [0, 1, 2, 3]
+        assert build_candidates(sched, make_pair(), self.cl) == [0, 1, 2, 3]
 
     def test_shard_view_scopes_holders_to_the_shard(self):
         """Holders outside a ShardView never become candidates."""
@@ -97,7 +98,7 @@ class TestCandidateQueue:
         self.cl.register(p.right, 3)
         self.cl.register(p.left, 1)
         sched = MiccoScheduler()
-        assert sched.build_candidates(p, view) == [1]
+        assert build_candidates(sched, p, view) == [1]
         assert sched.pattern_counts[ReusePattern.ONE_REPEATED] == 1
         assert MiccoScheduler().choose(p, view) == 1
 
@@ -105,7 +106,7 @@ class TestCandidateQueue:
         sched = MiccoScheduler()
         p = make_pair()
         self.cl.register(p.left, 0)
-        sched.build_candidates(p, self.cl)
+        build_candidates(sched, p, self.cl)
         assert sched.pattern_counts[ReusePattern.ONE_REPEATED] == 1
         sched.reset_stats()
         assert sched.pattern_counts[ReusePattern.ONE_REPEATED] == 0
@@ -117,7 +118,7 @@ class TestSelect:
         cl.begin_vector(8)
         cl.compute_s[:] = [3.0, 1.0, 2.0]
         sched = MiccoScheduler()
-        assert sched.select([0, 1, 2], make_pair(), cl) == 1
+        assert select(sched, [0, 1, 2], make_pair(), cl) == 1
 
     def test_most_free_memory_wins_under_pressure(self):
         p = make_pair(size=64, batch=8)
@@ -129,18 +130,18 @@ class TestSelect:
         cl.compute_s[:] = [0.0, 10.0]  # device 0 has less compute...
         sched = MiccoScheduler()
         # ...but the eviction-sensitive policy picks the roomier device 1.
-        assert sched.select([0, 1], p, cl) == 1
+        assert select(sched, [0, 1], p, cl) == 1
 
     def test_empty_queue_raises(self):
         cl = make_cluster()
         with pytest.raises(SchedulingError):
-            MiccoScheduler().select([], make_pair(), cl)
+            select(MiccoScheduler(), [], make_pair(), cl)
 
     def test_deterministic_tie_break_lowest_id(self):
         cl = make_cluster(num_devices=3)
         cl.begin_vector(8)
         sched = MiccoScheduler()
-        assert sched.select([2, 0, 1], make_pair(), cl) == 0
+        assert select(sched, [2, 0, 1], make_pair(), cl) == 0
 
 
 class TestEndToEnd:

@@ -337,13 +337,14 @@ class TestGrayFaultsEndToEnd:
         hedges = result.health["hedges"]
         assert hedges["launched"] >= 1
         # Every resolved race cancels exactly one loser; clones that
-        # never found a home cancel silently as unplaced.
+        # never found a home cancel silently as unplaced, and copies
+        # shed while their partner raced as absorbed drops.
         assert hedges["cancelled"] == (
             hedges["won_by_primary"] + hedges["won_by_clone"]
         )
-        assert (
-            hedges["won_by_primary"] + hedges["won_by_clone"] + hedges["unplaced"]
-            <= hedges["launched"]
+        assert hedges["launched"] == (
+            hedges["won_by_primary"] + hedges["won_by_clone"]
+            + hedges["unplaced"] + hedges["absorbed_drops"]
         )
 
     def test_health_events_feed_the_trace(self):
